@@ -2,9 +2,20 @@
 
 From one document alone two relations are computable: an upper approximation
 (its negative facts are globally valid) and a lower approximation (pairs it
-fails to separate are globally equal).  Combining both gives the simple
-approximation set: definite yes/no facts about global equality shipped next to
-the document as an XML file.
+fails to separate are globally equal).  Both are saturations of the same
+derivation rules that decide query-time equality (`bisim.derive_round`), run
+over the document's own equations: names from other documents have no
+equation there, so the upper approximation leaves them unknown, and the lower
+one first takes them as distinct from every other name.  Combining both gives
+the simple approximation set: definite yes/no facts about global equality
+shipped next to the document as an XML file.
+
+Approximation files and trivial-oracle files share one grouped facts format:
+
+    <root><facts set_name="url#x"><fact set_name="url#y" value="yes|no"/>...
+
+with one <facts> group per name listing each later name it has a fact for;
+oracle facts add a delay attribute in milliseconds.
 """
 
 from __future__ import annotations
@@ -12,9 +23,11 @@ from __future__ import annotations
 import itertools
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .names import Element, EquationSystem, SetName, WdbError
+from .bisim import FactStore, Status, derive_round, pair_key
+from .names import (Element, EquationSystem, NameError_, SetName, WdbError,
+                    parse_full_name)
 from .store import Fetcher
 
 Pair = Tuple[SetName, SetName]
@@ -24,14 +37,14 @@ class ApproxError(WdbError):
     pass
 
 
-def _pair(x: SetName, y: SetName) -> Pair:
-    return (x, y) if x.full <= y.full else (y, x)
+class FactsFileError(WdbError):
+    """Malformed grouped facts file."""
 
 
 @dataclass
 class Fragment:
-    """One document's slice of the WDB: its defined names L, the equations for
-    L, and L' = L plus every name those equations mention.
+    """One document's slice of the WDB: its defined names L and the equations
+    for L.
 
     Names invented while flattening nested content (atom encodings and the
     like) are not part of L: the published approximation files list facts
@@ -51,94 +64,121 @@ class Fragment:
         return cls(document_url, local,
                    {n: list(system.equations[n]) for n in local})
 
-    @property
-    def almost_local(self) -> Set[SetName]:
-        out = set(self.local)
-        for expr in self.equations.values():
-            out.update(el.member for el in expr)
-        return out
-
 
 @dataclass
 class ApproxSet:
-    """Local approximation facts for one fragment: negative pairs of the upper
-    approximation, negative pairs of the lower approximation, and the combined
-    simple approximation (pair -> True for globally equal, False for unequal;
-    absent pairs are unknown)."""
+    """The simple approximation of one fragment: pair -> True for globally
+    equal, False for unequal; absent pairs are unknown."""
 
-    upper_neg: Set[Pair] = field(default_factory=set)
-    lower_neg: Set[Pair] = field(default_factory=set)
     simple: Dict[Pair, bool] = field(default_factory=dict)
 
 
-def upper_approx(fragment: Fragment) -> Set[Pair]:
-    """Least fixpoint of the negative rule restricted to local pairs: derived
-    inequalities hold globally."""
+def _refuted(fragment: Fragment, a_priori: bool) -> Set[Pair]:
+    """Local pairs the derivation rules decide No from the fragment alone.
+
+    With a_priori, every pair of distinct mentioned names touching a
+    non-local name is taken as No before deriving."""
+    facts = FactStore()
     local = set(fragment.local)
-    neg: Set[Pair] = set()
+    if a_priori:
+        mentioned = set(local)
+        for expr in fragment.equations.values():
+            mentioned.update(el.member for el in expr)
+        for u, v in itertools.combinations(mentioned, 2):
+            if u not in local or v not in local:
+                facts.resolve(u, v, False)
+    for x, y in itertools.combinations(fragment.local, 2):
+        facts.ask_question(x, y)
+    while derive_round(facts, fragment.equations):
+        pass
+    return {key for key, status in facts.status.items()
+            if status is Status.NO and key[0] in local and key[1] in local}
 
-    def known_neg(u: SetName, v: SetName) -> bool:
-        return u != v and u in local and v in local and _pair(u, v) in neg
 
-    changed = True
-    while changed:
-        changed = False
-        for x, y in itertools.combinations(fragment.local, 2):
-            if _pair(x, y) in neg:
-                continue
-            xs, ys = fragment.equations[x], fragment.equations[y]
-            if _one_side_neg(xs, ys, known_neg) or _one_side_neg(ys, xs, known_neg):
-                neg.add(_pair(x, y))
-                changed = True
-    return neg
+def upper_approx(fragment: Fragment) -> Set[Pair]:
+    """Negative facts derivable with non-local names unknown: they hold
+    globally."""
+    return _refuted(fragment, a_priori=False)
 
 
 def lower_approx(fragment: Fragment) -> Set[Pair]:
-    """Least fixpoint of the relaxed negative rule, where any pair of distinct
-    names touching a non-local name is distinct a priori.  Pairs of local
-    names not derived here are globally equal."""
-    local = set(fragment.local)
-
-    def known_neg(u: SetName, v: SetName) -> bool:
-        if u == v:
-            return False
-        if u not in local or v not in local:
-            return True  # a priori knowledge
-        return _pair(u, v) in neg
-
-    neg: Set[Pair] = set()
-    changed = True
-    while changed:
-        changed = False
-        for x, y in itertools.combinations(fragment.local, 2):
-            if _pair(x, y) in neg:
-                continue
-            xs, ys = fragment.equations[x], fragment.equations[y]
-            if _one_side_neg(xs, ys, known_neg) or _one_side_neg(ys, xs, known_neg):
-                neg.add(_pair(x, y))
-                changed = True
-    return neg
-
-
-def _one_side_neg(xs, ys, known_neg) -> bool:
-    for lx, mx in xs:
-        if all(lx != ly or known_neg(mx, my) for ly, my in ys):
-            return True
-    return False
+    """Negative facts derivable when any pair of distinct names touching a
+    non-local name is distinct a priori.  Pairs of local names not derived
+    here are globally equal."""
+    return _refuted(fragment, a_priori=True)
 
 
 def simple_approx(fragment: Fragment) -> ApproxSet:
     """Globally valid yes/no facts derivable from this fragment alone."""
     out = ApproxSet()
-    out.upper_neg = upper_approx(fragment)
-    out.lower_neg = lower_approx(fragment)
+    upper_neg = upper_approx(fragment)
+    lower_neg = lower_approx(fragment)
     for x, y in itertools.combinations(fragment.local, 2):
-        key = _pair(x, y)
-        if key in out.upper_neg:
+        key = pair_key(x, y)
+        if key in upper_neg:
             out.simple[key] = False
-        elif key not in out.lower_neg:
+        elif key not in lower_neg:
             out.simple[key] = True
     return out
+
+
+# ---------------------------------------------------------------------------
+# Grouped facts files
+# ---------------------------------------------------------------------------
+
+def write_facts(root_tag: str, names: List[SetName],
+                value: Callable[[SetName, SetName], Optional[bool]],
+                delay: Optional[Callable[[SetName, SetName], int]] = None) -> str:
+    """Render one <facts> group per name, listing each unordered pair once
+    under its earlier name; pairs whose value is None are left out."""
+    root = ET.Element(root_tag)
+    for i, first in enumerate(names):
+        group = ET.SubElement(root, "facts")
+        group.set("set_name", first.full)
+        for second in names[i + 1:]:
+            known = value(first, second)
+            if known is None:
+                continue
+            fact = ET.SubElement(group, "fact")
+            if delay is not None:
+                fact.set("delay", str(delay(first, second)))
+            fact.set("set_name", second.full)
+            fact.set("value", "yes" if known else "no")
+    return '<?xml version="1.0"?>\n' + ET.tostring(root, encoding="unicode")
+
+
+def read_facts(text: str, root_tag: str) -> List[Tuple[SetName, SetName, bool, float]]:
+    """Parse a grouped facts file into (x, y, value, delay_ms) entries, the
+    delay 0 when absent; namespaced and plain element names are both
+    accepted."""
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise FactsFileError("malformed %s file: %s" % (root_tag, exc))
+
+    def local(tag: str) -> str:
+        return tag.rpartition("}")[2]
+
+    if local(root.tag) != root_tag:
+        raise FactsFileError("unexpected root element %r" % root.tag)
+    facts: List[Tuple[SetName, SetName, bool, float]] = []
+    try:
+        for group in root:
+            if local(group.tag) != "facts":
+                continue
+            first = parse_full_name(group.attrib.get("set_name", ""))
+            for fact in group:
+                if local(fact.tag) != "fact":
+                    continue
+                second = parse_full_name(fact.attrib.get("set_name", ""))
+                value = fact.attrib.get("value")
+                if value not in ("yes", "no"):
+                    raise FactsFileError("bad fact value %r" % value)
+                delay = float(fact.attrib.get("delay", "0"))
+                facts.append((first, second, value == "yes", delay))
+    except (NameError_, ValueError) as exc:
+        raise FactsFileError("malformed %s file: %s" % (root_tag, exc))
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -154,58 +194,13 @@ def approximation_url(document_url: str) -> str:
 
 def write_approx_file(document_url: str, fragment_names: List[SetName],
                       simple: Dict[Pair, bool]) -> str:
-    """Render the simple approximation set in the grouped facts format: one
-    <facts> group per local name, listing each unordered pair once under its
-    earlier name."""
-    root = ET.Element("simple-approximation")
-    order = {n: i for i, n in enumerate(fragment_names)}
-    for name in fragment_names:
-        group = ET.SubElement(root, "facts")
-        group.set("set_name", name.full)
-        for other in fragment_names[order[name] + 1:]:
-            value = simple.get(_pair(name, other))
-            if value is None:
-                continue
-            fact = ET.SubElement(group, "fact")
-            fact.set("set_name", other.full)
-            fact.set("value", "yes" if value else "no")
-    return '<?xml version="1.0"?>\n' + ET.tostring(root, encoding="unicode")
+    """Render the simple approximation set in the grouped facts format."""
+    return write_facts("simple-approximation", fragment_names,
+                       lambda x, y: simple.get(pair_key(x, y)))
 
 
 def read_approx_file(text: str) -> List[Tuple[SetName, SetName, bool]]:
-    """Parse an approximation file; namespaced and plain element names are both
-    accepted."""
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise ApproxError("malformed approximation file: %s" % exc)
-
-    def local(tag: str) -> str:
-        return tag.rpartition("}")[2]
-
-    if local(root.tag) != "simple-approximation":
-        raise ApproxError("unexpected root element %r" % root.tag)
-    facts: List[Tuple[SetName, SetName, bool]] = []
-    for group in root:
-        if local(group.tag) != "facts":
-            continue
-        first = _parse_full(group.attrib.get("set_name", ""))
-        for fact in group:
-            if local(fact.tag) != "fact":
-                continue
-            second = _parse_full(fact.attrib.get("set_name", ""))
-            value = fact.attrib.get("value")
-            if value not in ("yes", "no"):
-                raise ApproxError("bad fact value %r" % value)
-            facts.append((first, second, value == "yes"))
-    return facts
-
-
-def _parse_full(text: str) -> SetName:
-    if "#" not in text:
-        raise ApproxError("approximation fact names must be full names: %r" % text)
-    url, _, simple = text.rpartition("#")
-    return SetName(url, simple)
+    return [(x, y, value) for x, y, value, _ in read_facts(text, "simple-approximation")]
 
 
 def generate_approximation_file(document_url: str, system: EquationSystem) -> str:
@@ -227,7 +222,7 @@ def make_approx_reader(fetcher: Fetcher):
             return []
         try:
             return read_approx_file(text)
-        except ApproxError:
+        except FactsFileError:
             return []
 
     return reader

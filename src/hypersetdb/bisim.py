@@ -3,8 +3,10 @@
 Two set names are equal when they are bisimilar: every labelled element of one
 has a label-matching bisimilar element in the other, both ways.  Equality over
 a (possibly distributed) WDB is decided by deriving positive and negative facts
-with lazy document fetching; a brute-force partition refinement over closed
-systems serves as the independent test oracle.
+with lazy document fetching.  One derivation kernel, `derive_round` saturated
+over a `FactStore`, serves query-time equality, the background engine and the
+per-file approximations (`approx.py`); a brute-force partition refinement over
+closed systems serves as the independent test oracle.
 """
 
 from __future__ import annotations
@@ -150,7 +152,12 @@ def _positive_applies(xs: List[Element], ys: List[Element],
 def derive_round(facts: FactStore, equations: EquationSystem) -> bool:
     """Apply the derivation rules once over the open questions; questions
     whose names lack equations are skipped.  Returns whether anything new was
-    resolved."""
+    resolved.
+
+    This is the one equality kernel: `bisimilar` saturates it over the
+    fetched store for query-time equality and for the engine, and `approx`
+    saturates it over one document's equations (any mapping from names to
+    element lists) for the approximation files."""
     changed = False
 
     def is_no(u: SetName, v: SetName) -> bool:

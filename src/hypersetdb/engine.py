@@ -17,33 +17,17 @@ import socket
 import socketserver
 import threading
 import time
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .approx import make_approx_reader
+from .approx import make_approx_reader, read_facts, write_facts
 from .bisim import (BisimHelpers, FactStore, OracleValue, bisimilar,
                     naive_bisimulation, pair_key)
-from .names import EquationSystem, SetName, WdbError
+from .names import EquationSystem, NameError_, SetName, WdbError, parse_full_name
 from .store import Fetcher, SessionStore
 
 
 class OracleError(WdbError):
     pass
-
-
-@dataclass
-class OracleAnswer:
-    x: SetName
-    y: SetName
-    value: OracleValue
-
-
-def _full_name(text: str) -> SetName:
-    url, _, simple = text.rpartition("#")
-    if not url or not simple:
-        raise OracleError("not a full set name: %r" % text)
-    return SetName(url, simple)
 
 
 # ---------------------------------------------------------------------------
@@ -60,27 +44,8 @@ class TrivialOracle:
 
     @classmethod
     def from_xml(cls, text: str) -> "TrivialOracle":
-        try:
-            root = ET.fromstring(text)
-        except ET.ParseError as exc:
-            raise OracleError("malformed oracle file: %s" % exc)
-        if root.tag.rpartition("}")[2] != "oracle":
-            raise OracleError("unexpected root element %r" % root.tag)
-        facts: Dict[Tuple[SetName, SetName], Tuple[bool, float]] = {}
-        for group in root:
-            if group.tag.rpartition("}")[2] != "facts":
-                continue
-            first = _full_name(group.attrib["set_name"])
-            for fact in group:
-                if fact.tag.rpartition("}")[2] != "fact":
-                    continue
-                second = _full_name(fact.attrib["set_name"])
-                value = fact.attrib["value"]
-                if value not in ("yes", "no"):
-                    raise OracleError("bad fact value %r" % value)
-                delay = float(fact.attrib.get("delay", "0"))
-                facts[pair_key(first, second)] = (value == "yes", delay)
-        return cls(facts)
+        return cls({pair_key(x, y): (value, delay)
+                    for x, y, value, delay in read_facts(text, "oracle")})
 
     def answer(self, x: SetName, y: SetName) -> OracleValue:
         if x == y:
@@ -97,21 +62,13 @@ class TrivialOracle:
 def generate_trivial_oracle_xml(system: EquationSystem,
                                 delays: Optional[Dict[Tuple[SetName, SetName], int]] = None,
                                 default_delay: int = 0) -> str:
-    """All pairwise facts of a closed WDB in the grouped oracle file format;
+    """All pairwise facts of a closed WDB in the grouped facts format;
     values are computed, correctness is therefore guaranteed."""
     blocks = naive_bisimulation(system)
-    names = list(system.equations)
     delays = delays or {}
-    root = ET.Element("oracle")
-    for i, first in enumerate(names):
-        group = ET.SubElement(root, "facts")
-        group.set("set_name", first.full)
-        for second in names[i + 1:]:
-            fact = ET.SubElement(group, "fact")
-            fact.set("delay", str(delays.get(pair_key(first, second), default_delay)))
-            fact.set("set_name", second.full)
-            fact.set("value", "yes" if blocks[first] == blocks[second] else "no")
-    return '<?xml version="1.0"?>\n' + ET.tostring(root, encoding="unicode")
+    return write_facts("oracle", list(system.equations),
+                       lambda x, y: blocks[x] == blocks[y],
+                       lambda x, y: delays.get(pair_key(x, y), default_delay))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +170,8 @@ class _AskHandler(socketserver.StreamRequestHandler):
                 self.wfile.write(b"ERROR malformed request\n")
                 continue
             try:
-                x, y = _full_name(parts[1]), _full_name(parts[2])
-            except OracleError:
+                x, y = parse_full_name(parts[1]), parse_full_name(parts[2])
+            except NameError_:
                 self.wfile.write(b"ERROR malformed set name\n")
                 continue
             value = self.server.oracle_answer(x, y)  # type: ignore[attr-defined]

@@ -201,9 +201,3 @@ def run_experiment(scenario: Scenario, strategy: str, delay_ms: float = 0.0,
         client.close()
         server.shutdown()
         server.server_close()
-
-
-def delay_sweep(scenario: Scenario, delays_ms: List[float],
-                fetch_latency_ms: float = 25.0) -> List[Measurements]:
-    return [run_experiment(scenario, "engine", d, fetch_latency_ms)
-            for d in delays_ms]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
 
 # Reserved document URL for names generated during a query session.  No real
 # WDB document can live under this URL, so generated names never clash with
@@ -96,20 +96,22 @@ class Element(NamedTuple):
 FlatExpr = List[Element]
 
 
-def element_set(expr: Iterable[Element]) -> Set[Element]:
-    """The literal (label, name) set of an expression; order/dups dropped."""
-    return set(expr)
+def parse_full_name(text: str) -> SetName:
+    """Parse "url#simple": a non-empty URL and a non-empty simple name around
+    the last "#"."""
+    url, _, simple = text.rpartition("#")
+    if not url or not simple:
+        raise NameError_("malformed full set name: %r" % text)
+    return SetName(url, simple)
 
 
 def parse_set_name(text: str, base_url: str) -> SetName:
     """Parse "url#simple" or a bare simple name resolved against base_url."""
     if "#" in text:
-        url, _, simple = text.rpartition("#")
-        if not url or not simple:
-            raise NameError_("malformed full set name: %r" % text)
-        if not is_identifier(simple):
-            raise NameError_("illegal simple set name: %r" % simple)
-        return SetName(url, simple)
+        name = parse_full_name(text)
+        if not is_identifier(name.simple):
+            raise NameError_("illegal simple set name: %r" % name.simple)
+        return name
     if "/" in text or ":" in text:
         raise NameError_("full set name missing '#' separator: %r" % text)
     if not is_identifier(text):
@@ -157,9 +159,6 @@ class EquationSystem:
             return self.equations[name]
         except KeyError:
             raise UndefinedNameError("referenced set name undefined: %s" % name.full)
-
-    def names(self) -> List[SetName]:
-        return list(self.equations)
 
     def referenced_names(self) -> Set[SetName]:
         refs: Set[SetName] = set()

@@ -142,6 +142,3 @@ class SessionStore:
             raise UndefinedNameError("undefined local name %s" % name.full)
         self.load_document(name.url)
         return self.system[name]
-
-    def elements(self, name: SetName) -> FlatExpr:
-        return self.lookup(name)

@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,56 @@ def test_sandwich_property_on_random_closed_unions():
                 "unsound approximation in trial %d for %s ? %s" % (trial, x, y)
 
 
+def random_two_file_fragment(rng, trial):
+    """A fragment of random local equations over local and foreign names."""
+    local_url = "mem://local%d.xml" % trial
+    foreign_url = "mem://foreign%d.xml" % trial
+    locals_ = [SetName(local_url, "a%d" % i) for i in range(rng.randint(1, 7))]
+    foreigns = [SetName(foreign_url, "b%d" % i) for i in range(rng.randint(0, 3))]
+    everyone = locals_ + foreigns
+    system = EquationSystem()
+    for name in locals_:
+        system.define(name, [Element(rng.choice("lm"), rng.choice(everyone))
+                             for _ in range(rng.randint(0, 3))])
+    return Fragment.from_system(system, local_url), system
+
+
+def test_lower_approx_is_exact_when_foreign_names_are_distinct():
+    # Closing the fragment with F = {foreign:F : F} makes every foreign name
+    # distinct from every other name, which is the lower approximation's a
+    # priori rule; the pairs it leaves unrefuted are then exactly the
+    # bisimilar ones, so a kernel that drops facts fails here.
+    rng = random.Random(23)
+    for trial in range(300):
+        fragment, system = random_two_file_fragment(rng, trial)
+        closed = system.copy()
+        for name in system.referenced_names():
+            if name not in closed:
+                closed.define(name, [Element("foreign:" + name.full, name)])
+        blocks = naive_bisimulation(closed)
+        neg = lower_approx(fragment)
+        unrefuted = {pair(x, y) for x, y in itertools.combinations(fragment.local, 2)
+                     if pair(x, y) not in neg}
+        bisimilar_pairs = {pair(x, y)
+                           for x, y in itertools.combinations(fragment.local, 2)
+                           if blocks[x] == blocks[y]}
+        assert unrefuted == bisimilar_pairs, "trial %d" % trial
+
+
+def test_upper_approx_complement_is_not_transitive():
+    url = "mem://u.xml"
+    a, b, c, d = (SetName(url, s) for s in "abcd")
+    foreign = SetName("mem://other.xml", "X")
+    system = EquationSystem()
+    system.define(a, [Element("l", foreign)])
+    system.define(b, [Element("l", c)])
+    system.define(c, [])
+    system.define(d, [Element("l", d)])
+    neg = upper_approx(Fragment.from_system(system, url))
+    # a stays unrefuted against b and d, yet b and d are refuted
+    assert neg == {pair(a, c), pair(b, c), pair(b, d), pair(c, d)}
+
+
 def test_approximations_restricted_are_equivalence_relations():
     rng = random.Random(5)
     for trial in range(20):
@@ -189,6 +243,51 @@ def test_namespaced_files_are_readable():
 def test_reader_is_silent_on_missing_files():
     reader = make_approx_reader(MemoryFetcher({}))
     assert reader("mem://nowhere.xml") == []
+
+
+def test_reader_is_silent_on_fact_names_without_hash():
+    text = """<simple-approximation>
+      <facts set_name="mem://f.xml#a"><fact set_name="b" value="no"/></facts>
+    </simple-approximation>"""
+    reader = make_approx_reader(
+        MemoryFetcher({approximation_url("mem://f.xml"): text}))
+    assert reader("mem://f.xml") == []
+
+
+HASH_SEED_SCRIPT = """
+import random
+from conftest import bibdb_f1_text, bibdb_f2_text
+from hypersetdb.approx import generate_approximation_file
+from hypersetdb.names import Element, EquationSystem, SetName
+from hypersetdb.xmlwdb import load_equations
+
+F1, F2 = "mem://BibDB-f1.xml", "mem://BibDB-f2.xml"
+print(generate_approximation_file(F1, load_equations(bibdb_f1_text(F1, F2), F1)))
+print(generate_approximation_file(F2, load_equations(bibdb_f2_text(F1, F2), F2)))
+rng = random.Random(2)
+local = [SetName("mem://r.xml", "a%d" % i) for i in range(12)]
+everyone = local + [SetName("mem://s.xml", "b%d" % i) for i in range(3)]
+system = EquationSystem()
+for name in local:
+    system.define(name, [Element(rng.choice("lm"), rng.choice(everyone))
+                         for _ in range(rng.randint(0, 3))])
+print(generate_approximation_file("mem://r.xml", system))
+"""
+
+
+def test_approximation_files_identical_across_hash_seeds():
+    root = Path(__file__).resolve().parent
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [str(root.parent / "src"), str(root)]))
+        result = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].count("<simple-approximation") == 3
+    assert 'value="yes"' in outputs[0] and 'value="no"' in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_generate_approximation_file_computes_no_fetches():

@@ -1,4 +1,5 @@
 import itertools
+import socket
 import time
 
 import pytest
@@ -10,7 +11,7 @@ from hypersetdb.engine import (
     BisimulationEngine, OracleClient, TrivialOracle, generate_trivial_oracle_xml,
     serve,
 )
-from hypersetdb.names import EquationSystem, SetName
+from hypersetdb.names import EquationSystem, SetName, WdbError
 from hypersetdb.store import MemoryFetcher, SessionStore
 from hypersetdb.xmlwdb import load_equations
 
@@ -67,6 +68,29 @@ def test_trivial_oracle_delay_upgrades_answer():
     assert oracle.answer(x, y) is OracleValue.UNKNOWN
     time.sleep(0.15)
     assert oracle.answer(x, y) is OracleValue.NO
+
+
+@pytest.mark.parametrize("text", [
+    "<oracle><facts",
+    "<simple-approximation/>",
+    '<oracle><facts set_name="x"><fact set_name="mem://f.xml#y" value="no"/></facts></oracle>',
+    '<oracle><facts set_name="mem://f.xml#x"><fact set_name="mem://f.xml#y"/></facts></oracle>',
+    '<oracle><facts set_name="mem://f.xml#x">'
+    '<fact set_name="mem://f.xml#y" value="no" delay="soon"/></facts></oracle>',
+])
+def test_malformed_trivial_oracle_file_raises(text):
+    with pytest.raises(WdbError):
+        TrivialOracle.from_xml(text)
+
+
+def test_namespaced_trivial_oracle_file_is_readable():
+    oracle = TrivialOracle.from_xml("""<o:oracle xmlns:o="http://x/ns">
+      <o:facts set_name="mem://f.xml#x">
+        <o:fact set_name="mem://f.xml#y" value="yes" delay="0"/>
+      </o:facts>
+    </o:oracle>""")
+    x, y = SetName("mem://f.xml", "x"), SetName("mem://f.xml", "y")
+    assert oracle.answer(x, y) is OracleValue.YES
 
 
 def test_trivial_oracle_zero_delay_answers_immediately():
@@ -134,6 +158,24 @@ def test_ask_protocol_round_trip():
                           SetName(F1, "b1")) is OracleValue.UNKNOWN
     finally:
         client.close()
+        server.shutdown()
+        server.server_close()
+
+
+def test_ask_with_malformed_name_gets_error_and_service_continues():
+    server = serve(lambda x, y: OracleValue.NO)
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            for request in (b"ASK nohash mem://f.xml#y\n", b"ASK #x mem://f.xml#y\n",
+                            b"ASK mem://f.xml# mem://f.xml#y\n"):
+                stream.write(request)
+                stream.flush()
+                assert stream.readline() == b"ERROR malformed set name\n"
+            stream.write(b"ASK mem://f.xml#x mem://f.xml#y\n")
+            stream.flush()
+            assert stream.readline() == b"NO mem://f.xml#x mem://f.xml#y\n"
+    finally:
         server.shutdown()
         server.server_close()
 

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from hypersetdb.names import (
     Bracket, DuplicateEquationError, Element, EquationSystem, LOCAL_URL,
-    NameAllocator, NameError_, SetName, flatten, parse_set_name,
+    NameAllocator, NameError_, SetName, flatten, parse_full_name,
+    parse_set_name,
 )
 from hypersetdb.bisim import naive_equal
 
@@ -12,6 +13,14 @@ def test_parse_full_name_splits_at_hash():
     name = parse_set_name("http://h/f.xml#b2", "http://other/")
     assert name == SetName("http://h/f.xml", "b2")
     assert name.full == "http://h/f.xml#b2"
+
+
+def test_parse_full_name_needs_url_and_simple_name_around_last_hash():
+    assert parse_full_name("mem://f.xml#a#b") == SetName("mem://f.xml#a", "b")
+    assert parse_full_name("u#not an id").simple == "not an id"
+    for text in ("nohash", "#x", "mem://f.xml#", ""):
+        with pytest.raises(NameError_):
+            parse_full_name(text)
 
 
 def test_parse_simple_name_resolves_against_base():
