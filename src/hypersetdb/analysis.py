@@ -136,9 +136,27 @@ def binder_declarations(bn: ParseNode) -> List[Tuple[ParseNode, str, DeclKind]]:
 _BINDING_SITES = g.BINDER_CATEGORIES | {g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL}
 
 
-def ids_search(tree: ParseNode, occurrence: ParseNode) -> DeclTriple:
+class Library:
+    """A compiled session library: the declaration sources, their analyzed
+    nodes in order, and the name -> (declaration, kind) scope that queries
+    are checked against.  `tree` is the analyzed compile text
+    `expand_library("set query {};", sources)`: one `let` (the `binder`), so
+    each declaration sees only earlier ones and the rightmost one of a name
+    wins."""
+
+    def __init__(self, sources: Sequence[str], tree: Optional[ParseNode]) -> None:
+        self.sources = list(sources)
+        self.binder = tree.children[0].children[2] if tree is not None else None
+        found = binder_declarations(self.binder) if tree is not None else []
+        self.declarations = [decl for decl, _, _ in found]
+        self.scope = {name: (decl, kind) for decl, name, kind in found}
+
+
+def ids_search(tree: ParseNode, occurrence: ParseNode,
+               library: Optional[Library] = None) -> DeclTriple:
     """Walk ancestors of an identifier occurrence looking for the nearest
-    declaration of its name; rightmost declaration of a binder wins.
+    declaration of its name; rightmost declaration of a binder wins.  A name
+    the query does not declare is looked up in the compiled library.
 
     Inside the body of a let/library declaration d_i only declarations to its
     left are visible, so a name occurring in its own defining body resolves to
@@ -175,6 +193,10 @@ def ids_search(tree: ParseNode, occurrence: ParseNode) -> DeclTriple:
         for idn, decl_name, kind in reversed(decls):
             if decl_name == name:
                 return DeclTriple(current, idn, occurrence, kind)
+    if library is not None and name in library.scope:
+        # the binder lies outside the query, as a spliced library `let` did
+        decl, kind = library.scope[name]
+        return DeclTriple(library.binder, decl, occurrence, kind)
     triple = DeclTriple(None, None, occurrence)
     triple.kind = "recursive" if skipped_own else None
     return triple
@@ -229,16 +251,17 @@ def _snippet(node: ParseNode, limit: int = 40) -> str:
 # The contextual analysis driver
 # ---------------------------------------------------------------------------
 
-def analyze(result: ParseResult) -> ParseNode:
-    """Full contextual analysis; returns the relabelled tree or raises
-    AnalysisError carrying every detected problem."""
+def analyze(result: ParseResult, library: Optional[Library] = None) -> ParseNode:
+    """Full contextual analysis against the compiled library's scope; returns
+    the relabelled tree or raises AnalysisError carrying every detected
+    problem."""
     tree = result.tree
     errors: List[AnalysisItem] = []
 
     # step 1: find a declaration for every identifier occurrence
     triples: Dict[int, DeclTriple] = {}
     for occurrence in result.identifier_nodes:
-        triple = ids_search(tree, occurrence)
+        triple = ids_search(tree, occurrence, library)
         triples[id(occurrence)] = triple
         if not triple.declared:
             name = occurrence.identifier_text()
@@ -376,8 +399,9 @@ _QUERY_RE = _re.compile(r"^\s*(set|boolean)(\s+)query\b(.*?);\s*$", _re.S)
 
 
 def expand_library(query_source: str, library: Sequence[str]) -> str:
-    """Wrap a query so the session library declarations are in scope; later
-    declarations shadow earlier ones through the rightmost-wins search."""
+    """Wrap a query in a `let` of the library declarations; later
+    declarations shadow earlier ones through the rightmost-wins search.
+    `expand_library("set query {};", sources)` is a library's compile text."""
     if not library:
         return query_source
     match = _QUERY_RE.match(query_source)
@@ -387,8 +411,3 @@ def expand_library(query_source: str, library: Sequence[str]) -> str:
     decls = ",\n".join(d.strip().rstrip(",") for d in library)
     return "%s query let %s in %s endlet;" % (kind, decls, body.strip())
 
-
-def library_check_source(library: Sequence[str]) -> str:
-    """The trivial query used to validate a library: its whole declaration
-    list wrapped around the empty set."""
-    return expand_library("set query {};", library)

@@ -15,14 +15,15 @@ from dataclasses import dataclass
 from typing import List, Optional, TextIO
 
 from . import grammar as g
-from .analysis import AnalysisError, analyze, expand_library, library_check_source
+# expand_library is not called here; perfbench/tracing.py wraps cli.expand_library
+from .analysis import AnalysisError, analyze, expand_library  # noqa: F401
 from .approx import make_approx_reader
 from .bisim import BisimHelpers, FactStore
 from .engine import OracleClient
 from .evaluator import Evaluator, postprocess
 from .library import PREDEFINED_DECLARATIONS
 from .names import WdbError
-from .parser import ParseError, parse, reprint
+from .parser import ParseError, ParseNode, parse, reprint
 from .store import FileFetcher, SessionStore
 
 WELL_TYPED = "Query is well-formed, well-typed and executable"
@@ -34,29 +35,12 @@ PRECEDENCE_WARNING = ("Warning, in the case of duplicate declaration names those
                       "declarations at the bottom of the list have precedence.")
 
 
-@dataclass
-class LibraryEntry:
-    source: str
-    header: str
-    predefined: bool = False
-
-
-def _declaration_header(decl_source: str) -> str:
-    """Brief form of one declaration: kind, name and parameter list."""
-    tree = parse("set query let %s in {} endlet;" % decl_source)
-    decl = tree.tree.children[0].children[2].children[1].children[0]
-    name = decl.children[2].identifier_text()
-    if decl.label == g.SET_CONSTANT_DECL:
-        return "set constant %s" % name
-    if decl.label == g.LABEL_CONSTANT_DECL:
-        return "label constant %s" % name
-    params = []
-    for variable in decl.children[4].children:
-        if variable.label == g.VARIABLE:
-            params.append("%s %s" % (variable.children[0].label,
-                                     variable.children[1].identifier_text()))
-    kind = "set query" if decl.label == g.SET_QUERY_DECL else "boolean query"
-    return "%s %s (%s)" % (kind, name, ",".join(params))
+def _declaration_header(decl: ParseNode) -> str:
+    """Brief form of one compiled declaration: kind, name and parameters."""
+    header = " ".join(reprint(child) for child in decl.children[:3])
+    if decl.label in (g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL):
+        header += " (%s)" % reprint(decl.children[4]).replace(" , ", ",")
+    return header
 
 
 @dataclass
@@ -92,10 +76,6 @@ class Session:
             helpers.approx_reader = make_approx_reader(self.fetcher)
         self.evaluator = Evaluator(self.store, self.facts, helpers,
                                    library_sources=PREDEFINED_DECLARATIONS)
-        self.library: List[LibraryEntry] = [
-            LibraryEntry(src, _declaration_header(src), predefined=True)
-            for src in PREDEFINED_DECLARATIONS
-        ]
 
     # -- command handling ------------------------------------------------------
 
@@ -112,16 +92,15 @@ class Session:
 
     def _run_query(self, source: str) -> str:
         started = time.monotonic()
-        expanded = expand_library(source, [e.source for e in self.library])
         try:
-            result = parse(expanded)
+            result = parse(source)
         except ParseError as exc:
-            return "%s\n\n%s" % (NOT_WELL_FORMED, self._located(str(exc), expanded))
+            return "%s\n\n%s" % (NOT_WELL_FORMED, self._located(str(exc), source))
         try:
-            tree = analyze(result)
+            tree = analyze(result, self.evaluator.library)
         except AnalysisError as exc:
             lines = [NOT_WELL_TYPED, ""]
-            lines.extend(self._located(item.render(), expanded)
+            lines.extend(self._located(item.render(), source)
                          for item in exc.items)
             return "\n".join(lines)
         try:
@@ -149,36 +128,35 @@ class Session:
         try:
             result = parse(source)
         except ParseError as exc:
-            return "%s\n\n%s" % (NOT_WELL_FORMED, exc)
+            return "%s\n\n%s" % (NOT_WELL_FORMED, self._located(str(exc), source))
         command = result.tree.children[1]
         if command.label != g.LIBRARY_COMMAND:
             return NOT_WELL_FORMED
         if command.children[0].label == "list":
             verbose = len(command.children) > 1
             return self._render_listing(verbose)
-        # library add: validate by wrapping the trivial query {} with the
-        # extended declaration list before committing
-        new_entries = []
-        for decl in command.children[1].children:
-            if decl.label in g.DECLARATION_CATEGORIES:
-                new_entries.append(reprint(decl))
-        candidate = [e.source for e in self.library] + new_entries
+        # library add: compile the extended library; it replaces the one in
+        # use only if it is well-typed and its constants evaluate
+        candidate = self.evaluator.library.sources + [
+            reprint(decl) for decl in command.children[1].children
+            if decl.label in g.DECLARATION_CATEGORIES]
         try:
-            analyze(parse(library_check_source(candidate)))
+            self.evaluator.load_library(candidate)
         except (ParseError, AnalysisError) as exc:
             return "%s\n\n%s" % (NOT_WELL_TYPED, exc)
-        for entry_source in new_entries:
-            self.library.append(
-                LibraryEntry(entry_source, _declaration_header(entry_source)))
+        except WdbError as exc:
+            return "Library command failed: %s" % exc
         return "%s\n\n%s" % (LIBRARY_OK, LIBRARY_WARNING)
 
     def _render_listing(self, verbose: bool) -> str:
         lines = [LIBRARY_OK, "", LIBRARY_WARNING, "", PRECEDENCE_WARNING, "",
                  "List of library declaration(s):", ""]
+        library = self.evaluator.library
         if verbose:
-            body = ",\n\n".join("  %s" % e.source for e in self.library)
+            body = ",\n\n".join("  %s" % source for source in library.sources)
         else:
-            body = ",\n".join("  %s" % e.header for e in self.library)
+            body = ",\n".join("  %s" % _declaration_header(decl)
+                               for decl in library.declarations)
         return "\n".join(lines) + body
 
     def close(self) -> None:

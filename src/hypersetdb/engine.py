@@ -22,12 +22,8 @@ from typing import Dict, List, Optional, Tuple
 from .approx import make_approx_reader, read_facts, write_facts
 from .bisim import (BisimHelpers, FactStore, OracleValue, bisimilar,
                     naive_bisimulation, pair_key)
-from .names import EquationSystem, NameError_, SetName, WdbError, parse_full_name
+from .names import EquationSystem, NameError_, SetName, parse_full_name
 from .store import Fetcher, SessionStore
-
-
-class OracleError(WdbError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +199,14 @@ def serve(answer_fn, host: str = "127.0.0.1", port: int = 0) -> OracleServer:
 
 
 class OracleClient:
-    """Blocking request/response client for the ASK protocol."""
+    """Blocking request/response client for the ASK protocol.
+
+    The oracle is advisory: a connection that fails or closes, an ERROR
+    reply or a garbled one reads UNKNOWN, so the query derives the answer
+    itself.  The socket is then dropped and the next ask reconnects."""
+
+    _REPLIES = {"YES": OracleValue.YES, "NO": OracleValue.NO,
+                "UNKNOWN": OracleValue.UNKNOWN}
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self.address = (host, port)
@@ -212,36 +215,32 @@ class OracleClient:
         self._file = None
         self._lock = threading.Lock()
 
-    def _connect(self) -> None:
-        if self._sock is None:
-            self._sock = socket.create_connection(self.address, timeout=self.timeout)
-            self._file = self._sock.makefile("rwb")
-
     def ask(self, x: SetName, y: SetName) -> OracleValue:
         with self._lock:
-            self._connect()
-            request = "ASK %s %s\n" % (x.full, y.full)
-            self._file.write(request.encode("utf-8"))
-            self._file.flush()
-            line = self._file.readline().decode("utf-8").split()
-            if not line:
-                raise OracleError("oracle connection closed")
-            if line[0] == "YES":
-                return OracleValue.YES
-            if line[0] == "NO":
-                return OracleValue.NO
-            if line[0] == "UNKNOWN":
+            try:
+                if self._sock is None:
+                    self._sock = socket.create_connection(self.address,
+                                                          timeout=self.timeout)
+                    self._file = self._sock.makefile("rwb")
+                self._file.write(("ASK %s %s\n" % (x.full, y.full)).encode("utf-8"))
+                self._file.flush()
+                reply = self._file.readline().decode("utf-8", "replace").split()
+            except OSError:
+                reply = []
+            value = self._REPLIES.get(reply[0]) if reply else None
+            if value is None:
+                self._drop()
                 return OracleValue.UNKNOWN
-            raise OracleError("unexpected oracle reply: %s" % " ".join(line))
+            return value
+
+    def _drop(self) -> None:
+        sock, self._sock, self._file = self._sock, None, None
+        if sock is not None:
+            sock.close()
 
     def close(self) -> None:
         with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                finally:
-                    self._sock = None
-                    self._file = None
+            self._drop()
 
     def __call__(self, x: SetName, y: SetName) -> OracleValue:
         return self.ask(x, y)

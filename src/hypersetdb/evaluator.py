@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import grammar as g
-from .analysis import analyze
+from .analysis import Library, analyze, expand_library
 from .bisim import BisimHelpers, FactStore, bisimilar
 from .names import Element, FlatExpr, NULL_LABEL, SetName, WdbError
 from .parser import ParseNode, parse
@@ -51,25 +51,31 @@ class Evaluator:
 
     def __init__(self, store: SessionStore, facts: Optional[FactStore] = None,
                  helpers: Optional[BisimHelpers] = None,
-                 library_sources: Optional[Sequence[str]] = None) -> None:
+                 library_sources: Sequence[str] = ()) -> None:
         self.store = store
         self.facts = facts or FactStore()
         self.helpers = helpers or BisimHelpers()
         self.atoms: Dict[str, SetName] = {}
         self.empty_name: Optional[SetName] = None
-        self.library_env: Dict[str, object] = {}
-        if library_sources:
-            self.library_env = self._build_library_env(library_sources)
+        self.regroup: Optional[object] = None
+        self.load_library(library_sources)
 
     # -- plumbing ------------------------------------------------------------
 
-    def _build_library_env(self, sources: Sequence[str]) -> Dict[str, object]:
-        decls = ",\n".join(sources)
-        wrapped = "set query let %s in {} endlet;" % decls
-        tree = analyze(parse(wrapped))
-        let_node = tree.children[0].children[2]
-        assert let_node.label == g.TERM_WITH_DECLS
-        return self.eval_declarations(let_node.children[1], {})
+    def load_library(self, sources: Sequence[str]) -> None:
+        """Compile the session library: parse, analyze and evaluate its
+        declarations as one `let`, then make them the scope and environment
+        of every query.  Raises ParseError, AnalysisError or WdbError before
+        the library in use changes.
+
+        `decorate` keeps the Regroup of the first library loaded, the
+        predefined one, so a `library add` of a Regroup cannot change it."""
+        tree = analyze(parse(expand_library("set query {};", sources))) \
+            if sources else None
+        library = Library(sources, tree)
+        env = self.eval_declarations(library.declarations, {})
+        self.library, self.library_env = library, env
+        self.regroup = self.regroup or env.get("Regroup")
 
     def equal(self, x: SetName, y: SetName) -> bool:
         return bisimilar(x, y, self.store, self.facts, self.helpers)
@@ -100,8 +106,8 @@ class Evaluator:
             raise EvaluationError("not a query command")
         body = query.children[2]
         if query.children[0].label == "boolean":
-            return QueryResult(boolean=self.eval_formula(body, {}))
-        root = self.eval_term(body, {})
+            return QueryResult(boolean=self.eval_formula(body, self.library_env))
+        root = self.eval_term(body, self.library_env)
         self.store.lookup(root)  # the result equation must be present
         return QueryResult(root=root)
 
@@ -159,7 +165,7 @@ class Evaluator:
         if label == g.SET_QUERY_CALL:
             return self.eval_call(node, env)
         if label == g.TERM_WITH_DECLS:
-            inner_env = self.eval_declarations(node.children[1], env)
+            inner_env = self.eval_declarations(node.children[1].children, env)
             return self.eval_term(node.children[3], inner_env)
         raise EvaluationError("cannot evaluate %s as a term" % label)
 
@@ -179,10 +185,10 @@ class Evaluator:
         member = self.eval_term(node.children[2], env)
         return Element(label, member)
 
-    def eval_declarations(self, declarations: ParseNode,
+    def eval_declarations(self, declarations: Sequence[ParseNode],
                           env: Dict[str, object]) -> Dict[str, object]:
         current = dict(env)
-        for decl in declarations.children:
+        for decl in declarations:
             if decl.label == g.SET_CONSTANT_DECL:
                 name = decl.children[2].identifier_text()
                 current[name] = ("set", self.eval_term(decl.children[-1], current))
@@ -380,7 +386,7 @@ class Evaluator:
                 else node.children[5]
             return self.eval_formula(branch, env)
         if label == g.FORMULA_WITH_DECLS:
-            inner_env = self.eval_declarations(node.children[1], env)
+            inner_env = self.eval_declarations(node.children[1].children, env)
             return self.eval_formula(node.children[3], inner_env)
         raise EvaluationError("cannot evaluate %s as a formula" % label)
 
@@ -419,22 +425,15 @@ class Evaluator:
 
     # -- decoration ---------------------------------------------------------------
 
-    def call_library(self, name: str, arguments: List[Tuple[str, object]]):
-        closure = self.library_env.get(name)
-        if not isinstance(closure, Closure):
-            raise EvaluationError("library query %s is not available" % name)
-        call_env = dict(closure.env)
-        for (kind, pname), value in zip(closure.parameters, arguments):
-            call_env[pname] = value
-        if closure.result == "set":
-            return self.eval_term(closure.body, call_env)
-        return self.eval_formula(closure.body, call_env)
-
     def eval_decorate(self, graph: SetName, vertex: SetName) -> SetName:
         """Regroup the graph into abstract equations, canonise node names,
         then mint an isomorphic system of duplicate names rooted at the
         canonical node equal to the vertex."""
-        regrouped = self.call_library("Regroup", [("set", graph)])
+        if not isinstance(self.regroup, Closure):
+            raise EvaluationError("library query Regroup is not available")
+        call_env = dict(self.regroup.env)
+        call_env[self.regroup.parameters[0][1]] = ("set", graph)
+        regrouped = self.eval_term(self.regroup.body, call_env)
 
         entries: List[Tuple[SetName, SetName]] = []  # (node name x, children name c)
         for _, entry in self.elements(regrouped):

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from hypersetdb.analysis import AnalysisError, analyze, expand_library
+from hypersetdb.analysis import AnalysisError, analyze
 from hypersetdb.approx import Fragment, simple_approx, write_approx_file
 from hypersetdb.bisim import FactStore, bisimilar, naive_bisimulation
 from hypersetdb.evaluator import Evaluator, postprocess
@@ -32,8 +32,7 @@ def session_evaluator(bibdb):
 
 
 def run_query(evaluator, source):
-    expanded = expand_library(source, PREDEFINED_DECLARATIONS)
-    tree = analyze(parse(expanded))
+    tree = analyze(parse(source), evaluator.library)
     return evaluator.eval_query(tree)
 
 

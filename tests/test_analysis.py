@@ -3,10 +3,11 @@ import pytest
 from hypersetdb import grammar as g
 from hypersetdb.analysis import (
     AnalysisError, QueryType, analyze, expand_library, ids_search,
-    library_check_source,
 )
+from hypersetdb.evaluator import Evaluator
 from hypersetdb.library import PREDEFINED_DECLARATIONS
 from hypersetdb.parser import parse
+from hypersetdb.store import MemoryFetcher, SessionStore
 
 UNTYPED_BIBDB_QUERY = ("set query collect { pub-type:pub "
                        "where pub-type:pub in BibDB "
@@ -210,7 +211,7 @@ def test_expand_library_wraps_declarations():
 
 
 def test_predefined_library_is_well_typed():
-    analyze(parse(library_check_source(PREDEFINED_DECLARATIONS)))
+    analyze(parse(expand_library("set query {};", PREDEFINED_DECLARATIONS)))
 
 
 def test_later_library_declaration_shadows_earlier():
@@ -230,3 +231,48 @@ def test_empty_library_call_is_undeclared():
     with pytest.raises(AnalysisError) as excinfo:
         analyze(parse("set query call Pair({}, {});"))
     assert any(item.name == "Pair" for item in excinfo.value.items)
+
+
+# -- queries checked against a compiled library --------------------------------
+
+def compiled(sources):
+    return Evaluator(SessionStore(MemoryFetcher({})), library_sources=sources).library
+
+
+def test_compiled_library_scope_rightmost_declaration_wins():
+    library = compiled(["set constant some_book = http://h/f.xml#b1",
+                        "set constant some_book = http://h/f.xml#b2"])
+    result = parse("set query some_book;")
+    tree = analyze(result, library)
+    use = result.identifier_nodes[0]
+    assert use.label == g.SET_CONSTANT
+    assert ids_search(tree, use, library).declaration is library.declarations[1]
+
+
+def test_compiled_library_declaration_sees_only_earlier_ones():
+    with pytest.raises(AnalysisError) as excinfo:
+        compiled(["set query A (set x) be call B(x)", "set query B (set x) be x"])
+    assert any(item.name == "B" for item in excinfo.value.items)
+    compiled(["set query B (set x) be x", "set query A (set x) be call B(x)"])
+
+
+def test_query_declaration_shadows_library_name():
+    library = compiled(PREDEFINED_DECLARATIONS)
+    result = parse("set query let set constant Pair = {} in Pair endlet;")
+    tree = analyze(result, library)
+    use = result.identifier_nodes[-1]
+    triple = ids_search(tree, use, library)
+    assert use.label == g.SET_CONSTANT
+    assert triple.declaration.label == g.SET_CONSTANT_DECL
+    assert triple.declaration not in library.declarations
+
+
+def test_library_names_resolve_without_splicing():
+    library = compiled(PREDEFINED_DECLARATIONS)
+    result = parse("set query call Pair({}, {});")
+    analyze(result, library)
+    assert result.identifier_nodes[0].label == g.SET_QUERY_NAME
+    with pytest.raises(AnalysisError) as excinfo:
+        analyze(parse("set query call Pair({});"), library)
+    assert "expects 2 parameter(s), got 1" in str(excinfo.value)
+    assert excinfo.value.items[0].position == len("set query ")

@@ -1,11 +1,19 @@
+import contextlib
 import io
+import socket
+import socketserver
+import threading
 
 import pytest
 
+from hypersetdb import cli
+from hypersetdb.bisim import OracleValue
 from hypersetdb.cli import (
-    LIBRARY_OK, NOT_WELL_TYPED, PRECEDENCE_WARNING, WELL_TYPED,
+    LIBRARY_OK, NOT_WELL_FORMED, NOT_WELL_TYPED, PRECEDENCE_WARNING, WELL_TYPED,
     Session, SessionConfig, build_flags, repl,
 )
+from hypersetdb.library import PREDEFINED_DECLARATIONS
+from hypersetdb.names import SetName
 from hypersetdb.store import MemoryFetcher
 
 from conftest import bibdb_f1_text, bibdb_f2_text
@@ -50,6 +58,43 @@ def test_parse_error_reports_position():
     assert "Error at character" in output
 
 
+def test_parse_error_position_is_in_the_users_text():
+    output = make_session().run_command("set query ;")
+    assert "Error at character 11, " in output
+    assert output.endswith("...set query ; <-------")
+
+
+def test_analysis_error_position_is_in_the_users_text():
+    output = make_session().run_command("set query { 'a': x };")
+    assert NOT_WELL_TYPED in output
+    assert "Error at character 18, occurrence of identifier name x not declared" in output
+    assert output.endswith("...set query { 'a': x }; <-------")
+
+
+def test_library_add_parse_error_is_located():
+    output = make_session().run_command("library add set constant = {};")
+    assert NOT_WELL_FORMED in output
+    assert "Error at character 26, " in output
+    assert output.endswith("...library add set constant = {}; <-------")
+
+
+def test_session_parses_only_the_users_text(monkeypatch):
+    session = make_session()
+    lengths = []
+
+    def recording_parse(source):
+        lengths.append(len(source))
+        return parse(source)
+
+    parse = cli.parse
+    monkeypatch.setattr(cli, "parse", recording_parse)
+    queries = ["set query call Pair({}, {});",
+               "boolean query call isPair(call Pair({}, {}));"]
+    for query in queries:
+        assert WELL_TYPED in session.run_command(query)
+    assert lengths == [len(query) for query in queries]
+
+
 def test_library_list_contains_predefined_declarations():
     session = make_session()
     output = session.run_command("library list;")
@@ -92,6 +137,43 @@ def test_earlier_declarations_keep_their_bindings():
     output = session.run_command("set query call useC({});")
     # useC still sees the first c
     assert "'v1'" in output
+
+
+def test_added_regroup_does_not_change_decorate_or_can():
+    graph = ("let set constant g = { 'null':call Pair(\"a\",\"b\"), "
+             "'null':call Pair(\"b\",\"a\"), 'null':call Pair(\"a\",\"d\") } in %s endlet;")
+    queries = ["set query " + graph % 'decorate (g, "a")',
+               "set query " + graph % 'call Can ( decorate (g, "a") )']
+    predefined = make_session(show_time=False)
+    expected = [predefined.run_command(q) for q in queries]
+    session = make_session(show_time=False)
+    output = session.run_command("library add set query Regroup (set g) be {};")
+    assert LIBRARY_OK in output
+    # decorate, and Can through it, keep the predefined Regroup ...
+    assert [session.run_command(q) for q in queries] == expected
+    assert all("Result = {'null':" in text for text in expected)
+    # ... while queries call the added one
+    assert "Result = {}" in session.run_command("set query call Regroup(%s#b1);" % F1)
+
+
+def test_query_declaration_shadows_library_declaration():
+    session = make_session(show_time=False)
+    session.run_command("library add set constant k = { 'library':{} };")
+    output = session.run_command(
+        "set query let set constant k = { 'query':{} }, "
+        "set query Pair (set x,set y) be { 'mine':x } in "
+        "{ 'k':k, 'p':call Pair({}, {}) } endlet;")
+    assert "Result = {'k':\"query\", 'p':\"mine\"}" in output
+    assert "Result = {'library':{}}" in session.run_command("set query k;")
+
+
+def test_library_add_with_failing_constant_keeps_the_library():
+    session = make_session(show_time=False)
+    output = session.run_command(
+        "library add set constant gone = union mem://missing.xml#x;")
+    assert output.startswith("Library command failed:")
+    assert "gone" not in session.run_command("library list;")
+    assert "Result = {}" in session.run_command("set query {};")
 
 
 def test_library_list_verbose_shows_bodies():
@@ -166,3 +248,57 @@ def test_no_network_blocks_http(tmp_path):
     session = Session(SessionConfig(allow_network=False))
     output = session.run_command("set query http://example.org/f.xml#x;")
     assert "network disabled" in output
+
+
+# -- the oracle is advisory ------------------------------------------------------
+
+class _FaultyOracle(socketserver.StreamRequestHandler):
+    """Replies `server.reply` to every request line; None closes at once."""
+
+    def handle(self) -> None:
+        if self.server.reply is None:
+            return
+        for _ in self.rfile:
+            self.wfile.write(self.server.reply)
+
+
+@contextlib.contextmanager
+def faulty_oracle(reply):
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _FaultyOracle)
+    server.daemon_threads = True
+    server.reply = reply
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield "127.0.0.1:%d" % server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@contextlib.contextmanager
+def refused_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        address = "127.0.0.1:%d" % probe.getsockname()[1]
+    yield address  # nothing listens there any more
+
+
+@pytest.mark.parametrize("oracle", [
+    refused_port,
+    lambda: faulty_oracle(None),
+    lambda: faulty_oracle(b"BANANA\n"),
+    lambda: faulty_oracle(b"ERROR malformed request\n"),
+], ids=["refused", "closes", "garbled", "error-reply"])
+def test_failing_oracle_does_not_fail_the_query(oracle):
+    with oracle() as address:
+        session = make_session(oracle=address, show_time=False)
+        try:
+            assert session.oracle_client.ask(SetName(F1, "b2"), SetName(F2, "p3")) \
+                is OracleValue.UNKNOWN
+            equal = session.run_command("boolean query %s#b2 = %s#p3;" % (F1, F2))
+            unequal = session.run_command("boolean query %s#b1 = %s#p1;" % (F1, F2))
+        finally:
+            session.close()
+    assert "Result = true" in equal
+    assert "Result = false" in unequal

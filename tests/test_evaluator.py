@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hypersetdb.analysis import analyze, expand_library
+from hypersetdb.analysis import AnalysisError, analyze, expand_library
 from hypersetdb.bisim import FactStore, naive_bisimulation
 from hypersetdb.evaluator import Evaluator, QueryResult, postprocess
 from hypersetdb.library import PREDEFINED_DECLARATIONS
@@ -23,8 +23,7 @@ def make_evaluator(documents=None) -> Evaluator:
 
 
 def run(evaluator: Evaluator, source: str) -> QueryResult:
-    expanded = expand_library(source, PREDEFINED_DECLARATIONS)
-    tree = analyze(parse(expanded))
+    tree = analyze(parse(source), evaluator.library)
     return evaluator.eval_query(tree)
 
 
@@ -466,3 +465,40 @@ def test_recursion_iteration_count_is_bounded_by_source_size():
               if n.is_local() and (n.simple == "q" or n.simple.startswith("q"))]
     assert 1 <= len(stages) <= 4
     assert sorted(el.label for el in elements_of(ev, result)) == ["a", "b", "c"]
+
+
+# ---------------------------------------------------------------------------
+# The compiled library
+# ---------------------------------------------------------------------------
+
+BIBDB_QUERIES = [
+    """set query
+      let set constant BibDB be %s#BibDB,
+          set constant b2 be %s#b2
+      in collect { pub-type:pub
+          where pub-type:pub in BibDB
+          and exists 'refers-to':ref in pub . ref=b2
+        }
+      endlet;""" % (F1, F1),
+    "set query call TC_along_label('refers-to', %s#b1);" % F1,
+    "set query " + FIVE_EDGE_GRAPH % 'call Can ( decorate (g, "a") )',
+    "boolean query call isPair(call Pair(%s#b2, %s#p3));" % (F1, F2),
+]
+
+
+@pytest.mark.parametrize("query", BIBDB_QUERIES,
+                         ids=["collect", "tc-along-label", "can", "is-pair"])
+def test_spliced_and_scoped_queries_render_the_same(query):
+    spliced, scoped = bibdb_evaluator(), bibdb_evaluator()
+    tree = analyze(parse(expand_library(query, PREDEFINED_DECLARATIONS)))
+    expected = postprocess(spliced.eval_query(tree), spliced.store)
+    assert postprocess(run(scoped, query), scoped.store) == expected
+
+
+def test_failed_library_load_keeps_the_library_in_use():
+    ev = make_evaluator()
+    library, env = ev.library, ev.library_env
+    with pytest.raises(AnalysisError):
+        ev.load_library(PREDEFINED_DECLARATIONS + ["set constant c = missing"])
+    assert ev.library is library and ev.library_env is env
+    assert run(ev, "boolean query call isPair(call Pair({}, {}));").boolean is True
