@@ -2,9 +2,11 @@
 
     python scripts/run_experiments.py [--latency MS] [--quick]
 
-Prints three tables: query time against engine head start on the chains
-scenario, the approximation effect on the self-contained scenario, and the
-zero-head-start crossover on the three-file scenario.
+Prints four tables: query time against engine head start on the chains
+scenario, the approximation effect on the self-contained scenario, the
+zero-head-start crossover on the three-file scenario, and the cost of lazy
+`bisimilar` alone on straight chains of n names per side (5 files per side,
+no fetch latency): wall time, document fetches and questions.
 """
 
 import argparse
@@ -29,11 +31,13 @@ def main() -> int:
         delays = [0, 250, 500, 750]
         self_contained = build_self_contained(names=10)
         three = build_three_file(names=21)
+        chain_sizes = [10, 20, 40]
     else:
         chains = build_chains(files=10, names=51)
         delays = [0, 500, 1000, 1500, 2000]
         self_contained = build_self_contained(names=25)
         three = build_three_file(names=61)
+        chain_sizes = [50, 100, 200]
 
     print("chains scenario: query time against engine head start d")
     print("  %8s  %12s" % ("d [ms]", "t(d) [ms]"))
@@ -58,8 +62,16 @@ def main() -> int:
     engine = run_experiment(three, "engine", delay_ms=0,
                             fetch_latency_ms=latency)
     print("  without engine: %8.0f ms" % local.wall_ms)
-    print("  engine, d=0:    %8.0f ms   (asking an ignorant engine only "
-          "adds cost)" % engine.wall_ms)
+    print("  engine, d=0:    %8.0f ms   (no head start: the engine races "
+          "the client)" % engine.wall_ms)
+
+    print("\nlazy bisimilar on straight chains, 5 files per side, no latency")
+    print("  %6s  %10s  %8s  %10s" % ("n", "wall [ms]", "fetches", "questions"))
+    for n in chain_sizes:
+        m = run_experiment(build_chains(files=5, names=n), "no_engine",
+                           fetch_latency_ms=0)
+        print("  %6d  %10.0f  %8d  %10d"
+              % (n, m.wall_ms, m.client_fetches, m.questions_resolved))
     return 0
 
 

@@ -2,11 +2,11 @@
 
 From one document alone two relations are computable: an upper approximation
 (its negative facts are globally valid) and a lower approximation (pairs it
-fails to separate are globally equal).  Both are saturations of the same
-derivation rules that decide query-time equality (`bisim.derive_round`), run
-over the document's own equations: names from other documents have no
-equation there, so the upper approximation leaves them unknown, and the lower
-one first takes them as distinct from every other name.  Combining both gives
+fails to separate are globally equal).  Both are computed by the kernel that
+decides query-time equality, `bisim.saturate`, run over the document's own
+equations on a fresh `FactStore`: names from other documents have no equation
+there, so the upper approximation leaves them unknown, and the lower one
+first takes them as distinct from every other name.  Combining both gives
 the simple approximation set: definite yes/no facts about global equality
 shipped next to the document as an XML file.
 
@@ -25,7 +25,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .bisim import FactStore, Status, derive_round, pair_key
+from .bisim import FactStore, Status, pair_key, saturate
 from .names import (Element, EquationSystem, NameError_, SetName, WdbError,
                     parse_full_name)
 from .store import Fetcher
@@ -89,8 +89,7 @@ def _refuted(fragment: Fragment, a_priori: bool) -> Set[Pair]:
                 facts.resolve(u, v, False)
     for x, y in itertools.combinations(fragment.local, 2):
         facts.ask_question(x, y)
-    while derive_round(facts, fragment.equations):
-        pass
+    saturate(facts, fragment.equations)
     return {key for key, status in facts.status.items()
             if status is Status.NO and key[0] in local and key[1] in local}
 

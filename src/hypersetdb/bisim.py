@@ -3,9 +3,11 @@
 Two set names are equal when they are bisimilar: every labelled element of one
 has a label-matching bisimilar element in the other, both ways.  Equality over
 a (possibly distributed) WDB is decided by deriving positive and negative facts
-with lazy document fetching.  One derivation kernel, `derive_round` saturated
-over a `FactStore`, serves query-time equality, the background engine and the
-per-file approximations (`approx.py`); a brute-force partition refinement over
+with lazy document fetching.  One derivation kernel, `saturate` over a
+`FactStore`, serves query-time equality, the background engine and the
+per-file approximations (`approx.py`).  It re-examines a question only when
+something it depends on has changed, through a dependency index kept on the
+`FactStore` for the whole session.  A brute-force partition refinement over
 closed systems serves as the independent test oracle.
 """
 
@@ -14,7 +16,8 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional, Set,
+                    Tuple)
 
 from .names import Element, EquationSystem, SetName, WdbError
 from .store import SessionStore
@@ -48,28 +51,61 @@ class FactStore:
     Resolution is monotone: once a pair is Yes or No it never changes, and a
     conflicting update is a hard internal error.  Positive facts additionally
     feed a union-find so transitivity closes cheaply.
+
+    The store also holds the dependency index of `saturate`, so the index
+    lasts as long as the facts: the questions still to examine, the open
+    questions reading each pair, the questions waiting for a name's equation,
+    and the open questions incident to each name.  Equations are write-once,
+    so what a question reads never changes once both its equations exist.
     """
 
     def __init__(self) -> None:
         self.status: Dict[Pair, Status] = {}
-        self.open: Set[Pair] = set()
         self.asked_oracle: Set[Pair] = set()
+        self.approx_loaded: Set[str] = set()   # documents whose file was read
         self.productive_rounds = 0
         self.lock = threading.Lock()
+        self.pending: List[Pair] = []                  # new, not yet examined
+        self.woken: List[Pair] = []                    # indexed, to re-examine
+        self.watchers: Dict[Pair, List[Pair]] = {}     # pair -> questions reading it
+        self.blocked: Dict[SetName, List[Pair]] = {}   # name -> questions needing it
+        self.incident: Dict[SetName, List[Pair]] = {}  # name -> indexed questions
         self._parent: Dict[SetName, SetName] = {}
+        self._members: Dict[SetName, List[SetName]] = {}  # root -> its class
 
     # union-find over positively resolved names
     def _find(self, n: SetName) -> SetName:
         parent = self._parent
         root = n
-        while parent.get(root, root) != root:
+        while root in parent:
             root = parent[root]
-        while parent.get(n, n) != root:
-            n, parent[n] = parent[n], root
+        while n in parent:
+            parent[n], n = root, parent[n]
         return root
 
+    def _union(self, x: SetName, y: SetName) -> None:
+        """Merge two classes.  The open questions between them now hold by
+        transitivity: they are re-queued, found from the smaller class."""
+        small, large = self._find(x), self._find(y)
+        if small.full == large.full:
+            return
+        if len(self._members.get(small, ())) > len(self._members.get(large, ())):
+            small, large = large, small
+        names = self._members.pop(small, None) or [small]
+        for u in names:
+            questions = [q for q in self.incident.pop(u, ())
+                         if self.status[q] is Status.QUESTION]
+            if questions:
+                self.incident[u] = questions
+            for q in questions:
+                other = q[1] if q[0].full == u.full else q[0]
+                if self._find(other).full == large.full:
+                    self.woken.append(q)
+        self._parent[small] = large
+        self._members.setdefault(large, [large]).extend(names)
+
     def same_class(self, x: SetName, y: SetName) -> bool:
-        return self._find(x) == self._find(y)
+        return self._find(x).full == self._find(y).full
 
     def get(self, x: SetName, y: SetName) -> Optional[Status]:
         if x == y:
@@ -77,16 +113,33 @@ class FactStore:
         return self.status.get(pair_key(x, y))
 
     def ask_question(self, x: SetName, y: SetName) -> None:
-        if x == y:
+        if x.full == y.full:
             return
         key = pair_key(x, y)
         if key not in self.status:
             self.status[key] = Status.QUESTION
-            self.open.add(key)
+            self.pending.append(key)
+
+    def ask_against(self, u: SetName, others: List[SetName]) -> List[Pair]:
+        """Ask u ? v for each v in others, none of them u; returns the pairs
+        that are open."""
+        status, full = self.status, u.full
+        opened = []
+        for v in others:
+            key = (u, v) if full < v.full else (v, u)
+            old = status.get(key)
+            if old is None:
+                status[key] = Status.QUESTION
+                self.pending.append(key)
+            elif old is not Status.QUESTION:
+                continue
+            opened.append(key)
+        return opened
 
     def resolve(self, x: SetName, y: SetName, value: bool) -> bool:
-        """Record a fact; returns True if anything changed."""
-        if x == y:
+        """Record a fact and queue the questions that read it; returns True
+        if anything changed."""
+        if x.full == y.full:
             if not value:
                 raise BisimulationError("refusing x != x for %s" % x.full)
             return False
@@ -100,15 +153,12 @@ class FactStore:
                         "conflicting bisimulation facts for %s ? %s" % (x.full, y.full))
                 return False
             self.status[key] = new
-            self.open.discard(key)
+            readers = self.watchers.pop(key, None)
+            if readers:
+                self.woken.extend(readers)
             if value:
-                rx, ry = self._find(x), self._find(y)
-                if rx != ry:
-                    self._parent[rx] = ry
+                self._union(x, y)
         return True
-
-    def unresolved(self) -> List[Pair]:
-        return list(self.open)
 
     def decided(self, x: SetName, y: SetName) -> Optional[bool]:
         status = self.get(x, y)
@@ -120,67 +170,109 @@ class FactStore:
 
 
 # ---------------------------------------------------------------------------
-# Derivation rules
+# The derivation kernel
 # ---------------------------------------------------------------------------
 
-def _negative_applies(xs: List[Element], ys: List[Element],
-                      is_no: Callable[[SetName, SetName], bool]) -> bool:
-    """One direction of the negative rule: some element of xs has no
-    label-matching, not-known-distinct partner in ys."""
+Equations = Mapping[SetName, List[Element]]
+
+# How much of its index an examined question still needs if it stays open.
+_NEW, _UNBLOCKED, _INDEXED = 0, 1, 2
+
+
+def _one_way(xs: List[Element], ys: List[Element], get,
+             reads: Optional[Set[Pair]]) -> Optional[bool]:
+    """One direction of the rules: False when some element of xs has no
+    label-matching partner in ys that is not known distinct (the negative
+    rule), True when every element has a Yes partner (half of the positive
+    rule), None otherwise.  Unresolved partner pairs go into reads."""
+    matched_all = True
     for lx, mx in xs:
-        distinguished = True
+        distinguished, matched = True, False
         for ly, my in ys:
-            if lx == ly and not is_no(mx, my):
+            if lx != ly:
+                continue
+            if mx.full == my.full:
                 distinguished = False
-                break
+                matched = True
+                continue
+            pair = (mx, my) if mx.full < my.full else (my, mx)
+            status = get(pair)
+            if status is Status.NO:
+                continue
+            distinguished = False
+            if status is Status.YES:
+                matched = True
+            elif reads is not None:
+                reads.add(pair)
         if distinguished:
-            return True
+            return False
+        if not matched:
+            matched_all = False
+    return True if matched_all else None
+
+
+def _examine(facts: FactStore, key: Pair, equations: Equations, stage: int) -> bool:
+    """Apply the derivation rules to one open question; returns whether it
+    was resolved.  A question still open is indexed as far as `stage` says:
+    under its names the first time, then under the name whose equation is
+    missing or under the pairs it reads."""
+    x, y = key
+    # transitivity and symmetry come for free from the positive classes;
+    # names outside the union-find are singleton classes
+    parent = facts._parent
+    if (x in parent or y in parent) and facts.same_class(x, y):
+        return facts.resolve(x, y, True)
+    xs, ys = equations.get(x), equations.get(y)
+    missing = x if xs is None else y if ys is None else None
+    if missing is None:
+        get = facts.status.get
+        reads: Optional[Set[Pair]] = set() if stage != _INDEXED else None
+        forth = _one_way(xs, ys, get, reads)
+        back = _one_way(ys, xs, get, None) if forth is not False else False
+        if forth is False or back is False:
+            return facts.resolve(x, y, False)
+        if forth and back:
+            return facts.resolve(x, y, True)
+    if stage == _NEW:
+        facts.incident.setdefault(x, []).append(key)
+        facts.incident.setdefault(y, []).append(key)
+    if stage != _INDEXED:
+        if missing is not None:
+            facts.blocked.setdefault(missing, []).append(key)
+        else:
+            for pair in reads:
+                facts.watchers.setdefault(pair, []).append(key)
     return False
 
 
-def _positive_applies(xs: List[Element], ys: List[Element],
-                      is_yes: Callable[[SetName, SetName], bool]) -> bool:
-    for lx, mx in xs:
-        if not any(lx == ly and is_yes(mx, my) for ly, my in ys):
-            return False
-    for ly, my in ys:
-        if not any(lx == ly and is_yes(mx, my) for lx, mx in xs):
-            return False
-    return True
+def saturate(facts: FactStore, equations: Equations) -> bool:
+    """Apply the derivation rules until nothing changes; questions whose
+    names lack equations wait until the equations exist.  Returns whether
+    anything was resolved.
 
-
-def derive_round(facts: FactStore, equations: EquationSystem) -> bool:
-    """Apply the derivation rules once over the open questions; questions
-    whose names lack equations are skipped.  Returns whether anything new was
-    resolved.
-
-    This is the one equality kernel: `bisimilar` saturates it over the
-    fetched store for query-time equality and for the engine, and `approx`
-    saturates it over one document's equations (any mapping from names to
-    element lists) for the approximation files."""
-    changed = False
-
-    def is_no(u: SetName, v: SetName) -> bool:
-        return facts.get(u, v) is Status.NO
-
-    def is_yes(u: SetName, v: SetName) -> bool:
-        return facts.get(u, v) is Status.YES
-
-    for x, y in facts.unresolved():
-        # transitivity and symmetry come for free from the positive classes
-        if facts.same_class(x, y):
-            changed |= facts.resolve(x, y, True)
-            continue
-        if x not in equations or y not in equations:
-            continue
-        xs, ys = equations[x], equations[y]
-        if _negative_applies(xs, ys, is_no) or _negative_applies(ys, xs, is_no):
-            changed |= facts.resolve(x, y, False)
-        elif _positive_applies(xs, ys, is_yes):
-            changed |= facts.resolve(x, y, True)
-    if changed:
+    This is the one equality kernel: `bisimilar` saturates over the fetched
+    store for query-time equality and for the engine, and `approx` over one
+    document's equations (any mapping from names to element lists) for the
+    approximation files.  A question is examined only when it is new, when
+    an equation it lacked has arrived, or when a pair it reads or its two
+    names' classes have been resolved; each resolution queues just those
+    dependents (Liu & Smolka, ICALP 1998), so the fixpoint is the same as
+    sweeping all open questions until no sweep changes anything."""
+    status = facts.status
+    unblocked: List[Pair] = []
+    for name in [n for n in facts.blocked if n in equations]:
+        unblocked.extend(facts.blocked.pop(name))
+    resolved = False
+    queues = ((facts.woken, _INDEXED), (unblocked, _UNBLOCKED), (facts.pending, _NEW))
+    while facts.woken or unblocked or facts.pending:
+        for queue, stage in queues:
+            while queue:
+                key = queue.pop()
+                if status[key] is Status.QUESTION:
+                    resolved |= _examine(facts, key, equations, stage)
+    if resolved:
         facts.productive_rounds += 1
-    return changed
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -200,95 +292,95 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
               helpers: Optional[BisimHelpers] = None) -> bool:
     """Decide x = y over the WDB reachable from both names.
 
-    Equations are acquired lazily: a document is downloaded only when some
-    unresolved question needs one of its names, and the oracle (when present)
-    is consulted before any download.  At exhaustion with nothing left to
-    fetch, all remaining questions are postulated positive.
+    The question space is every pair of participants: x, y and the members
+    of their equations, transitively, as equations arrive.  Equations are
+    acquired lazily: a document is downloaded only when a participant in an
+    unresolved question needs one of its names, and the oracle (when
+    present) is consulted about every question before any download.  The
+    approximation file of each such document is read once per fact store.
+    At exhaustion with nothing left to fetch, all remaining questions are
+    postulated positive.
     """
     helpers = helpers or BisimHelpers()
     known = facts.decided(x, y)
     if known is not None:
         return known
 
-    facts.ask_question(x, y)
-    members: List[SetName] = [x, y]
-    member_set: Set[SetName] = {x, y}
-    expanded: Set[SetName] = set()   # names whose children joined members
-    paired: Set[SetName] = set()     # names already paired against members
-    call_questions: Set[Pair] = {pair_key(x, y)}
-    approx_loaded: Set[str] = set()
-
-    def unresolved_here() -> List[Pair]:
-        return [p for p in call_questions if facts.status.get(p) is Status.QUESTION]
-
+    equations = store.system.equations
+    status = facts.status
+    oracle, reader = helpers.oracle, helpers.approx_reader
+    members = [x, y]
+    member_set = {x, y}
+    unexpanded = [x, y]      # participants whose members have not joined yet
+    frontier = [x, y]        # participants lacking an equation or approximation
+    questions = facts.ask_against(y, [x])   # this call's questions, open when asked
+    unasked = list(questions) if oracle is not None else []
     while True:
-        # acquire equations for names in unresolved questions, asking the
-        # oracle first and loading local approximations for new documents
+        # the oracle first, about each question it has not been asked yet
         progress = False
-        for u, v in unresolved_here():
-            key = pair_key(u, v)
-            if helpers.oracle is not None and key not in facts.asked_oracle:
+        for key in unasked:
+            if status[key] is Status.QUESTION and key not in facts.asked_oracle:
                 facts.asked_oracle.add(key)
-                answer = helpers.oracle(u, v)
+                answer = oracle(*key)
                 if answer is not OracleValue.UNKNOWN:
-                    facts.resolve(u, v, answer is OracleValue.YES)
+                    facts.resolve(key[0], key[1], answer is OracleValue.YES)
                     progress = True
-                    continue
-            for name in (u, v):
-                if name not in store.system:
-                    store.lookup(name)
-                    progress = True
-                if helpers.approx_reader is not None and name.url not in approx_loaded:
-                    approx_loaded.add(name.url)
-                    for (a, b, value) in helpers.approx_reader(name.url):
-                        facts.ask_question(a, b)
-                        facts.resolve(a, b, value)
-                    progress = True
+        unasked = []
 
-        # extend the question space: right-hand sides of newly available
-        # equations join the participants, and every participant not yet
-        # paired gets a question against all the others
+        # then equations and approximation files for participants still in
+        # an open question
+        lacking, candidates = [], []
+        for u in frontier:
+            if u in equations and (reader is None or u.url in facts.approx_loaded):
+                continue
+            lacking.append(u)
+            if any(status.get(pair_key(u, v)) is Status.QUESTION for v in members):
+                candidates.append(u)
+        frontier = lacking
+        for name in sorted(candidates):
+            if name not in equations:
+                store.lookup(name)
+                progress = True
+            if reader is not None and name.url not in facts.approx_loaded:
+                facts.approx_loaded.add(name.url)
+                for (a, b, value) in reader(name.url):
+                    facts.ask_question(a, b)
+                    facts.resolve(a, b, value)
+                progress = True
+
+        # extend the question space: members of newly available equations
+        # join the participants, each paired with all the others
         added = False
-        for name in list(members):
-            if name in expanded or name not in store.system:
+        ready, unexpanded = unexpanded, []
+        for name in ready:
+            if name not in equations:
+                unexpanded.append(name)
                 continue
-            expanded.add(name)
-            for el in store.system[name]:
-                if el.member not in member_set:
-                    member_set.add(el.member)
-                    members.append(el.member)
-                    added = True
-        for u in list(members):
-            if u in paired:
-                continue
-            paired.add(u)
-            for v in members:
-                if u == v:
+            for el in equations[name]:
+                u = el.member
+                if u in member_set:
                     continue
-                key = pair_key(u, v)
-                status = facts.status.get(key)
-                if status is None:
-                    facts.ask_question(u, v)
-                    call_questions.add(key)
-                elif status is Status.QUESTION:
-                    call_questions.add(key)
+                opened = facts.ask_against(u, members)
+                questions += opened
+                if oracle is not None:
+                    unasked += opened
+                member_set.add(u)
+                members.append(u)
+                unexpanded.append(u)
+                frontier.append(u)
+                added = True
 
-        # saturate with the derivation rules
-        while derive_round(facts, store.system):
-            pass
-
+        saturate(facts, equations)
         resolved = facts.decided(x, y)
         if resolved is not None:
             return resolved
 
-        pending_fetch = [name for p in unresolved_here() for name in p
-                         if name not in store.system]
-        if not pending_fetch and not added and not progress:
+        if not added and not progress:
             # full transitive closure explored: postulate the rest positive
-            for u, v in unresolved_here():
-                facts.resolve(u, v, True)
-            while derive_round(facts, store.system):
-                pass
+            for u, v in questions:
+                if status[(u, v)] is Status.QUESTION:
+                    facts.resolve(u, v, True)
+            saturate(facts, equations)
             return facts.decided(x, y) is True
 
 

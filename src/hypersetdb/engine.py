@@ -79,7 +79,8 @@ class BisimulationEngine:
     resolution algorithm as the query system; newly discovered documents feed
     further sweeps until nothing is left undecided.  With
     use_approximations=True the approximation file next to each fetched
-    document seeds the fact table without derivation.
+    document seeds the fact table without derivation; each file is read
+    once, since the fact store records which documents' files it has read.
     """
 
     def __init__(self, roots: List[str], fetcher: Fetcher,

@@ -155,8 +155,11 @@ def run_experiment(scenario: Scenario, strategy: str, delay_ms: float = 0.0,
     The client always runs the lazy resolution algorithm itself; the engine
     strategies additionally consult the ASK service once per question (after
     giving the engine a head start of delay_ms, excluded from the wall time).
-    With no head start the engine knows nothing, so asking it only adds
-    communication cost on top of the local work.
+    The engine thread starts before the client even with no head start, so
+    the two race: while the client waits on its own fetches the engine may
+    load the documents and decide pairs, and every question it has decided
+    by the time the client asks saves the client work.  Without a head
+    start the engine usually knows too little to repay the round trips.
     """
     x, y = scenario.question
     if strategy == "no_engine":

@@ -144,15 +144,11 @@ class EquationSystem:
         if generated:
             self.generated.add(name)
 
-    def replace(self, name: SetName, elements: FlatExpr) -> None:
-        """Overwrite an equation in place (evaluator-internal names only)."""
-        if name not in self.equations:
-            raise UndefinedNameError("cannot replace undefined %s" % name.full)
-        self.equations[name] = list(elements)
-        self.mentioned.update(el.member for el in elements)
-
     def __contains__(self, name: SetName) -> bool:
         return name in self.equations
+
+    def get(self, name: SetName) -> Optional[FlatExpr]:
+        return self.equations.get(name)
 
     def __getitem__(self, name: SetName) -> FlatExpr:
         try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import threading
 import time
 import urllib.parse
-import urllib.request
 from typing import Callable, Dict, List, Optional
 
 from . import xmlwdb
@@ -48,7 +47,9 @@ class MemoryFetcher:
 
 class FileFetcher:
     """Resolves file:// URLs against the local filesystem and, unless network
-    access is disabled, http(s):// URLs via urllib."""
+    access is disabled, http(s):// URLs via urllib.  `urllib.request` is
+    imported only for a network fetch: it costs several megabytes of memory
+    in every process that loads it."""
 
     def __init__(self, allow_network: bool = True, timeout: float = 30.0) -> None:
         self.allow_network = allow_network
@@ -59,7 +60,7 @@ class FileFetcher:
         self.fetch_count += 1
         parsed = urllib.parse.urlparse(url)
         if parsed.scheme == "file":
-            path = urllib.request.url2pathname(parsed.path)
+            path = urllib.parse.unquote(parsed.path)
             try:
                 with open(path, "r", encoding="utf-8") as handle:
                     return handle.read()
@@ -68,8 +69,9 @@ class FileFetcher:
         if parsed.scheme in ("http", "https"):
             if not self.allow_network:
                 raise FetchError("network disabled, cannot fetch %s" % url)
+            from urllib.request import urlopen
             try:
-                with urllib.request.urlopen(url, timeout=self.timeout) as conn:
+                with urlopen(url, timeout=self.timeout) as conn:
                     return conn.read().decode("utf-8")
             except Exception as exc:
                 raise FetchError("cannot fetch %s: %s" % (url, exc))
@@ -97,8 +99,9 @@ class SessionStore:
     """The working store of one query session: cached WDB equations plus
     equations generated during evaluation, and the fresh-name source.
 
-    Original (fetched) equations are never rewritten; only locally generated
-    names may be replaced in place by evaluation steps.
+    Equations are write-once: fetched and generated names alike are defined
+    once and never rewritten, which the equality kernel's dependency index
+    relies on.
     """
 
     def __init__(self, fetcher: Optional[Fetcher] = None,
@@ -116,11 +119,6 @@ class SessionStore:
 
     def define(self, name: SetName, elements: FlatExpr) -> None:
         self.system.define(name, elements, origin=name.url)
-
-    def replace_local(self, name: SetName, elements: FlatExpr) -> None:
-        if not name.is_local():
-            raise WdbError("refusing to rewrite stored equation %s" % name.full)
-        self.system.replace(name, elements)
 
     # -- document loading --------------------------------------------------
 

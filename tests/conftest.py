@@ -136,6 +136,26 @@ def duplicate_and_shuffle(system: EquationSystem, rng: random.Random,
     return out, mapping
 
 
+def split_documents(system: EquationSystem, rng: random.Random, parts: int,
+                    base: str = "mem://part"
+                    ) -> Tuple[Dict[str, str], Dict[SetName, SetName]]:
+    """The system's equations spread over XML-WDB documents: each name moves
+    to a randomly chosen one of `parts` documents, and references across
+    documents become hyperlinks.  Returns the documents by URL (empty ones
+    left out) and each original name's new name."""
+    from hypersetdb.xmlwdb import from_equations
+
+    urls = ["%s%d.xml" % (base, i) for i in range(parts)]
+    home = {n: SetName(rng.choice(urls), n.simple) for n in system.equations}
+    per_url = {url: EquationSystem() for url in urls}
+    for name, elements in system.equations.items():
+        per_url[home[name].url].define(
+            home[name], [Element(el.label, home[el.member]) for el in elements])
+    documents = {url: from_equations(part, url)
+                 for url, part in per_url.items() if part.equations}
+    return documents, home
+
+
 # -- acceptance reporting ------------------------------------------------------
 
 import re as _re

@@ -1,18 +1,26 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypersetdb.approx import (approximation_url, generate_approximation_file,
+                               make_approx_reader)
 from hypersetdb.bisim import (
     BisimHelpers, BisimulationError, FactStore, OracleValue, Status,
-    bisimilar, derive_round, naive_bisimulation, naive_equal, pair_key,
+    bisimilar, naive_bisimulation, naive_equal, pair_key, saturate,
     strongly_extensional,
 )
 from hypersetdb.names import Element, EquationSystem, SetName
 from hypersetdb.store import MemoryFetcher, SessionStore
+from hypersetdb.xmlwdb import load_equations
 
-from conftest import bibdb_f1_text, bibdb_f2_text, random_closed_system
+from conftest import (bibdb_f1_text, bibdb_f2_text, random_closed_system,
+                      split_documents)
 
 F1 = "mem://BibDB-f1.xml"
 F2 = "mem://BibDB-f2.xml"
@@ -77,21 +85,21 @@ def test_cyclic_selfsets_are_postulated_equal():
                      store, FactStore())
 
 
-# -- derive_round -------------------------------------------------------------
+# -- saturate -------------------------------------------------------------------
 
-def test_derive_round_base_cases():
+def test_saturate_base_cases():
     system = simple_system(a=[], b=[], c=[("l", "a")], d=[("m", "a")])
     url = "mem://s.xml"
     facts = FactStore()
     facts.ask_question(SetName(url, "a"), SetName(url, "b"))
     facts.ask_question(SetName(url, "c"), SetName(url, "d"))
-    assert derive_round(facts, system)
+    assert saturate(facts, system)
     assert facts.get(SetName(url, "a"), SetName(url, "b")) is Status.YES
     # label mismatch: negative
     assert facts.get(SetName(url, "c"), SetName(url, "d")) is Status.NO
 
 
-def test_derive_round_transitivity():
+def test_saturate_transitivity():
     system = simple_system(a=[], b=[], c=[])
     url = "mem://s.xml"
     a, b, c = (SetName(url, n) for n in "abc")
@@ -99,7 +107,7 @@ def test_derive_round_transitivity():
     facts.ask_question(a, c)
     facts.resolve(a, b, True)
     facts.resolve(b, c, True)
-    assert derive_round(facts, system)
+    assert saturate(facts, system)
     assert facts.get(a, c) is Status.YES
 
 
@@ -112,6 +120,69 @@ def test_facts_are_monotone():
     with pytest.raises(BisimulationError):
         facts.resolve(a, b, False)
     assert facts.get(b, a) is Status.YES  # symmetric by representation
+
+
+def derive_round(facts: FactStore, equations) -> bool:
+    """Reference for `saturate`, test only: one sweep of the derivation rules
+    over every open question, returning whether it resolved anything.
+    Repeated until nothing changes it reaches the fixpoint `saturate` must
+    reach."""
+    changed = False
+
+    def negative(xs, ys) -> bool:
+        return any(all(lx != ly or facts.get(mx, my) is Status.NO for ly, my in ys)
+                   for lx, mx in xs)
+
+    def positive(xs, ys) -> bool:
+        return all(any(lx == ly and facts.get(mx, my) is Status.YES for ly, my in ys)
+                   for lx, mx in xs)
+
+    for x, y in [key for key, status in facts.status.items()
+                 if status is Status.QUESTION]:
+        if facts.same_class(x, y):
+            changed |= facts.resolve(x, y, True)
+            continue
+        if x not in equations or y not in equations:
+            continue
+        xs, ys = equations[x], equations[y]
+        if negative(xs, ys) or negative(ys, xs):
+            changed |= facts.resolve(x, y, False)
+        elif positive(xs, ys) and positive(ys, xs):
+            changed |= facts.resolve(x, y, True)
+    return changed
+
+
+def test_saturate_reaches_the_reference_fixpoint():
+    """Over growing open fragments of random systems, with questions asked
+    and true Yes/No facts seeded between saturations, the store holds exactly
+    the facts the reference sweep derives."""
+    rng = random.Random(5)
+    for trial in range(300):
+        system = random_closed_system(rng, max_names=12, max_labels=3)
+        blocks = naive_bisimulation(system)
+        names = list(system.equations)
+        fast, slow = FactStore(), FactStore()
+        equations = {}
+        for step in range(rng.randint(1, 4)):
+            for _ in range(rng.randint(0, len(names))):
+                name = rng.choice(names)
+                equations[name] = system.equations[name]
+            for _ in range(rng.randint(0, 3 * len(names))):
+                x, y = rng.choice(names), rng.choice(names)
+                fast.ask_question(x, y)
+                slow.ask_question(x, y)
+            for _ in range(rng.randint(0, 3)):
+                x, y = rng.choice(names), rng.choice(names)
+                if x != y:
+                    fast.resolve(x, y, blocks[x] == blocks[y])
+                    slow.resolve(x, y, blocks[x] == blocks[y])
+            derived = saturate(fast, equations)
+            rounds = 0
+            while derive_round(slow, equations):
+                rounds += 1
+            assert fast.status == slow.status, "trial %d step %d" % (trial, step)
+            assert derived == (rounds > 0)
+            assert saturate(fast, equations) is False
 
 
 # -- BibDB ground truth ---------------------------------------------------------
@@ -152,6 +223,26 @@ def test_resolved_facts_persist_for_the_session(bibdb_store):
     count = fetcher.fetch_count
     assert bisimilar(SetName(F1, "b2"), SetName(F2, "p3"), store, facts)
     assert fetcher.fetch_count == count
+
+
+def with_approximation_files(documents):
+    """The documents plus the approximation file next to each."""
+    out = dict(documents)
+    for url, text in documents.items():
+        out[approximation_url(url)] = generate_approximation_file(
+            url, load_equations(text, url))
+    return out
+
+
+def test_approximation_files_are_read_once_per_fact_store():
+    fetcher = MemoryFetcher(with_approximation_files(
+        {F1: bibdb_f1_text(F1, F2), F2: bibdb_f2_text(F1, F2)}))
+    store, facts = SessionStore(fetcher), FactStore()
+    helpers = BisimHelpers(approx_reader=make_approx_reader(fetcher))
+    assert not bisimilar(SetName(F1, "b1"), SetName(F2, "p1"), store, facts, helpers)
+    assert bisimilar(SetName(F1, "b2"), SetName(F2, "p3"), store, facts, helpers)
+    assert fetcher.fetched.count(approximation_url(F1)) == 1
+    assert fetcher.fetched.count(approximation_url(F2)) == 1
 
 
 # -- oracle integration -----------------------------------------------------------
@@ -225,3 +316,76 @@ def test_yes_facts_form_an_equivalence_after_saturation(seed):
                     continue
                 if pair_key(a, b) in yes and pair_key(b, c) in yes:
                     assert pair_key(a, c) in yes
+
+
+def test_lazy_bisimilar_over_documents_agrees_with_naive():
+    """Random systems split over 2-4 documents fetched on demand, half of
+    them with approximation files; questions in random order share one
+    session, and each call leaves the facts saturated."""
+    rng = random.Random(11)
+    for trial in range(80):
+        system = random_closed_system(rng, max_names=14, max_labels=3)
+        blocks = naive_bisimulation(system)
+        documents, home = split_documents(system, rng, rng.randint(2, 4))
+        helpers = None
+        if trial % 2:
+            documents = with_approximation_files(documents)
+        fetcher = MemoryFetcher(documents)
+        if trial % 2:
+            helpers = BisimHelpers(approx_reader=make_approx_reader(fetcher))
+        store, facts = SessionStore(fetcher), FactStore()
+        pairs = list(itertools.combinations(system.equations, 2))
+        rng.shuffle(pairs)
+        for x, y in pairs:
+            assert bisimilar(home[x], home[y], store, facts, helpers) == \
+                (blocks[x] == blocks[y]), \
+                "trial %d: %s ? %s" % (trial, x.full, y.full)
+            assert saturate(facts, store.system.equations) is False
+
+
+HASH_SEED_SCRIPT = """
+import itertools, random
+from conftest import random_closed_system, split_documents
+from test_bisim import with_approximation_files
+from hypersetdb.approx import make_approx_reader
+from hypersetdb.bisim import BisimHelpers, FactStore, bisimilar
+from hypersetdb.engine import BisimulationEngine
+from hypersetdb.store import MemoryFetcher, SessionStore
+
+rng = random.Random(3)
+system = random_closed_system(rng, max_names=24, max_labels=3)
+documents, home = split_documents(system, rng, 6)
+documents = with_approximation_files(documents)
+names = sorted(home.values())
+for helped in (False, True):
+    # one session for many questions, then one per question
+    for pairs in [itertools.combinations(names[:10], 2)] + \
+            [[pair] for pair in itertools.combinations(names[::3], 2)]:
+        fetcher = MemoryFetcher(documents)
+        store, facts = SessionStore(fetcher), FactStore()
+        helpers = BisimHelpers(approx_reader=make_approx_reader(fetcher)) if helped else None
+        for x, y in pairs:
+            bisimilar(x, y, store, facts, helpers)
+        print(fetcher.fetched)
+        print(sorted((x.full, y.full, s.value) for (x, y), s in facts.status.items()))
+fetcher = MemoryFetcher(documents)
+engine = BisimulationEngine(sorted({n.url for n in names}), fetcher, use_approximations=True)
+engine.start()
+engine.join()
+print(fetcher.fetched)
+print(sorted((x.full, y.full, s.value) for (x, y), s in engine.facts.status.items()))
+"""
+
+
+def test_facts_and_fetches_identical_across_hash_seeds():
+    root = Path(__file__).resolve().parent
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [str(root.parent / "src"), str(root)]))
+        result = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0].count("approximation.xml") > 0
+    assert outputs[0] == outputs[1]

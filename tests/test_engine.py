@@ -126,6 +126,24 @@ def test_engine_answers_match_naive_oracle():
         assert engine.answer(x, y) is expected
 
 
+def test_engine_reads_each_approximation_file_once():
+    from hypersetdb.approx import approximation_url, generate_approximation_file
+    documents = bibdb_documents()
+    for url in (F1, F2):
+        documents[approximation_url(url)] = generate_approximation_file(
+            url, load_equations(documents[url], url))
+    fetcher = MemoryFetcher(documents)
+    engine = BisimulationEngine([F1], fetcher, use_approximations=True)
+    engine.start()
+    engine.join(timeout=30)
+    read = [url for url in fetcher.fetched if url.endswith(".approximation.xml")]
+    assert sorted(read) == [approximation_url(F1), approximation_url(F2)]
+    blocks = naive_bisimulation(closed_bibdb())
+    for x, y in itertools.combinations(closed_bibdb().equations, 2):
+        expected = OracleValue.YES if blocks[x] == blocks[y] else OracleValue.NO
+        assert engine.answer(x, y) is expected
+
+
 def test_engine_monotone_unknown_then_decided():
     # slow fetches keep the engine busy; early answers must be UNKNOWN
     from hypersetdb.store import LatencyFetcher

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from hypersetdb.names import Element, SetName, UndefinedNameError
+from hypersetdb.names import (DuplicateEquationError, Element, SetName,
+                              UndefinedNameError)
 from hypersetdb.store import FetchError, FileFetcher, MemoryFetcher, SessionStore
 
 from conftest import bibdb_f1_text, bibdb_f2_text
@@ -43,8 +49,8 @@ def test_lookup_never_rewrites_original_equations(fetcher):
     store.lookup(SetName(F2, "p1"))
     store.lookup(SetName(F1, "BibDB"))
     assert store.system[name] == before
-    with pytest.raises(Exception):
-        store.replace_local(name, [])
+    with pytest.raises(DuplicateEquationError):
+        store.define(name, [])
 
 
 def test_file_fetcher_network_switch(tmp_path):
@@ -54,6 +60,26 @@ def test_file_fetcher_network_switch(tmp_path):
     path = tmp_path / "doc.xml"
     path.write_text("hello", encoding="utf-8")
     assert fetcher(path.as_uri()) == "hello"
+
+
+def test_file_urls_with_quoted_characters(tmp_path):
+    path = tmp_path / "a doc 100%.xml"
+    path.write_text("quoted", encoding="utf-8")
+    assert "%20" in path.as_uri() and "%25" in path.as_uri()
+    assert FileFetcher(allow_network=False)(path.as_uri()) == "quoted"
+
+
+def test_loading_the_cli_leaves_urllib_request_out():
+    """`urllib.request` costs several megabytes per process; only an http(s)
+    fetch imports it."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hypersetdb.cli; print('urllib.request' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_fresh_names_never_clash_with_wdb_names(fetcher):
