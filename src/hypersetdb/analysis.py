@@ -101,11 +101,16 @@ def _pair_idns(pair: ParseNode) -> List[Tuple[ParseNode, DeclKind]]:
     return out
 
 
+# binders whose second child is a declaration list, each declaration seeing
+# only those to its left
+_DECLARATION_LISTS = (g.TERM_WITH_DECLS, g.FORMULA_WITH_DECLS, g.LIBRARY_COMMAND)
+
+
 def binder_declarations(bn: ParseNode) -> List[Tuple[ParseNode, str, DeclKind]]:
     """The declaration sites (IDN, declared name, kind) of a binder node in
     source order."""
     out: List[Tuple[ParseNode, str, DeclKind]] = []
-    if bn.label in (g.TERM_WITH_DECLS, g.FORMULA_WITH_DECLS):
+    if bn.label in _DECLARATION_LISTS:
         for decl in bn.children[1].children:
             if decl.label in g.DECLARATION_CATEGORIES:
                 name, kind = _declaration_kind(decl)
@@ -133,23 +138,41 @@ def binder_declarations(bn: ParseNode) -> List[Tuple[ParseNode, str, DeclKind]]:
     return out
 
 
-_BINDING_SITES = g.BINDER_CATEGORIES | {g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL}
+_BINDING_SITES = g.BINDER_CATEGORIES | {g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL,
+                                        g.LIBRARY_COMMAND}
 
 
 class Library:
     """A compiled session library: the declaration sources, their analyzed
-    nodes in order, and the name -> (declaration, kind) scope that queries
-    are checked against.  `tree` is the analyzed compile text
-    `expand_library("set query {};", sources)`: one `let` (the `binder`), so
-    each declaration sees only earlier ones and the rightmost one of a name
+    nodes in order, and the name -> (binder, declaration, kind) scope that
+    queries are checked against.  `tree` is the analyzed compile text
+    `expand_library("set query {};", sources)`, whose `let` is the binder;
+    `extended` adds the declarations of an analyzed `library add` command.
+    Each declaration sees only earlier ones, and the last one of a name
     wins."""
 
-    def __init__(self, sources: Sequence[str], tree: Optional[ParseNode]) -> None:
-        self.sources = list(sources)
-        self.binder = tree.children[0].children[2] if tree is not None else None
-        found = binder_declarations(self.binder) if tree is not None else []
-        self.declarations = [decl for decl, _, _ in found]
-        self.scope = {name: (decl, kind) for decl, name, kind in found}
+    def __init__(self, sources: Sequence[str] = (),
+                 tree: Optional[ParseNode] = None) -> None:
+        self.sources: List[str] = []
+        self.declarations: List[ParseNode] = []
+        self.scope: Dict[str, Tuple[ParseNode, ParseNode, DeclKind]] = {}
+        if tree is not None:
+            self._add(tree.children[0].children[2], sources)
+
+    def extended(self, binder: ParseNode, sources: Sequence[str]) -> "Library":
+        """A new library: this one plus the declarations of `binder`."""
+        out = Library()
+        out.sources = list(self.sources)
+        out.declarations = list(self.declarations)
+        out.scope = dict(self.scope)
+        out._add(binder, sources)
+        return out
+
+    def _add(self, binder: ParseNode, sources: Sequence[str]) -> None:
+        found = binder_declarations(binder)
+        self.sources.extend(sources)
+        self.declarations.extend(decl for decl, _, _ in found)
+        self.scope.update((name, (binder, decl, kind)) for decl, name, kind in found)
 
 
 def ids_search(tree: ParseNode, occurrence: ParseNode,
@@ -173,7 +196,7 @@ def ids_search(tree: ParseNode, occurrence: ParseNode,
         if current.label not in _BINDING_SITES:
             continue
         decls = binder_declarations(current)
-        if current.label in (g.TERM_WITH_DECLS, g.FORMULA_WITH_DECLS):
+        if current.label in _DECLARATION_LISTS:
             if previous.label == g.DECLARATIONS:
                 # ascent came from inside some declaration d_i: restrict the
                 # scan to declarations left of d_i
@@ -195,8 +218,8 @@ def ids_search(tree: ParseNode, occurrence: ParseNode,
                 return DeclTriple(current, idn, occurrence, kind)
     if library is not None and name in library.scope:
         # the binder lies outside the query, as a spliced library `let` did
-        decl, kind = library.scope[name]
-        return DeclTriple(library.binder, decl, occurrence, kind)
+        binder, decl, kind = library.scope[name]
+        return DeclTriple(binder, decl, occurrence, kind)
     triple = DeclTriple(None, None, occurrence)
     triple.kind = "recursive" if skipped_own else None
     return triple

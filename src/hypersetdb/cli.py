@@ -99,10 +99,7 @@ class Session:
         try:
             tree = analyze(result, self.evaluator.library)
         except AnalysisError as exc:
-            lines = [NOT_WELL_TYPED, ""]
-            lines.extend(self._located(item.render(), source)
-                         for item in exc.items)
-            return "\n".join(lines)
+            return self._not_well_typed(exc, source)
         try:
             outcome = self.evaluator.eval_query(tree)
         except WdbError as exc:
@@ -111,6 +108,11 @@ class Session:
         rendered = postprocess(outcome, self.store,
                                elapsed if self.config.show_time else None)
         return "%s\n\n%s" % (WELL_TYPED, rendered)
+
+    def _not_well_typed(self, exc: AnalysisError, source: str) -> str:
+        lines = [NOT_WELL_TYPED, ""]
+        lines.extend(self._located(item.render(), source) for item in exc.items)
+        return "\n".join(lines)
 
     def _located(self, message: str, source: str) -> str:
         """Append a short context excerpt for messages carrying positions."""
@@ -135,15 +137,17 @@ class Session:
         if command.children[0].label == "list":
             verbose = len(command.children) > 1
             return self._render_listing(verbose)
-        # library add: compile the extended library; it replaces the one in
-        # use only if it is well-typed and its constants evaluate
-        candidate = self.evaluator.library.sources + [
-            reprint(decl) for decl in command.children[1].children
-            if decl.label in g.DECLARATION_CATEGORIES]
+        # library add: the added declarations are analyzed against the
+        # library in use and join it only if they are well-typed and their
+        # constants evaluate
         try:
-            self.evaluator.load_library(candidate)
-        except (ParseError, AnalysisError) as exc:
-            return "%s\n\n%s" % (NOT_WELL_TYPED, exc)
+            analyze(result, self.evaluator.library)
+        except AnalysisError as exc:
+            return self._not_well_typed(exc, source)
+        sources = [reprint(decl) for decl in command.children[1].children
+                   if decl.label in g.DECLARATION_CATEGORIES]
+        try:
+            self.evaluator.add_library(command, sources)
         except WdbError as exc:
             return "Library command failed: %s" % exc
         return "%s\n\n%s" % (LIBRARY_OK, LIBRARY_WARNING)

@@ -1,7 +1,8 @@
 """Query evaluation by reduction: extend the store with fresh equations and
 simplify until the result is a flat bracket expression or a truth value.
 
-Equality delegates to the bisimulation module; separation, collection,
+Equality compares interned class ids where both names have one and
+otherwise delegates to the bisimulation module; separation, collection,
 recursion, transitive closure and decoration have their own algorithms, and
 the output renderer folds generated names back into readable nested form.
 """
@@ -14,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from . import grammar as g
 from .analysis import Library, analyze, expand_library
 from .bisim import BisimHelpers, FactStore, bisimilar
+from .classids import ClassIds
 from .names import Element, FlatExpr, NULL_LABEL, SetName, WdbError
 from .parser import ParseNode, parse
 from .store import SessionStore
@@ -55,9 +57,9 @@ class Evaluator:
         self.store = store
         self.facts = facts or FactStore()
         self.helpers = helpers or BisimHelpers()
+        self.class_ids = ClassIds(store)
         self.atoms: Dict[str, SetName] = {}
         self.empty_name: Optional[SetName] = None
-        self.regroup: Optional[object] = None
         self.load_library(library_sources)
 
     # -- plumbing ------------------------------------------------------------
@@ -68,16 +70,34 @@ class Evaluator:
         of every query.  Raises ParseError, AnalysisError or WdbError before
         the library in use changes.
 
-        `decorate` keeps the Regroup of the first library loaded, the
-        predefined one, so a `library add` of a Regroup cannot change it."""
+        `decorate` uses this library's Regroup, the predefined one: a
+        `library add` of a Regroup does not change it."""
         tree = analyze(parse(expand_library("set query {};", sources))) \
             if sources else None
         library = Library(sources, tree)
         env = self.eval_declarations(library.declarations, {})
         self.library, self.library_env = library, env
-        self.regroup = self.regroup or env.get("Regroup")
+        self.regroup = env.get("Regroup")
+
+    def add_library(self, command: ParseNode, sources: Sequence[str]) -> None:
+        """Compile an analyzed `library add` command: evaluate only its
+        declarations, in the environment of the library in use, which they
+        then extend.  Raises WdbError before the library in use changes."""
+        library = self.library.extended(command, sources)
+        added = library.declarations[len(self.library.declarations):]
+        env = self.eval_declarations(added, self.library_env)
+        self.library, self.library_env = library, env
 
     def equal(self, x: SetName, y: SetName) -> bool:
+        """Bisimilarity.  Names with class ids compare ids; a name with an id
+        is well-founded, so it differs from any name that reaches a cycle.
+        Everything else goes to the lazy kernel."""
+        ids = self.class_ids
+        ix, iy = ids.of(x), ids.of(y)
+        if ix is not None and iy is not None:
+            return ix == iy
+        if (ix is not None and y in ids.cyclic) or (iy is not None and x in ids.cyclic):
+            return False
         return bisimilar(x, y, self.store, self.facts, self.helpers)
 
     def elements(self, name: SetName) -> FlatExpr:
@@ -86,6 +106,7 @@ class Evaluator:
     def define_fresh(self, elements: FlatExpr, hint: str = "res") -> SetName:
         name = self.store.fresh(hint)
         self.store.define(name, elements)
+        self.class_ids.define(name, elements)
         return name
 
     def atom(self, text: str) -> SetName:
@@ -306,6 +327,14 @@ class Evaluator:
     # -- membership, labels and formulas ------------------------------------------
 
     def eval_membership(self, label: str, member: SetName, target: SetName) -> bool:
+        ids = self.class_ids
+        target_id = ids.of(target)
+        if target_id is not None:
+            member_id = ids.of(member)
+            if member_id is not None:
+                return (label, member_id) in ids.signatures[target_id]
+            if member in ids.cyclic:
+                return False
         return any(el.label == label and self.equal(el.member, member)
                    for el in self.elements(target))
 
@@ -455,13 +484,7 @@ class Evaluator:
                     seen.add(candidate)
                     node_names.append(candidate)
 
-        ordered = sorted(node_names, key=lambda n: n.full)
-        canonical: Dict[SetName, SetName] = {}
-        for name in node_names:
-            for candidate in ordered:
-                if self.equal(candidate, name):
-                    canonical[name] = candidate
-                    break
+        canonical = self._canonical_names(node_names)
 
         # canonised, deduplicated abstract equations
         canonical_children: Dict[SetName, List[Element]] = {}
@@ -489,6 +512,29 @@ class Evaluator:
             self.store.define(duplicates[can],
                               [Element(l, duplicates[m]) for l, m in members])
         return duplicates[root_canonical]
+
+    def _canonical_names(self, names: List[SetName]) -> Dict[SetName, SetName]:
+        """Map each name to the smallest full name among those equal to it.
+        Names with class ids are grouped by id; only a name without one, or
+        a smaller candidate without one, is compared by `equal`."""
+        ids = {name: self.class_ids.of(name) for name in names}
+        ordered = sorted(names, key=lambda n: n.full)
+        smallest: Dict[int, SetName] = {}
+        for name in ordered:
+            if ids[name] is not None:
+                smallest.setdefault(ids[name], name)
+        unsettled = [name for name in ordered if ids[name] is None]
+        canonical: Dict[SetName, SetName] = {}
+        for name in names:
+            best = smallest.get(ids[name])
+            for candidate in unsettled if best is not None else ordered:
+                if best is not None and candidate.full >= best.full:
+                    break
+                if self.equal(candidate, name):
+                    best = candidate
+                    break
+            canonical[name] = best
+        return canonical
 
 
 # ---------------------------------------------------------------------------

@@ -90,17 +90,18 @@ def bibdb(tmp_path_factory) -> BibDb:
 
 
 def random_closed_system(rng: random.Random, max_names: int = 25,
-                         max_labels: int = 4, url: str = "mem://rand.xml"
-                         ) -> EquationSystem:
+                         max_labels: int = 4, url: str = "mem://rand.xml",
+                         acyclic: bool = False) -> EquationSystem:
     """A random closed equation system: arbitrary labelled edges, cycles
-    allowed."""
+    allowed unless `acyclic`, which points every edge to a later name."""
     count = rng.randint(1, max_names)
     names = [SetName(url, "n%d" % i) for i in range(count)]
     labels = ["l%d" % i for i in range(rng.randint(1, max_labels))]
     system = EquationSystem()
-    for name in names:
-        degree = rng.randint(0, min(4, count))
-        elements = [Element(rng.choice(labels), rng.choice(names))
+    for index, name in enumerate(names):
+        pool = names[index + 1:] if acyclic else names
+        degree = rng.randint(0, min(4, len(pool)))
+        elements = [Element(rng.choice(labels), rng.choice(pool))
                     for _ in range(degree)]
         system.define(name, elements)
     return system

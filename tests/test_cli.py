@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from hypersetdb import cli
+from hypersetdb import cli, evaluator
 from hypersetdb.bisim import OracleValue
 from hypersetdb.cli import (
     LIBRARY_OK, NOT_WELL_FORMED, NOT_WELL_TYPED, PRECEDENCE_WARNING, WELL_TYPED,
@@ -127,6 +127,29 @@ def test_library_add_validates_declarations():
     assert NOT_WELL_TYPED in output
     listing = session.run_command("library list;")
     assert "broken" not in listing
+
+
+def test_library_add_analysis_error_is_located_in_the_command():
+    output = make_session().run_command("library add set constant broken = missing;")
+    assert "Error at character 35, occurrence of identifier name missing not declared" \
+        in output
+    assert output.endswith("...ary add set constant broken = missing; <-------")
+
+
+def test_library_add_compiles_only_the_added_declarations(monkeypatch):
+    session = make_session(show_time=False)
+    compiled = []
+    monkeypatch.setattr(evaluator, "parse", lambda source: compiled.append(source))
+    output = session.run_command(
+        "library add set constant a = { 'x':{} }, "
+        "set query P (set q) be { 'p':q, 'a':a };")
+    assert LIBRARY_OK in output
+    assert compiled == []
+    assert "Result = {'p':{}, 'a':\"x\"}" in session.run_command("set query call P({});")
+    # a declaration sees only those left of it, in the command and before
+    output = session.run_command(
+        "library add set constant b = { 'c':c }, set constant c = {};")
+    assert "Error at character 36, recursive call of c" in output
 
 
 def test_earlier_declarations_keep_their_bindings():
