@@ -8,18 +8,21 @@ class one integer id (hash-consing, after Filliâtre & Conchon, "Type-safe
 modular hash-consing", ML Workshop 2006), so equality is an integer compare
 and membership a set lookup.
 
-Ids are handed out in the order names are first interned.  A name that
-reaches a cycle never gets one: equations are write-once, so the cycle stays.
-A name with a descendant whose equation is not in the store gets none until
-another document has been loaded.  Nothing here fetches: names without an id
-are left to the lazy bisimulation kernel.
+A name is interned on first use, with its closure, by a depth-first search
+that stops at members which already have ids, so a generated name over
+interned members costs one look at its own equation.  Ids are handed out in
+the order names are interned.  A name that reaches a cycle never gets one:
+equations are write-once, so the cycle stays.  A name with a descendant whose
+equation is not in the store gets none until another document has been
+loaded.  Nothing here fetches: names without an id are left to the lazy
+bisimulation kernel.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .names import FlatExpr, SetName
+from .names import SetName
 from .store import SessionStore
 
 Signature = FrozenSet[Tuple[str, int]]
@@ -43,16 +46,6 @@ class ClassIds:
             cid = self._interned[signature] = len(self.signatures)
             self.signatures.append(signature)
         return cid
-
-    def define(self, name: SetName, elements: FlatExpr) -> None:
-        """Give a newly defined name its id at once when all its members
-        already have one; otherwise it is interned on first use."""
-        ids = self.ids
-        try:
-            signature = frozenset([(label, ids[member]) for label, member in elements])
-        except KeyError:
-            return
-        ids[name] = self._intern(signature)
 
     def of(self, name: SetName) -> Optional[int]:
         """The class id of name, or None when its closure is cyclic or not

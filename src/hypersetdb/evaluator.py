@@ -106,7 +106,6 @@ class Evaluator:
     def define_fresh(self, elements: FlatExpr, hint: str = "res") -> SetName:
         name = self.store.fresh(hint)
         self.store.define(name, elements)
-        self.class_ids.define(name, elements)
         return name
 
     def atom(self, text: str) -> SetName:

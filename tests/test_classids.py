@@ -181,20 +181,28 @@ def test_long_chain_gets_ids_without_recursion_error():
     assert len({ev.class_ids.of(name) for name in names + others}) == 5000
 
 
-def test_define_fresh_over_members_with_ids_does_no_search(monkeypatch):
+def test_name_over_interned_members_is_interned_alone(monkeypatch):
+    """A generated name whose members have ids gets its own id from one look
+    at its equation: the search interns no other name."""
     ev = make_evaluator()
     a = ev.atom("a")
-    ev.class_ids.of(a)
-
-    def no_search(self, root):
-        raise AssertionError("searched from %s" % root.full)
-    monkeypatch.setattr(ClassIds, "_intern_closure", no_search)
     inner = ev.define_fresh([Element("x", a), Element("y", a)])
+    assert ev.class_ids.of(inner) is not None
+    interned = []
+    original = ClassIds._intern
+
+    def recording(self, signature):
+        interned.append(signature)
+        return original(self, signature)
+    monkeypatch.setattr(ClassIds, "_intern", recording)
     outer = ev.define_fresh([Element("z", inner)])
-    again = ev.define_fresh([Element("z", ev.define_fresh([Element("y", a),
-                                                           Element("x", a)]))])
-    assert ev.class_ids.ids[outer] == ev.class_ids.ids[again]
+    assert ev.class_ids.of(outer) is not None
+    assert len(interned) == 1
+    twin = ev.define_fresh([Element("y", a), Element("x", a)])
+    again = ev.define_fresh([Element("z", twin)])
     assert ev.equal(outer, again)
+    assert len(interned) == 3           # again and twin, nothing below them
+    assert ev.class_ids.ids[twin] == ev.class_ids.ids[inner]
 
 
 def test_cyclic_and_incomplete_names_are_not_searched_again(monkeypatch):
@@ -241,6 +249,30 @@ def test_linear_order_query_pair_never_calls_bisimilar(monkeypatch):
             "call SuccessorPairs( call StrictLinOrder_on_TC(BibDB) ) endlet;" % F1)
     assert calls == []
     assert ev.facts.status == {}
+
+
+@pytest.mark.parametrize("workload", ["bib-session", "linorder"])
+def test_benchmark_checks_catch_an_equality_that_merges_class_ids(
+        workload, tmp_path, monkeypatch):
+    """perfbench's answer checks still catch a wrong evaluator equality now
+    that class ids decide it: every id reads 0 and `bisimilar` answers Yes
+    for the names without one."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import TOY, run_workload
+    original = ClassIds.of
+
+    def merged(self, name):
+        return None if original(self, name) is None else 0
+
+    def always_true(x, y, store, facts, helpers=None):
+        facts.resolve(x, y, True)
+        return True
+    monkeypatch.setattr(ClassIds, "of", merged)
+    monkeypatch.setattr(evaluator_module, "bisimilar", always_true)
+    run = run_workload(workload, seed=7, seconds=0.1, trace=False,
+                       workdir=tmp_path, sizes=TOY)
+    assert run.attempted > 0
+    assert run.failed > 0
 
 
 # -- hash-seed invariance -------------------------------------------------------
