@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import grammar as g
-from .parser import ParseNode, ParseResult, bounding_node
+from .parser import ParseNode, ParseResult
 
 
 @dataclass(frozen=True)
@@ -145,34 +145,25 @@ _BINDING_SITES = g.BINDER_CATEGORIES | {g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL,
 class Library:
     """A compiled session library: the declaration sources, their analyzed
     nodes in order, and the name -> (binder, declaration, kind) scope that
-    queries are checked against.  `tree` is the analyzed compile text
-    `expand_library("set query {};", sources)`, whose `let` is the binder;
-    `extended` adds the declarations of an analyzed `library add` command.
-    Each declaration sees only earlier ones, and the last one of a name
-    wins."""
+    queries are checked against.  `Library()` is empty; `extended` adds the
+    declarations of an analyzed `library add` command, which is their
+    binder.  Each declaration sees only earlier ones, and the last one of a
+    name wins."""
 
-    def __init__(self, sources: Sequence[str] = (),
-                 tree: Optional[ParseNode] = None) -> None:
+    def __init__(self) -> None:
         self.sources: List[str] = []
         self.declarations: List[ParseNode] = []
         self.scope: Dict[str, Tuple[ParseNode, ParseNode, DeclKind]] = {}
-        if tree is not None:
-            self._add(tree.children[0].children[2], sources)
 
     def extended(self, binder: ParseNode, sources: Sequence[str]) -> "Library":
         """A new library: this one plus the declarations of `binder`."""
-        out = Library()
-        out.sources = list(self.sources)
-        out.declarations = list(self.declarations)
-        out.scope = dict(self.scope)
-        out._add(binder, sources)
-        return out
-
-    def _add(self, binder: ParseNode, sources: Sequence[str]) -> None:
         found = binder_declarations(binder)
-        self.sources.extend(sources)
-        self.declarations.extend(decl for decl, _, _ in found)
-        self.scope.update((name, (binder, decl, kind)) for decl, name, kind in found)
+        out = Library()
+        out.sources = self.sources + list(sources)
+        out.declarations = self.declarations + [decl for decl, _, _ in found]
+        out.scope = dict(self.scope)
+        out.scope.update((name, (binder, decl, kind)) for decl, name, kind in found)
+        return out
 
 
 def ids_search(tree: ParseNode, occurrence: ParseNode,
@@ -369,9 +360,9 @@ def _check_bounded(result: ParseResult, triples: Dict[int, DeclTriple],
     for node in tree.walk():
         # (a) binder-bounded variables must not occur free in the bounding term
         if node.label in (g.COLLECT, g.SEPARATE, g.RECURSION, g.QUANTIFIED):
-            btflvn = bounding_node(node)
+            btflvn, uses = result.btflvn_sublists[id(node)]
             bounded = {name for _, name, _ in binder_declarations(node)}
-            for use in _uses_under(result, btflvn):
+            for use in uses:
                 if use.identifier_text() in bounded:
                     bn = triples[id(use)].binder
                     if not within(bn, btflvn):
@@ -381,8 +372,8 @@ def _check_bounded(result: ParseResult, triples: Dict[int, DeclTriple],
                             % use.identifier_text(), use.identifier_text()))
         # (b) set constant definitions must have no free variables
         elif node.label == g.SET_CONSTANT_DECL:
-            body = node.children[-1]
-            for use in _uses_under(result, body):
+            body, uses = result.btflvn_sublists[id(node)]
+            for use in uses:
                 if use.label in (g.SET_VARIABLE, g.LABEL_VARIABLE):
                     bn = triples[id(use)].binder
                     if not within(bn, body):
@@ -392,8 +383,8 @@ def _check_bounded(result: ParseResult, triples: Dict[int, DeclTriple],
                             % use.identifier_text(), use.identifier_text()))
         # (c) query bodies may use only their parameters as free variables
         elif node.label in (g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL):
-            body = node.children[-1]
-            for use in _uses_under(result, body):
+            body, uses = result.btflvn_sublists[id(node)]
+            for use in uses:
                 if use.label in (g.SET_VARIABLE, g.LABEL_VARIABLE):
                     bn = triples[id(use)].binder
                     if bn is node:
@@ -405,11 +396,6 @@ def _check_bounded(result: ParseResult, triples: Dict[int, DeclTriple],
                             % (use.identifier_text(),
                                node.children[2].identifier_text()),
                             use.identifier_text()))
-
-
-def _uses_under(result: ParseResult, region: ParseNode) -> List[ParseNode]:
-    inside = {id(n) for n in region.walk()}
-    return [u for u in result.identifier_nodes if id(u) in inside]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +410,8 @@ _QUERY_RE = _re.compile(r"^\s*(set|boolean)(\s+)query\b(.*?);\s*$", _re.S)
 def expand_library(query_source: str, library: Sequence[str]) -> str:
     """Wrap a query in a `let` of the library declarations; later
     declarations shadow earlier ones through the rightmost-wins search.
-    `expand_library("set query {};", sources)` is a library's compile text."""
+    Nothing compiles through this splice: libraries are compiled as
+    `library add` commands (`Library.extended`)."""
     if not library:
         return query_source
     match = _QUERY_RE.match(query_source)

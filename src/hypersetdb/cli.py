@@ -21,7 +21,6 @@ from .approx import make_approx_reader
 from .bisim import BisimHelpers, FactStore
 from .engine import OracleClient
 from .evaluator import Evaluator, postprocess
-from .library import PREDEFINED_DECLARATIONS
 from .names import WdbError
 from .parser import ParseError, ParseNode, parse, reprint
 from .store import FileFetcher, SessionStore
@@ -74,8 +73,7 @@ class Session:
             helpers.oracle = self.oracle_client
         if self.config.use_approximations:
             helpers.approx_reader = make_approx_reader(self.fetcher)
-        self.evaluator = Evaluator(self.store, self.facts, helpers,
-                                   library_sources=PREDEFINED_DECLARATIONS)
+        self.evaluator = Evaluator(self.store, self.facts, helpers)
 
     # -- command handling ------------------------------------------------------
 
@@ -204,9 +202,8 @@ def build_flags(argv: List[str]) -> SessionConfig:
                         help="allow file:// URLs only")
     parser.add_argument("--script", metavar="FILE",
                         help="batch mode: run ;-terminated commands from FILE")
-    parser.add_argument("--time", dest="show_time", action="store_true",
-                        default=True, help="print timing (default)")
-    parser.add_argument("--no-time", dest="show_time", action="store_false")
+    parser.add_argument("--no-time", dest="show_time", action="store_false",
+                        help="do not print timing")
     options = parser.parse_args(argv)
     return SessionConfig(oracle=options.oracle,
                          use_approximations=options.use_approximations,

@@ -88,7 +88,6 @@ class BisimulationEngine:
         self.roots = list(roots)
         self.store = SessionStore(fetcher)
         self.facts = FactStore()
-        self.use_approximations = use_approximations
         self.helpers = BisimHelpers(
             approx_reader=make_approx_reader(fetcher) if use_approximations else None)
         self.complete = threading.Event()
@@ -171,7 +170,7 @@ class _AskHandler(socketserver.StreamRequestHandler):
             except NameError_:
                 self.wfile.write(b"ERROR malformed set name\n")
                 continue
-            value = self.server.oracle_answer(x, y)  # type: ignore[attr-defined]
+            value = self.server.answer_fn(x, y)  # type: ignore[attr-defined]
             word = {OracleValue.YES: "YES", OracleValue.NO: "NO",
                     OracleValue.UNKNOWN: "UNKNOWN"}[value]
             reply = "%s %s %s\n" % (word, x.full, y.full)
@@ -184,10 +183,7 @@ class OracleServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, address, answer_fn) -> None:
         super().__init__(address, _AskHandler)
-        self._answer_fn = answer_fn
-
-    def oracle_answer(self, x: SetName, y: SetName) -> OracleValue:
-        return self._answer_fn(x, y)
+        self.answer_fn = answer_fn
 
 
 def serve(answer_fn, host: str = "127.0.0.1", port: int = 0) -> OracleServer:

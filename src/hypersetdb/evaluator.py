@@ -9,13 +9,15 @@ the output renderer folds generated names back into readable nested form.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import grammar as g
-from .analysis import Library, analyze, expand_library
+from .analysis import Library, analyze
 from .bisim import BisimHelpers, FactStore, bisimilar
 from .classids import ClassIds
+from .library import PREDEFINED_DECLARATIONS
 from .names import Element, FlatExpr, NULL_LABEL, SetName, WdbError
 from .parser import ParseNode, parse
 from .store import SessionStore
@@ -44,40 +46,39 @@ class QueryResult:
         return self.boolean is not None
 
 
+@functools.lru_cache(maxsize=None)
+def predefined_library() -> Library:
+    """The predefined library, compiled once per process the way a user's
+    `library add` of its declarations is.  Every evaluator shares it; it is
+    never mutated, since `Library.extended` returns a new library."""
+    tree = analyze(parse(
+        "library add " + ",\n".join(PREDEFINED_DECLARATIONS) + ";"))
+    return Library().extended(tree.children[1], PREDEFINED_DECLARATIONS)
+
+
 class Evaluator:
     """Evaluates typed parse trees over a session store.
 
     One evaluator serves a whole query session: generated equations, atom
-    registry and resolved bisimulation facts persist between queries.
+    registry and resolved bisimulation facts persist between queries.  It
+    starts from the shared predefined library, whose declarations it
+    evaluates into its own environment; `decorate` uses that library's
+    Regroup, so a `library add` of a Regroup does not change it.
     """
 
     def __init__(self, store: SessionStore, facts: Optional[FactStore] = None,
-                 helpers: Optional[BisimHelpers] = None,
-                 library_sources: Sequence[str] = ()) -> None:
+                 helpers: Optional[BisimHelpers] = None) -> None:
         self.store = store
         self.facts = facts or FactStore()
         self.helpers = helpers or BisimHelpers()
         self.class_ids = ClassIds(store)
         self.atoms: Dict[str, SetName] = {}
         self.empty_name: Optional[SetName] = None
-        self.load_library(library_sources)
+        self.library = predefined_library()
+        self.library_env = self.eval_declarations(self.library.declarations, {})
+        self.regroup = self.library_env.get("Regroup")
 
     # -- plumbing ------------------------------------------------------------
-
-    def load_library(self, sources: Sequence[str]) -> None:
-        """Compile the session library: parse, analyze and evaluate its
-        declarations as one `let`, then make them the scope and environment
-        of every query.  Raises ParseError, AnalysisError or WdbError before
-        the library in use changes.
-
-        `decorate` uses this library's Regroup, the predefined one: a
-        `library add` of a Regroup does not change it."""
-        tree = analyze(parse(expand_library("set query {};", sources))) \
-            if sources else None
-        library = Library(sources, tree)
-        env = self.eval_declarations(library.declarations, {})
-        self.library, self.library_env = library, env
-        self.regroup = env.get("Regroup")
 
     def add_library(self, command: ParseNode, sources: Sequence[str]) -> None:
         """Compile an analyzed `library add` command: evaluate only its

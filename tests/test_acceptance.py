@@ -15,7 +15,6 @@ from hypersetdb.evaluator import Evaluator, postprocess
 from hypersetdb.experiments import (
     build_chains, build_self_contained, build_three_file, run_experiment,
 )
-from hypersetdb.library import PREDEFINED_DECLARATIONS
 from hypersetdb.names import Element, EquationSystem, SetName
 from hypersetdb.parser import parse
 from hypersetdb.store import FileFetcher, MemoryFetcher, SessionStore
@@ -27,8 +26,7 @@ from conftest import duplicate_and_shuffle, random_closed_system
 @pytest.fixture(scope="module")
 def session_evaluator(bibdb):
     """One query session over the file-served bibliography WDB."""
-    return Evaluator(SessionStore(FileFetcher()),
-                     library_sources=PREDEFINED_DECLARATIONS)
+    return Evaluator(SessionStore(FileFetcher()))
 
 
 def run_query(evaluator, source):
@@ -536,8 +534,7 @@ def test_criterion_11_evaluator_invariance_under_duplication():
         twin, mapping = duplicate_and_shuffle(system, rng,
                                               url="mem://twin%d.xml" % trial)
         root = next(iter(system.equations))
-        ev = Evaluator(SessionStore(MemoryFetcher({})),
-                       library_sources=PREDEFINED_DECLARATIONS)
+        ev = Evaluator(SessionStore(MemoryFetcher({})))
         ev.store.system.merge(system)
         ev.store.system.merge(twin)
 

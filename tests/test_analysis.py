@@ -2,12 +2,11 @@ import pytest
 
 from hypersetdb import grammar as g
 from hypersetdb.analysis import (
-    AnalysisError, QueryType, analyze, expand_library, ids_search,
+    AnalysisError, Library, QueryType, analyze, expand_library, ids_search,
 )
-from hypersetdb.evaluator import Evaluator
+from hypersetdb.evaluator import predefined_library
 from hypersetdb.library import PREDEFINED_DECLARATIONS
 from hypersetdb.parser import parse
-from hypersetdb.store import MemoryFetcher, SessionStore
 
 UNTYPED_BIBDB_QUERY = ("set query collect { pub-type:pub "
                        "where pub-type:pub in BibDB "
@@ -210,8 +209,15 @@ def test_expand_library_wraps_declarations():
     analyze(parse(wrapped))
 
 
+def library_add(sources):
+    return "library add " + ",\n".join(sources) + ";"
+
+
 def test_predefined_library_is_well_typed():
-    analyze(parse(expand_library("set query {};", PREDEFINED_DECLARATIONS)))
+    analyze(parse(library_add(PREDEFINED_DECLARATIONS)))
+    library = predefined_library()
+    assert library.sources == PREDEFINED_DECLARATIONS
+    assert len(library.declarations) == len(PREDEFINED_DECLARATIONS)
 
 
 def test_later_library_declaration_shadows_earlier():
@@ -236,7 +242,8 @@ def test_empty_library_call_is_undeclared():
 # -- queries checked against a compiled library --------------------------------
 
 def compiled(sources):
-    return Evaluator(SessionStore(MemoryFetcher({})), library_sources=sources).library
+    tree = analyze(parse(library_add(sources)))
+    return Library().extended(tree.children[1], sources)
 
 
 def test_compiled_library_scope_rightmost_declaration_wins():

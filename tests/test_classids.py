@@ -15,7 +15,6 @@ from hypersetdb.analysis import analyze
 from hypersetdb.bisim import FactStore, bisimilar, naive_bisimulation, strongly_extensional
 from hypersetdb.classids import ClassIds
 from hypersetdb.evaluator import Evaluator
-from hypersetdb.library import PREDEFINED_DECLARATIONS
 from hypersetdb.names import Element, EquationSystem, SetName
 from hypersetdb.parser import parse
 from hypersetdb.store import MemoryFetcher, SessionStore
@@ -29,8 +28,7 @@ LABELS = ("l0", "l1")
 
 
 def make_evaluator(documents=None) -> Evaluator:
-    return Evaluator(SessionStore(MemoryFetcher(documents or {})),
-                     library_sources=PREDEFINED_DECLARATIONS)
+    return Evaluator(SessionStore(MemoryFetcher(documents or {})))
 
 
 def run(evaluator, source):
@@ -281,15 +279,13 @@ HASH_SEED_SCRIPT = r"""
 import random
 from hypersetdb.analysis import analyze
 from hypersetdb.evaluator import Evaluator, postprocess
-from hypersetdb.library import PREDEFINED_DECLARATIONS
 from hypersetdb.parser import parse
 from hypersetdb.store import MemoryFetcher, SessionStore
 from conftest import bibdb_f1_text, bibdb_f2_text, random_closed_system
 
 F1, F2 = "mem://BibDB-f1.xml", "mem://BibDB-f2.xml"
 ev = Evaluator(SessionStore(MemoryFetcher({F1: bibdb_f1_text(F1, F2),
-                                           F2: bibdb_f2_text(F1, F2)})),
-               library_sources=PREDEFINED_DECLARATIONS)
+                                           F2: bibdb_f2_text(F1, F2)})))
 
 def show(source):
     result = ev.eval_query(analyze(parse(source), ev.library))

@@ -3,6 +3,7 @@ import io
 import socket
 import socketserver
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +243,8 @@ def test_repl_continues_after_errors():
 
 
 def test_session_isolation():
+    library = evaluator.predefined_library()
+    sizes = len(library.declarations), len(library.scope)
     script = ["set query { 'a':\"v\" };",
               "library add set constant k = { 'b':{} };",
               "set query k;"]
@@ -250,6 +253,12 @@ def test_session_isolation():
         session = make_session(show_time=False)
         outputs.append([session.run_command(cmd) for cmd in script])
     assert outputs[0] == outputs[1]
+    # a `library add` extends only its own session; the predefined library
+    # that every session starts from is left as it was
+    fresh = make_session()
+    assert fresh.evaluator.library is library
+    assert "occurrence of identifier name k not declared" in fresh.run_command("set query k;")
+    assert (len(library.declarations), len(library.scope)) == sizes
 
 
 def test_flags_parsing():
@@ -263,8 +272,9 @@ def test_flags_parsing():
 
 
 def test_unknown_flag_rejected():
-    with pytest.raises(SystemExit):
-        build_flags(["--bogus"])
+    for flag in ("--bogus", "--time"):
+        with pytest.raises(SystemExit):
+            build_flags([flag])
 
 
 def test_no_network_blocks_http(tmp_path):
@@ -325,3 +335,16 @@ def test_failing_oracle_does_not_fail_the_query(oracle):
             session.close()
     assert "Result = true" in equal
     assert "Result = false" in unequal
+
+
+def test_benchmark_hook_points_exist(monkeypatch):
+    """perfbench wraps functions of cli, evaluator, bisim, engine, xmlwdb and
+    approx by name; renaming or dropping one fails here with a KeyError."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.tracing import Tracer, installed
+    original = cli.parse
+    with installed(Tracer()) as tracer:
+        assert cli.parse is not original
+        assert WELL_TYPED in make_session().run_command("set query {};")
+    assert cli.parse is original
+    assert {"library", "parser", "analysis", "evaluator"} <= {span[0] for span in tracer.spans}

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from hypersetdb.analysis import AnalysisError, analyze, expand_library
+from hypersetdb import evaluator as evaluator_module
+from hypersetdb.analysis import analyze, expand_library
 from hypersetdb.bisim import FactStore, naive_bisimulation
 from hypersetdb.evaluator import Evaluator, QueryResult, postprocess
 from hypersetdb.library import PREDEFINED_DECLARATIONS
@@ -19,7 +20,7 @@ F2 = "mem://BibDB-f2.xml"
 
 def make_evaluator(documents=None) -> Evaluator:
     store = SessionStore(MemoryFetcher(documents or {}))
-    return Evaluator(store, library_sources=PREDEFINED_DECLARATIONS)
+    return Evaluator(store)
 
 
 def run(evaluator: Evaluator, source: str) -> QueryResult:
@@ -495,10 +496,11 @@ def test_spliced_and_scoped_queries_render_the_same(query):
     assert postprocess(run(scoped, query), scoped.store) == expected
 
 
-def test_failed_library_load_keeps_the_library_in_use():
+def test_second_evaluator_compiles_nothing(monkeypatch):
+    make_evaluator()
+    calls = []
+    monkeypatch.setattr(evaluator_module, "parse", lambda *args: calls.append("parse"))
+    monkeypatch.setattr(evaluator_module, "analyze", lambda *args: calls.append("analyze"))
     ev = make_evaluator()
-    library, env = ev.library, ev.library_env
-    with pytest.raises(AnalysisError):
-        ev.load_library(PREDEFINED_DECLARATIONS + ["set constant c = missing"])
-    assert ev.library is library and ev.library_env is env
+    assert calls == []
     assert run(ev, "boolean query call isPair(call Pair({}, {}));").boolean is True
