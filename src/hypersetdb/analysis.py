@@ -46,7 +46,6 @@ class DeclTriple:
 
     binder: Optional[ParseNode]
     declaration: Optional[ParseNode]
-    occurrence: ParseNode
     kind: Optional[DeclKind] = None
 
     @property
@@ -206,14 +205,12 @@ def ids_search(tree: ParseNode, occurrence: ParseNode,
                 continue
         for idn, decl_name, kind in reversed(decls):
             if decl_name == name:
-                return DeclTriple(current, idn, occurrence, kind)
+                return DeclTriple(current, idn, kind)
     if library is not None and name in library.scope:
         # the binder lies outside the query, as a spliced library `let` did
         binder, decl, kind = library.scope[name]
-        return DeclTriple(binder, decl, occurrence, kind)
-    triple = DeclTriple(None, None, occurrence)
-    triple.kind = "recursive" if skipped_own else None
-    return triple
+        return DeclTriple(binder, decl, kind)
+    return DeclTriple(None, None, "recursive" if skipped_own else None)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,10 @@ class _AskHandler(socketserver.StreamRequestHandler):
             line = self.rfile.readline()
             if not line:
                 return
-            parts = line.decode("utf-8").split()
+            try:
+                parts = line.decode("utf-8").split()
+            except UnicodeDecodeError:
+                parts = []
             if len(parts) != 3 or parts[0] != "ASK":
                 self.wfile.write(b"ERROR malformed request\n")
                 continue

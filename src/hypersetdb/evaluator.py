@@ -18,7 +18,7 @@ from .analysis import Library, analyze
 from .bisim import BisimHelpers, FactStore, bisimilar
 from .classids import ClassIds
 from .library import PREDEFINED_DECLARATIONS
-from .names import Element, FlatExpr, NULL_LABEL, SetName, WdbError
+from .names import Element, EquationSystem, FlatExpr, NULL_LABEL, SetName, WdbError
 from .parser import ParseNode, parse
 from .store import SessionStore
 
@@ -62,8 +62,8 @@ class Evaluator:
     One evaluator serves a whole query session: generated equations, atom
     registry and resolved bisimulation facts persist between queries.  It
     starts from the shared predefined library, whose declarations it
-    evaluates into its own environment; `decorate` uses that library's
-    Regroup, so a `library add` of a Regroup does not change it.
+    evaluates into its own environment.  `decorate` groups the graph itself
+    and calls no library query, so no `library add` changes it.
     """
 
     def __init__(self, store: SessionStore, facts: Optional[FactStore] = None,
@@ -76,7 +76,6 @@ class Evaluator:
         self.empty_name: Optional[SetName] = None
         self.library = predefined_library()
         self.library_env = self.eval_declarations(self.library.declarations, {})
-        self.regroup = self.library_env.get("Regroup")
 
     # -- plumbing ------------------------------------------------------------
 
@@ -455,63 +454,45 @@ class Evaluator:
     # -- decoration ---------------------------------------------------------------
 
     def eval_decorate(self, graph: SetName, vertex: SetName) -> SetName:
-        """Regroup the graph into abstract equations, canonise node names,
-        then mint an isomorphic system of duplicate names rooted at the
-        canonical node equal to the vertex."""
-        if not isinstance(self.regroup, Closure):
-            raise EvaluationError("library query Regroup is not available")
-        call_env = dict(self.regroup.env)
-        call_env[self.regroup.parameters[0][1]] = ("set", graph)
-        regrouped = self.eval_term(self.regroup.body, call_env)
+        """Decorate the graph (Aczel's decoration lemma): every node class gets
+        the set of its decorated children.  The result is the decoration of
+        the node equal to the vertex, a system of duplicate names minted for
+        the classes it reaches, or `{}` when the vertex is no node.
 
-        entries: List[Tuple[SetName, SetName]] = []  # (node name x, children name c)
-        for _, entry in self.elements(regrouped):
-            first = second = None
-            for el_label, el_member in self.elements(entry):
-                if el_label == "fst":
-                    first = el_member
-                elif el_label == "snd":
-                    second = el_member
-            if first is None or second is None:
-                continue
-            entries.append((first, second))
+        An element l:p of the graph is an edge when the library's isPair(p)
+        holds: p has `fst` members, all equal, and `snd` members, all equal.
+        The nodes are all members of such p, whatever their label, as the
+        library's Nodes has them.  A class's children are the (l, class of
+        snd) of the edges whose fst lies in it, in graph order and without
+        duplicates."""
+        edges: List[Tuple[str, SetName, SetName]] = []  # (label, fst, snd)
+        nodes: Dict[SetName, None] = {}  # insertion-ordered set
+        for label, pair in self.elements(graph):
+            members = self.elements(pair)
+            first = [m for l, m in members if l == "fst"]
+            second = [m for l, m in members if l == "snd"]
+            if first and second and \
+                    all(self.equal(first[0], m) for m in first[1:]) and \
+                    all(self.equal(second[0], m) for m in second[1:]):
+                edges.append((label, first[0], second[0]))
+                nodes.update(dict.fromkeys(m for _, m in members))
 
-        node_names: List[SetName] = []
-        seen: Set[SetName] = set()
-        for x, c in entries:
-            for candidate in [x] + [el.member for el in self.elements(c)]:
-                if candidate not in seen:
-                    seen.add(candidate)
-                    node_names.append(candidate)
+        canonical = self._canonical_names(list(nodes))
+        children: Dict[SetName, List[Element]] = {canonical[x]: [] for x in nodes}
+        for label, first, second in edges:
+            kids = children[canonical[first]]
+            child = Element(label, canonical[second])
+            if child not in kids:
+                kids.append(child)
 
-        canonical = self._canonical_names(node_names)
-
-        # canonised, deduplicated abstract equations
-        canonical_children: Dict[SetName, List[Element]] = {}
-        for x, c in entries:
-            can_x = canonical[x]
-            if can_x in canonical_children:
-                continue
-            members: List[Element] = []
-            for el in self.elements(c):
-                mapped = Element(el.label, canonical[el.member])
-                if mapped not in members:
-                    members.append(mapped)
-            canonical_children[can_x] = members
-
-        root_canonical = None
-        for can in canonical_children:
-            if self.equal(can, vertex):
-                root_canonical = can
-                break
-        if root_canonical is None:
+        root = next((can for can in children if self.equal(can, vertex)), None)
+        if root is None:
             return self.define_fresh([])
-
-        duplicates = {can: self.store.fresh("res") for can in canonical_children}
-        for can, members in canonical_children.items():
-            self.store.define(duplicates[can],
-                              [Element(l, duplicates[m]) for l, m in members])
-        return duplicates[root_canonical]
+        reached = EquationSystem(children).reachable(root)
+        duplicates = {can: self.store.fresh("res") for can in children if can in reached}
+        for can, name in duplicates.items():
+            self.store.define(name, [Element(l, duplicates[m]) for l, m in children[can]])
+        return duplicates[root]
 
     def _canonical_names(self, names: List[SetName]) -> Dict[SetName, SetName]:
         """Map each name to the smallest full name among those equal to it.

@@ -123,22 +123,18 @@ def parse_set_name(text: str, base_url: str) -> SetName:
 class EquationSystem:
     """A system of flat set equations, keyed by full set name.
 
-    ``origin`` records the source document of each equation; ``generated``
-    marks names invented while flattening nested input (these may be inlined
-    again when writing XML).
+    ``generated`` marks names invented while flattening nested input (these
+    may be inlined again when writing XML).
     """
 
     equations: Dict[SetName, FlatExpr] = field(default_factory=dict)
-    origin: Dict[SetName, str] = field(default_factory=dict)
     generated: Set[SetName] = field(default_factory=set)
     mentioned: Set[SetName] = field(default_factory=set)
 
-    def define(self, name: SetName, elements: FlatExpr, origin: Optional[str] = None,
-               generated: bool = False) -> None:
+    def define(self, name: SetName, elements: FlatExpr, generated: bool = False) -> None:
         if name in self.equations:
             raise DuplicateEquationError("duplicate equation for %s" % name.full)
         self.equations[name] = list(elements)
-        self.origin[name] = origin if origin is not None else name.url
         self.mentioned.add(name)
         self.mentioned.update(el.member for el in elements)
         if generated:
@@ -167,8 +163,7 @@ class EquationSystem:
 
     def merge(self, other: "EquationSystem") -> None:
         for name, expr in other.equations.items():
-            self.define(name, expr, origin=other.origin.get(name),
-                        generated=name in other.generated)
+            self.define(name, expr, generated=name in other.generated)
 
     def reachable(self, root: SetName) -> Set[SetName]:
         """Names in the transitive closure of root (root included), following
@@ -188,7 +183,6 @@ class EquationSystem:
     def copy(self) -> "EquationSystem":
         sys2 = EquationSystem()
         sys2.equations = {n: list(e) for n, e in self.equations.items()}
-        sys2.origin = dict(self.origin)
         sys2.generated = set(self.generated)
         sys2.mentioned = set(self.mentioned)
         return sys2
@@ -209,8 +203,8 @@ NestedExpr = Union[SetName, Bracket]
 
 
 def flatten(nested: Dict[SetName, NestedExpr],
-            name_maker: Optional[Callable[[SetName, int], SetName]] = None,
-            origin: Optional[str] = None) -> EquationSystem:
+            name_maker: Optional[Callable[[SetName, int], SetName]] = None
+            ) -> EquationSystem:
     """Unnest bracket expressions by introducing fresh set names.
 
     The default name maker derives deterministic names from the defining
@@ -239,7 +233,7 @@ def flatten(nested: Dict[SetName, NestedExpr],
         elements = []
         for label, sub in expr.entries:
             elements.append(Element(label, walk(parent, sub, state)))
-        system.define(fresh, elements, origin=origin, generated=True)
+        system.define(fresh, elements, generated=True)
         return fresh
 
     for name, expr in nested.items():
@@ -249,7 +243,7 @@ def flatten(nested: Dict[SetName, NestedExpr],
         elements = []
         for label, sub in expr.entries:
             elements.append(Element(label, walk(name, sub, state)))
-        system.define(name, elements, origin=origin)
+        system.define(name, elements)
     return system
 
 

@@ -79,12 +79,10 @@ class ParseResult:
     tree: ParseNode
     identifier_nodes: List[ParseNode] = field(default_factory=list)
     btflvn_sublists: Dict[int, Tuple[ParseNode, List[ParseNode]]] = field(default_factory=dict)
-    source: str = ""
 
 
 class _Parser:
     def __init__(self, source: str) -> None:
-        self.source = source
         try:
             self.tokens = tokenize(source)
         except TokenError as exc:
@@ -648,4 +646,4 @@ def parse(source: str) -> ParseResult:
         if btflvn is not None:
             inside = set(id(n) for n in btflvn.walk())
             sublists[id(node)] = (btflvn, [u for u in uses if id(u) in inside])
-    return ParseResult(tree, uses, sublists, source)
+    return ParseResult(tree, uses, sublists)

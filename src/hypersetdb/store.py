@@ -104,11 +104,9 @@ class SessionStore:
     relies on.
     """
 
-    def __init__(self, fetcher: Optional[Fetcher] = None,
-                 namespace: str = xmlwdb.SET_NS) -> None:
+    def __init__(self, fetcher: Optional[Fetcher] = None) -> None:
         self.system = EquationSystem()
         self.fetcher = fetcher or FileFetcher()
-        self.namespace = namespace
         self.loaded_documents: Dict[str, bool] = {}
         self.allocator = NameAllocator()
 
@@ -118,7 +116,7 @@ class SessionStore:
         return self.allocator.fresh(self.system, hint)
 
     def define(self, name: SetName, elements: FlatExpr) -> None:
-        self.system.define(name, elements, origin=name.url)
+        self.system.define(name, elements)
 
     # -- document loading --------------------------------------------------
 
@@ -126,7 +124,7 @@ class SessionStore:
         if url in self.loaded_documents or url == LOCAL_URL:
             return
         text = self.fetcher(url)
-        system = xmlwdb.load_equations(text, url, self.namespace)
+        system = xmlwdb.load_equations(text, url)
         self.system.merge(system)
         self.loaded_documents[url] = True
 

@@ -33,19 +33,18 @@ class XmlWdbError(WdbError):
 class XmlWdbDocument:
     source_url: str
     root: ET.Element
-    namespace: str = SET_NS
 
     @classmethod
-    def parse(cls, text: str, source_url: str, namespace: str = SET_NS) -> "XmlWdbDocument":
+    def parse(cls, text: str, source_url: str) -> "XmlWdbDocument":
         try:
             root = ET.fromstring(text)
         except ET.ParseError as exc:
             raise XmlWdbError("not well-formed XML (%s): %s" % (source_url, exc))
-        return cls(source_url, root, namespace)
+        return cls(source_url, root)
 
 
-def _q(namespace: str, local: str) -> str:
-    return "{%s}%s" % (namespace, local)
+def _q(local: str) -> str:
+    return "{%s}%s" % (SET_NS, local)
 
 
 @dataclass
@@ -64,9 +63,8 @@ def validate(doc: XmlWdbDocument, deep: bool = False,
     With deep=True every set:href target document is fetched and checked to
     define the referenced simple name (requires a fetcher).
     """
-    ns = doc.namespace
-    eqns_tag, eqn_tag = _q(ns, "eqns"), _q(ns, "eqn")
-    id_attr, ref_attr, href_attr = _q(ns, "id"), _q(ns, "ref"), _q(ns, "href")
+    eqns_tag, eqn_tag = _q("eqns"), _q("eqn")
+    id_attr, ref_attr, href_attr = _q("id"), _q("ref"), _q("href")
     out: List[Violation] = []
 
     root = doc.root
@@ -140,13 +138,12 @@ def validate(doc: XmlWdbDocument, deep: bool = False,
                 continue
             if url not in checked:
                 try:
-                    other = XmlWdbDocument.parse(fetcher(url), url, doc.namespace)
+                    other = XmlWdbDocument.parse(fetcher(url), url)
                 except Exception as exc:
                     out.append(Violation("href-fetch", "cannot fetch %s: %s" % (url, exc)))
                     checked[url] = set()
                     continue
-                checked[url] = {e.attrib.get(_q(doc.namespace, "id"), "")
-                                for e in other.root}
+                checked[url] = {e.attrib.get(id_attr, "") for e in other.root}
             if checked[url] and simple not in checked[url]:
                 out.append(Violation("dangling-href",
                                      "%s does not define %r" % (url, simple)))
@@ -172,14 +169,13 @@ def _element_entries(sub: ET.Element, doc: XmlWdbDocument) -> List[Tuple[str, Ne
     become empty elements, set:ref/set:href become name references; an element
     carrying a reference contributes tag:{content} only if content remains.
     """
-    ns = doc.namespace
-    ref = sub.attrib.get(_q(ns, "ref"))
-    href = sub.attrib.get(_q(ns, "href"))
+    ref = sub.attrib.get(_q("ref"))
+    href = sub.attrib.get(_q("href"))
     tag = _local_tag(sub.tag)
 
     inner = Bracket()
     for key, value in sub.attrib.items():
-        if key in (_q(ns, "ref"), _q(ns, "href")):
+        if key in (_q("ref"), _q("href")):
             continue
         inner.entries.append(
             (_local_tag(key), Bracket([(tok, Bracket()) for tok in _tokens(value)])))
@@ -215,30 +211,28 @@ def to_equations(doc: XmlWdbDocument) -> EquationSystem:
     if problems:
         raise XmlWdbError("invalid XML-WDB document %s: %s"
                           % (doc.source_url, "; ".join(str(p) for p in problems)))
-    ns = doc.namespace
     nested: Dict[SetName, NestedExpr] = {}
     for eqn in doc.root:
-        simple = eqn.attrib[_q(ns, "id")]
+        simple = eqn.attrib[_q("id")]
         nested[SetName(doc.source_url, simple)] = Bracket(_content_entries(eqn, doc))
-    return flatten(nested, origin=doc.source_url)
+    return flatten(nested)
 
 
-def load_equations(text: str, source_url: str, namespace: str = SET_NS) -> EquationSystem:
-    return to_equations(XmlWdbDocument.parse(text, source_url, namespace))
+def load_equations(text: str, source_url: str) -> EquationSystem:
+    return to_equations(XmlWdbDocument.parse(text, source_url))
 
 
 # ---------------------------------------------------------------------------
 # Set equations -> XML
 # ---------------------------------------------------------------------------
 
-def from_equations(system: EquationSystem, target_url: str,
-                   namespace: str = SET_NS, resugar: bool = True) -> str:
+def from_equations(system: EquationSystem, target_url: str) -> str:
     """Write a system whose equations all belong to target_url as an XML-WDB
     document.
 
-    With resugar=True, names marked as generated (invented while flattening)
-    are folded back: atom-shaped equations {X:{}} print as text X, other
-    generated single-use names become nested elements.
+    Names marked as generated (invented while flattening) are folded back:
+    atom-shaped equations {X:{}} print as text X, other generated single-use
+    names become nested elements.
     """
     for name in system.equations:
         if name.url != target_url:
@@ -252,7 +246,7 @@ def from_equations(system: EquationSystem, target_url: str,
             ref_count[el.member] = ref_count.get(el.member, 0) + 1
 
     def inlinable(name: SetName) -> bool:
-        return (resugar and name in system.generated and name in system.equations
+        return (name in system.generated and name in system.equations
                 and ref_count.get(name, 0) == 1)
 
     def atom_label(name: SetName) -> Optional[str]:
@@ -296,7 +290,7 @@ def from_equations(system: EquationSystem, target_url: str,
             node.set("set:href", member.full)
 
     root = ET.Element("set:eqns")
-    root.set("xmlns:set", namespace)
+    root.set("xmlns:set", SET_NS)
     eqn_elements: List[Tuple[SetName, ET.Element]] = []
     for name, expr in system.equations.items():
         eqn = ET.Element("set:eqn")

@@ -173,7 +173,7 @@ def test_added_regroup_does_not_change_decorate_or_can():
     session = make_session(show_time=False)
     output = session.run_command("library add set query Regroup (set g) be {};")
     assert LIBRARY_OK in output
-    # decorate, and Can through it, keep the predefined Regroup ...
+    # decorate groups the graph itself, so neither it nor Can changes ...
     assert [session.run_command(q) for q in queries] == expected
     assert all("Result = {'null':" in text for text in expected)
     # ... while queries call the added one

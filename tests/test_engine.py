@@ -198,6 +198,22 @@ def test_ask_with_malformed_name_gets_error_and_service_continues():
         server.server_close()
 
 
+def test_ask_that_is_not_utf8_gets_error_and_service_continues():
+    server = serve(lambda x, y: OracleValue.NO)
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(b"ASK mem://f.xml#\xff\xfe mem://f.xml#y\n")
+            stream.flush()
+            assert stream.readline() == b"ERROR malformed request\n"
+            stream.write(b"ASK mem://f.xml#x mem://f.xml#y\n")
+            stream.flush()
+            assert stream.readline() == b"NO mem://f.xml#x mem://f.xml#y\n"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_bisimilar_consults_served_oracle_first():
     engine = BisimulationEngine([F1], MemoryFetcher(bibdb_documents()))
     engine.start()

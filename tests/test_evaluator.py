@@ -371,6 +371,84 @@ def test_can_is_idempotent_and_preserves_value():
             assert not ev.equal(x, y)
 
 
+def _random_node(rng):
+    """A node term and its key.  Atoms stand for their letter, and
+    {'a':{}} is a second name for the atom "a"."""
+    letter = rng.choice("abc")
+    roll = rng.random()
+    if roll < 0.15:
+        return "{}", "empty"
+    if roll < 0.3:
+        return "{'%s':{}}" % letter, letter
+    return '"%s"' % letter, letter
+
+
+def _random_graph_element(rng):
+    """(query text, edge (label, fst key, snd key) or None, member keys)."""
+    label = rng.choice(["l0", "l1", "null"])
+    (x, kx), (y, ky), (z, kz) = (_random_node(rng) for _ in range(3))
+    kind = rng.randrange(7)
+    if kind == 0:
+        return "'null':call Pair(%s, %s)" % (x, y), ("null", kx, ky), [kx, ky]
+    if kind == 1:  # an extra label, whose member is a node too
+        return ("'%s':{'fst':%s, 'k':%s, 'snd':%s}" % (label, x, z, y),
+                (label, kx, ky), [kx, kz, ky])
+    if kind == 2:  # repeated fst members: a pair only when they are equal
+        return ("'%s':{'fst':%s, 'snd':%s, 'fst':%s}" % (label, x, y, z),
+                (label, kx, ky) if kx == kz else None, [kx, ky, kz])
+    if kind == 3:  # repeated snd members
+        return ("'%s':{'snd':%s, 'fst':%s, 'snd':%s}" % (label, y, x, z),
+                (label, kx, ky) if ky == kz else None, [ky, kx, kz])
+    if kind == 4:
+        return "'%s':{'fst':%s}" % (label, x), None, [kx]
+    if kind == 5:
+        return "'%s':{'snd':%s, 'k':%s}" % (label, y, z), None, [ky, kz]
+    return "'%s':%s" % (label, x), None, [kx]
+
+
+def test_decorate_matches_a_python_built_decoration():
+    rng = random.Random(8)
+    outcomes = {"node": 0, "no node": 0}
+    for _ in range(150):
+        ev = make_evaluator()
+        parts = [_random_graph_element(rng) for _ in range(rng.randint(0, 10))]
+        edges = [edge for _, edge, _ in parts if edge is not None]
+        nodes = {key for _, edge, keys in parts if edge is not None for key in keys}
+        vertex, vertex_key = _random_node(rng) if rng.random() < 0.9 else ('"z"', "z")
+        result = run(ev, "set query let set constant g = { %s } in decorate (g, %s) endlet;"
+                     % (", ".join(text for text, _, _ in parts), vertex))
+        if vertex_key not in nodes:
+            outcomes["no node"] += 1
+            assert elements_of(ev, result) == []
+            continue
+        outcomes["node"] += 1
+        # D_x = {l: D_y for every edge l:(x, y)}, closed together with the result
+        system = EquationSystem()
+        for name in ev.store.system.reachable(result.root):
+            system.define(name, ev.store.system[name])
+        decoration = {key: SetName("mem://decoration.xml", "D-" + key) for key in nodes}
+        for key in nodes:
+            system.define(decoration[key], [Element(label, decoration[y])
+                                            for label, x, y in edges if x == key])
+        blocks = naive_bisimulation(system)
+        assert blocks[result.root] == blocks[decoration[vertex_key]]
+    assert min(outcomes.values()) >= 10
+
+
+def test_decorate_adds_only_its_result_closure_to_the_store():
+    ev = make_evaluator()
+    # "e" is a node that "a" does not reach
+    setup = run(ev, "set query { 'g':{ 'null':call Pair(\"a\",\"b\"), "
+                    "'null':call Pair(\"b\",\"a\"), 'null':call Pair(\"e\",\"a\") }, "
+                    "'v':\"a\" };")
+    named = {el.label: el.member.full for el in elements_of(ev, setup)}
+    for vertex in (named["v"], named["g"]):  # a node, and no node
+        before = set(ev.store.system.equations)
+        result = run(ev, "set query decorate (%s, %s);" % (named["g"], vertex))
+        added = set(ev.store.system.equations) - before
+        assert added == ev.store.system.reachable(result.root)
+
+
 # ---------------------------------------------------------------------------
 # Bisimulation invariance of evaluation
 # ---------------------------------------------------------------------------
