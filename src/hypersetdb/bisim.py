@@ -16,11 +16,12 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional, Set,
                     Tuple)
 
 from .names import Element, EquationSystem, SetName, WdbError
-from .store import SessionStore
+from .store import SessionStore, fetch_concurrently, settled
 
 Pair = Tuple[SetName, SetName]
 
@@ -337,13 +338,27 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
             if any(status.get(pair_key(u, v)) is Status.QUESTION for v in members):
                 candidates.append(u)
         frontier = lacking
-        for name in sorted(candidates):
+        # the round's documents and approximation files are fetched as one
+        # concurrent batch, then applied in order as if fetched one by one
+        order = sorted(candidates)
+        wanted = {}
+        for name in order:
+            if name not in equations and store.unloaded([name.url]):
+                wanted.setdefault(("document", name.url), partial(store.fetcher, name.url))
+            if reader is not None and name.url not in facts.approx_loaded:
+                wanted.setdefault(("approximation", name.url), partial(reader, name.url))
+        fetched = dict(zip(wanted, fetch_concurrently(list(wanted.values()))))
+        for name in order:
             if name not in equations:
+                key = ("document", name.url)
+                if key in fetched:
+                    store.merge_document(name.url, settled(fetched.pop(key)))
                 store.lookup(name)
                 progress = True
             if reader is not None and name.url not in facts.approx_loaded:
+                seeded = settled(fetched.pop(("approximation", name.url)))
                 facts.approx_loaded.add(name.url)
-                for (a, b, value) in reader(name.url):
+                for (a, b, value) in seeded:
                     facts.ask_question(a, b)
                     facts.resolve(a, b, value)
                 progress = True

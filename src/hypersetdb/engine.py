@@ -110,8 +110,7 @@ class BisimulationEngine:
 
     def _run(self) -> None:
         try:
-            for url in self.roots:
-                self.store.load_document(url)
+            self.store.load_documents(self.roots)
             while True:
                 progress = self._walk_reachable()
                 names = sorted(self.store.system.equations)
@@ -127,14 +126,13 @@ class BisimulationEngine:
             self.complete.set()
 
     def _walk_reachable(self) -> bool:
-        """Load documents of referenced names not yet covered."""
-        progress = False
-        for name in list(self.store.system.referenced_names()):
-            if name not in self.store.system and not name.is_local() \
-                    and name.url not in self.store.loaded_documents:
-                self.store.load_document(name.url)
-                progress = True
-        return progress
+        """Load the documents of referenced names not yet covered, as one
+        batch in URL order."""
+        system = self.store.system
+        urls = self.store.unloaded(sorted({name.url for name in system.referenced_names()
+                                          if name not in system}))
+        self.store.load_documents(urls)
+        return bool(urls)
 
     def join(self, timeout: Optional[float] = None) -> None:
         if self._thread is not None:

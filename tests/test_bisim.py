@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,9 @@ from hypersetdb.bisim import (
     strongly_extensional,
 )
 from hypersetdb.names import Element, EquationSystem, SetName
-from hypersetdb.store import MemoryFetcher, SessionStore
-from hypersetdb.xmlwdb import load_equations
+from hypersetdb.store import (MAX_FETCHES_IN_FLIGHT, FetchError, LatencyFetcher,
+                              MemoryFetcher, SessionStore)
+from hypersetdb.xmlwdb import from_equations, load_equations
 
 from conftest import (bibdb_f1_text, bibdb_f2_text, random_closed_system,
                       split_documents)
@@ -319,9 +322,10 @@ def test_yes_facts_form_an_equivalence_after_saturation(seed):
 
 
 def test_lazy_bisimilar_over_documents_agrees_with_naive():
-    """Random systems split over 2-4 documents fetched on demand, half of
-    them with approximation files; questions in random order share one
-    session, and each call leaves the facts saturated."""
+    """Random systems split over 2-4 documents fetched on demand, with a
+    latency so that a round's fetches overlap, half of them with
+    approximation files; questions in random order share one session, and
+    each call leaves the facts saturated."""
     rng = random.Random(11)
     for trial in range(80):
         system = random_closed_system(rng, max_names=14, max_labels=3)
@@ -330,7 +334,7 @@ def test_lazy_bisimilar_over_documents_agrees_with_naive():
         helpers = None
         if trial % 2:
             documents = with_approximation_files(documents)
-        fetcher = MemoryFetcher(documents)
+        fetcher = LatencyFetcher(MemoryFetcher(documents), 1.0)
         if trial % 2:
             helpers = BisimHelpers(approx_reader=make_approx_reader(fetcher))
         store, facts = SessionStore(fetcher), FactStore()
@@ -352,6 +356,15 @@ from hypersetdb.bisim import BisimHelpers, FactStore, bisimilar
 from hypersetdb.engine import BisimulationEngine
 from hypersetdb.store import MemoryFetcher, SessionStore
 
+
+def report(store, fetcher, facts):
+    # the order of fetcher calls within a concurrent round is not defined;
+    # the merge order and what was fetched how often are
+    print(list(store.loaded_documents))
+    print(sorted(fetcher.fetched))
+    print(sorted((x.full, y.full, s.value) for (x, y), s in facts.status.items()))
+
+
 rng = random.Random(3)
 system = random_closed_system(rng, max_names=24, max_labels=3)
 documents, home = split_documents(system, rng, 6)
@@ -366,14 +379,15 @@ for helped in (False, True):
         helpers = BisimHelpers(approx_reader=make_approx_reader(fetcher)) if helped else None
         for x, y in pairs:
             bisimilar(x, y, store, facts, helpers)
-        print(fetcher.fetched)
-        print(sorted((x.full, y.full, s.value) for (x, y), s in facts.status.items()))
-fetcher = MemoryFetcher(documents)
-engine = BisimulationEngine(sorted({n.url for n in names}), fetcher, use_approximations=True)
-engine.start()
-engine.join()
-print(fetcher.fetched)
-print(sorted((x.full, y.full, s.value) for (x, y), s in engine.facts.status.items()))
+        report(store, fetcher, facts)
+# from every root, then from each root alone, so that the walk fetches documents
+urls = sorted({n.url for n in names})
+for roots in [urls] + [[url] for url in urls]:
+    fetcher = MemoryFetcher(documents)
+    engine = BisimulationEngine(roots, fetcher, use_approximations=True)
+    engine.start()
+    engine.join()
+    report(engine.store, fetcher, engine.facts)
 """
 
 
@@ -389,3 +403,124 @@ def test_facts_and_fetches_identical_across_hash_seeds():
         outputs.append(result.stdout)
     assert outputs[0].count("approximation.xml") > 0
     assert outputs[0] == outputs[1]
+
+
+# -- concurrent rounds ---------------------------------------------------------
+
+ROOT = "mem://root.xml"
+
+
+def fan_out_documents(width: int):
+    """x = {l: m} and y = {l: n} over the m and n of `width` leaf documents,
+    each a one-element set on the empty set e in the root document: m holds
+    it under label b in even leaves, n in every third leaf, a elsewhere, so
+    x = y while m and n differ in some leaves.  Returns the documents and
+    the leaf URLs, which sort in leaf order."""
+    e = SetName(ROOT, "e")
+    leaves = ["mem://leaf%02d.xml" % i for i in range(width)]
+    root = EquationSystem()
+    root.define(SetName(ROOT, "x"), [Element("l", SetName(url, "m")) for url in leaves])
+    root.define(SetName(ROOT, "y"), [Element("l", SetName(url, "n")) for url in leaves])
+    root.define(e, [])
+    documents = {ROOT: from_equations(root, ROOT)}
+    for i, url in enumerate(leaves):
+        leaf = EquationSystem()
+        leaf.define(SetName(url, "m"), [Element("a" if i % 2 else "b", e)])
+        leaf.define(SetName(url, "n"), [Element("a" if i % 3 else "b", e)])
+        documents[url] = from_equations(leaf, url)
+    return documents, leaves
+
+
+def closed_union(documents) -> EquationSystem:
+    system = EquationSystem()
+    for url, text in documents.items():
+        system.merge(load_equations(text, url))
+    return system
+
+
+def test_a_rounds_documents_are_fetched_at_the_same_time():
+    """The first round of x ? y needs both names' documents; each fetch waits
+    for the other, so one after the other they break the barrier."""
+    a, b = "mem://a.xml", "mem://b.xml"
+    documents = {a: from_equations(simple_system(a, x=[("l", "e")], e=[]), a),
+                 b: from_equations(simple_system(b, y=[("l", "f")], f=[]), b)}
+    barrier = threading.Barrier(2, timeout=5)
+    inner = MemoryFetcher(documents)
+
+    def fetcher(url):
+        barrier.wait()
+        return inner(url)
+
+    store = SessionStore(fetcher)
+    assert bisimilar(SetName(a, "x"), SetName(b, "y"), store, FactStore())
+    assert sorted(inner.fetched) == [a, b]
+
+
+def test_a_fan_out_round_keeps_at_most_the_limit_in_flight():
+    documents, leaves = fan_out_documents(40)
+    inner = MemoryFetcher(documents)
+    gauge = threading.Condition()
+    state = {"started": 0, "in_flight": 0, "peak": 0, "gave_up": False}
+
+    def fetcher(url):
+        if url == ROOT:
+            return inner(url)
+        with gauge:
+            state["started"] += 1
+            state["in_flight"] += 1
+            state["peak"] = max(state["peak"], state["in_flight"])
+            gauge.notify_all()
+            # the first fetches wait until the limit is in flight, and a
+            # moment longer for any fetch past it, so that the peak does not
+            # depend on how fast threads start
+            if state["started"] <= MAX_FETCHES_IN_FLIGHT:
+                if not gauge.wait_for(lambda: state["peak"] >= MAX_FETCHES_IN_FLIGHT
+                                      or state["gave_up"], timeout=5):
+                    state["gave_up"] = True
+                gauge.wait_for(lambda: state["peak"] > MAX_FETCHES_IN_FLIGHT, timeout=0.2)
+        try:
+            return inner(url)
+        finally:
+            with gauge:
+                state["in_flight"] -= 1
+
+    store = SessionStore(fetcher)
+    assert bisimilar(SetName(ROOT, "x"), SetName(ROOT, "y"), store, FactStore())
+    assert state["peak"] == MAX_FETCHES_IN_FLIGHT and not state["gave_up"]
+    assert Counter(inner.fetched) == Counter([ROOT] + leaves)
+    assert list(store.loaded_documents) == [ROOT] + leaves
+
+
+def assert_facts_agree(facts: FactStore, blocks) -> None:
+    for (p, q), status in facts.status.items():
+        if status is not Status.QUESTION:
+            assert (status is Status.YES) == (blocks[p] == blocks[q]), (p.full, q.full)
+
+
+@pytest.mark.parametrize("failing", [0, 5])
+def test_a_failed_fetch_in_a_concurrent_round_leaves_the_facts_sound(failing):
+    """A document of the ten-document round fails: the documents before it
+    in merge order are merged, no fetch thread outlives the call, the facts
+    stay sound, and the next call with a working fetcher answers right."""
+    documents, leaves = fan_out_documents(10)
+    system = closed_union(documents)
+    blocks = naive_bisimulation(system)
+    x, y = SetName(ROOT, "x"), SetName(ROOT, "y")
+    store = SessionStore(MemoryFetcher(
+        {url: text for url, text in documents.items() if url != leaves[failing]}))
+    facts = FactStore()
+    threads = threading.active_count()
+    with pytest.raises(FetchError):
+        bisimilar(x, y, store, facts)
+    assert threading.active_count() == threads
+    assert list(store.loaded_documents) == [ROOT] + leaves[:failing]
+    # the facts were saturated before the round; only merged documents
+    # can resolve more
+    assert saturate(facts, store.system.equations) is (failing > 0)
+    assert_facts_agree(facts, blocks)
+
+    store.fetcher = MemoryFetcher(documents)
+    assert bisimilar(x, y, store, facts) == (blocks[x] == blocks[y])
+    for p, q in itertools.combinations(sorted(system.equations), 2):
+        assert bisimilar(p, q, store, facts) == (blocks[p] == blocks[q])
+    assert_facts_agree(facts, blocks)

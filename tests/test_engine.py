@@ -12,7 +12,7 @@ from hypersetdb.engine import (
     serve,
 )
 from hypersetdb.names import EquationSystem, SetName, WdbError
-from hypersetdb.store import MemoryFetcher, SessionStore
+from hypersetdb.store import FetchError, MemoryFetcher, SessionStore
 from hypersetdb.xmlwdb import load_equations
 
 from conftest import bibdb_f1_text, bibdb_f2_text
@@ -142,6 +142,16 @@ def test_engine_reads_each_approximation_file_once():
     for x, y in itertools.combinations(closed_bibdb().equations, 2):
         expected = OracleValue.YES if blocks[x] == blocks[y] else OracleValue.NO
         assert engine.answer(x, y) is expected
+
+
+def test_engine_whose_fetcher_fails_completes_and_join_raises():
+    fetcher = MemoryFetcher({F1: bibdb_documents()[F1]})   # F2 cannot be fetched
+    engine = BisimulationEngine([F1], fetcher)
+    engine.start()
+    assert engine.complete.wait(30)
+    with pytest.raises(FetchError, match="BibDB-f2"):
+        engine.join(timeout=30)
+    assert not engine._thread.is_alive()
 
 
 def test_engine_monotone_unknown_then_decided():

@@ -1,13 +1,16 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from hypersetdb.names import (DuplicateEquationError, Element, SetName,
                               UndefinedNameError)
-from hypersetdb.store import FetchError, FileFetcher, MemoryFetcher, SessionStore
+from hypersetdb.store import (MAX_FETCHES_IN_FLIGHT, FetchError, FileFetcher,
+                              MemoryFetcher, SessionStore, fetch_concurrently,
+                              settled)
 
 from conftest import bibdb_f1_text, bibdb_f2_text
 
@@ -90,3 +93,72 @@ def test_fresh_names_never_clash_with_wdb_names(fetcher):
     assert fresh not in store.system
     store.define(fresh, [Element("l", SetName(F1, "b1"))])
     assert store.fresh("res") != fresh
+
+
+def test_fetch_counters_are_thread_safe(tmp_path):
+    """Fetches of one batch run on several threads; no count may be lost."""
+    path = tmp_path / "doc.xml"
+    path.write_text("text", encoding="utf-8")
+    memory = MemoryFetcher({F1: "text"})
+    for fetcher, url in ((memory, F1), (FileFetcher(allow_network=False), path.as_uri())):
+        def hammer():
+            for _ in range(500):
+                fetcher(url)
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert fetcher.fetch_count == 4000
+    assert memory.fetched == [F1] * 4000
+
+
+def test_fetch_concurrently_keeps_the_order_given():
+    caller = threading.get_ident()
+    threads = []
+
+    def call(i):
+        threads.append(threading.get_ident())
+        return i * i
+
+    before = threading.active_count()
+    assert fetch_concurrently([lambda: call(0)]) == [0]
+    assert threads == [caller]          # a batch of one starts no thread
+    threads.clear()
+    outcomes = fetch_concurrently([lambda i=i: call(i) for i in range(30)])
+    assert outcomes == [i * i for i in range(30)]
+    assert caller in threads and len(set(threads)) <= MAX_FETCHES_IN_FLIGHT
+    assert threading.active_count() == before
+    assert fetch_concurrently([]) == []
+
+
+def test_fetch_concurrently_returns_failures_in_their_places():
+    def fail():
+        raise FetchError("down")
+
+    first, failure = fetch_concurrently([lambda: "text", fail])
+    assert settled(first) == "text"
+    assert isinstance(failure, FetchError)
+    with pytest.raises(FetchError, match="down"):
+        settled(failure)
+
+
+def test_load_documents_merges_in_order_up_to_the_first_failure(fetcher):
+    store = SessionStore(fetcher)
+    missing = "mem://missing.xml"
+    before = threading.active_count()
+    with pytest.raises(FetchError, match="missing"):
+        store.load_documents([F2, missing, F1])
+    assert threading.active_count() == before
+    assert list(store.loaded_documents) == [F2]
+    assert SetName(F2, "p1") in store.system and SetName(F1, "b1") not in store.system
+    store.load_documents([F1, F2, F1])
+    assert list(store.loaded_documents) == [F2, F1]
+    assert fetcher.fetched.count(F2) == 1
