@@ -6,7 +6,8 @@ Prints four tables: query time against engine head start on the chains
 scenario, the approximation effect on the self-contained scenario, the
 zero-head-start crossover on the three-file scenario, and the cost of lazy
 `bisimilar` alone on straight chains of n names per side (5 files per side,
-no fetch latency): wall time, document fetches and questions.
+no fetch latency): wall time, document fetches, and the decided pairs of the
+client's names (n on a straight chain: one question per level).
 """
 
 import argparse
@@ -54,7 +55,7 @@ def main() -> int:
     print("  engine+approximations: %d document fetches, "
           "%d productive derivation rounds"
           % (with_approx.engine_fetches, with_approx.engine_productive_rounds))
-    print("  no engine: full saturation over %d questions in %.0f ms"
+    print("  no engine: %d pairs of names decided in %.0f ms"
           % (without.questions_resolved, without.wall_ms))
 
     print("\nthree-file scenario: crossover at zero head start")
@@ -62,11 +63,11 @@ def main() -> int:
     engine = run_experiment(three, "engine", delay_ms=0,
                             fetch_latency_ms=latency)
     print("  without engine: %8.0f ms" % local.wall_ms)
-    print("  engine, d=0:    %8.0f ms   (no head start: the engine races "
-          "the client)" % engine.wall_ms)
+    print("  engine, d=0:    %8.0f ms   (no head start: the engine starts "
+          "on the first ASK)" % engine.wall_ms)
 
     print("\nlazy bisimilar on straight chains, 5 files per side, no latency")
-    print("  %6s  %10s  %8s  %10s" % ("n", "wall [ms]", "fetches", "questions"))
+    print("  %6s  %10s  %8s  %10s" % ("n", "wall [ms]", "fetches", "decided"))
     for n in chain_sizes:
         m = run_experiment(build_chains(files=5, names=n), "no_engine",
                            fetch_latency_ms=0)

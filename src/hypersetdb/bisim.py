@@ -5,7 +5,10 @@ has a label-matching bisimilar element in the other, both ways.  Equality over
 a (possibly distributed) WDB is decided by deriving positive and negative facts
 with lazy document fetching.  One derivation kernel, `saturate` over a
 `FactStore`, serves query-time equality, the background engine and the
-per-file approximations (`approx.py`).  It re-examines a question only when
+per-file approximations (`approx.py`).  The question space is demand-driven:
+a question asks the partner pairs its rules read, and nothing else, so a
+query examines only the pairs reachable from it (on-the-fly checking,
+Fernandez & Mounier, CAV 1991).  The kernel re-examines a question only when
 something it depends on has changed, through a dependency index kept on the
 `FactStore` for the whole session.  A brute-force partition refinement over
 closed systems serves as the independent test oracle.
@@ -54,10 +57,11 @@ class FactStore:
     feed a union-find so transitivity closes cheaply.
 
     The store also holds the dependency index of `saturate`, so the index
-    lasts as long as the facts: the questions still to examine, the open
-    questions reading each pair, the questions waiting for a name's equation,
-    and the open questions incident to each name.  Equations are write-once,
-    so what a question reads never changes once both its equations exist.
+    lasts as long as the facts: the questions still to examine, the pairs
+    each open question reads and the open questions reading each pair, the
+    questions waiting for a name's equation, and the open questions incident
+    to each name.  Equations are write-once, so what a question reads never
+    changes once both its equations exist.
     """
 
     def __init__(self) -> None:
@@ -68,6 +72,7 @@ class FactStore:
         self.lock = threading.Lock()
         self.pending: List[Pair] = []                  # new, not yet examined
         self.woken: List[Pair] = []                    # indexed, to re-examine
+        self.reads: Dict[Pair, Tuple[Pair, ...]] = {}  # open question -> pairs it reads
         self.watchers: Dict[Pair, List[Pair]] = {}     # pair -> questions reading it
         self.blocked: Dict[SetName, List[Pair]] = {}   # name -> questions needing it
         self.incident: Dict[SetName, List[Pair]] = {}  # name -> indexed questions
@@ -121,22 +126,6 @@ class FactStore:
             self.status[key] = Status.QUESTION
             self.pending.append(key)
 
-    def ask_against(self, u: SetName, others: List[SetName]) -> List[Pair]:
-        """Ask u ? v for each v in others, none of them u; returns the pairs
-        that are open."""
-        status, full = self.status, u.full
-        opened = []
-        for v in others:
-            key = (u, v) if full < v.full else (v, u)
-            old = status.get(key)
-            if old is None:
-                status[key] = Status.QUESTION
-                self.pending.append(key)
-            elif old is not Status.QUESTION:
-                continue
-            opened.append(key)
-        return opened
-
     def resolve(self, x: SetName, y: SetName, value: bool) -> bool:
         """Record a fact and queue the questions that read it; returns True
         if anything changed."""
@@ -154,6 +143,7 @@ class FactStore:
                         "conflicting bisimulation facts for %s ? %s" % (x.full, y.full))
                 return False
             self.status[key] = new
+            self.reads.pop(key, None)
             readers = self.watchers.pop(key, None)
             if readers:
                 self.woken.extend(readers)
@@ -162,11 +152,22 @@ class FactStore:
         return True
 
     def decided(self, x: SetName, y: SetName) -> Optional[bool]:
+        """The fact about x ? y, a pair that holds by transitivity included;
+        None while it is unknown.  The engine's ASK service calls this from
+        other threads, so it finds the classes without compressing paths."""
         status = self.get(x, y)
         if status is Status.YES:
             return True
         if status is Status.NO:
             return False
+        parent = self._parent
+        if x in parent or y in parent:
+            while x in parent:
+                x = parent[x]
+            while y in parent:
+                y = parent[y]
+            if x.full == y.full:
+                return True
         return None
 
 
@@ -216,7 +217,7 @@ def _examine(facts: FactStore, key: Pair, equations: Equations, stage: int) -> b
     """Apply the derivation rules to one open question; returns whether it
     was resolved.  A question still open is indexed as far as `stage` says:
     under its names the first time, then under the name whose equation is
-    missing or under the pairs it reads."""
+    missing or under the pairs it reads, which it asks."""
     x, y = key
     # transitivity and symmetry come for free from the positive classes;
     # names outside the union-find are singleton classes
@@ -241,7 +242,11 @@ def _examine(facts: FactStore, key: Pair, equations: Equations, stage: int) -> b
         if missing is not None:
             facts.blocked.setdefault(missing, []).append(key)
         else:
+            facts.reads[key] = tuple(sorted(reads))
             for pair in reads:
+                if pair not in facts.status:
+                    facts.status[pair] = Status.QUESTION
+                    facts.pending.append(pair)
                 facts.watchers.setdefault(pair, []).append(key)
     return False
 
@@ -257,8 +262,9 @@ def saturate(facts: FactStore, equations: Equations) -> bool:
     approximation files.  A question is examined only when it is new, when
     an equation it lacked has arrived, or when a pair it reads or its two
     names' classes have been resolved; each resolution queues just those
-    dependents (Liu & Smolka, ICALP 1998), so the fixpoint is the same as
-    sweeping all open questions until no sweep changes anything."""
+    dependents (Liu & Smolka, ICALP 1998).  An open question asks the pairs
+    it reads, so the fixpoint is the same as sweeping all open questions,
+    each asking its reads, until no sweep changes anything."""
     status = facts.status
     unblocked: List[Pair] = []
     for name in [n for n in facts.blocked if n in equations]:
@@ -289,18 +295,64 @@ class BisimHelpers:
     approx_reader: Optional[Callable[[str], List[Tuple[SetName, SetName, bool]]]] = None
 
 
+def _reachable(facts: FactStore, key: Pair) -> List[Pair]:
+    """The open questions reachable from key through the pairs open
+    questions read, depth first in the sorted order of the reads."""
+    status, reads = facts.status, facts.reads
+    seen, order, stack = {key}, [], [key]
+    while stack:
+        question = stack.pop()
+        if status[question] is not Status.QUESTION:
+            continue
+        order.append(question)
+        for pair in reversed(reads.get(question, ())):
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return order
+
+
+def _merge_stable_classes(facts: FactStore, equations: Equations,
+                          names: List[SetName]) -> None:
+    """Merge the classes of names that the coarsest partition of names stable
+    under their equations puts together, found by naive refinement; a member
+    outside names counts as its positive class.  Any two names of one block
+    are bisimilar, since the blocks and the Yes facts form a bisimulation."""
+    inside = set(names)
+    block = dict.fromkeys(names, 0)
+    count = 1
+    while True:
+        signatures: Dict[object, int] = {}
+        refined = {}
+        for n in names:
+            signature = (block[n], frozenset(
+                (el.label, block[el.member] if el.member in inside
+                 else facts._find(el.member)) for el in equations[n]))
+            refined[n] = signatures.setdefault(signature, len(signatures))
+        if len(signatures) == count:
+            break
+        block, count = refined, len(signatures)
+    first: Dict[int, SetName] = {}
+    for n in names:
+        representative = first.setdefault(block[n], n)
+        if representative is not n:
+            facts.resolve(representative, n, True)
+
+
 def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
               helpers: Optional[BisimHelpers] = None) -> bool:
     """Decide x = y over the WDB reachable from both names.
 
-    The question space is every pair of participants: x, y and the members
-    of their equations, transitively, as equations arrive.  Equations are
-    acquired lazily: a document is downloaded only when a participant in an
-    unresolved question needs one of its names, and the oracle (when
-    present) is consulted about every question before any download.  The
-    approximation file of each such document is read once per fact store.
-    At exhaustion with nothing left to fetch, all remaining questions are
-    postulated positive.
+    The question space is demand-driven: x ? y, and every pair that an open
+    question's rules read, transitively.  It grows in rounds.  A round asks
+    the oracle (when present) about each open question reachable from
+    x ? y, then fetches, as one concurrent batch, the documents and
+    approximation files of the names in those questions that lack an
+    equation or a file, and then derives facts.  Each approximation file is
+    read once per fact store.  At exhaustion, when a round finds nothing to
+    ask or fetch, the reachable open questions are postulated positive, and
+    the names in them are merged as far as refining them into stable
+    classes allows.
     """
     helpers = helpers or BisimHelpers()
     known = facts.decided(x, y)
@@ -310,37 +362,30 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
     equations = store.system.equations
     status = facts.status
     oracle, reader = helpers.oracle, helpers.approx_reader
-    members = [x, y]
-    member_set = {x, y}
-    unexpanded = [x, y]      # participants whose members have not joined yet
-    frontier = [x, y]        # participants lacking an equation or approximation
-    questions = facts.ask_against(y, [x])   # this call's questions, open when asked
-    unasked = list(questions) if oracle is not None else []
+    query = pair_key(x, y)
+    facts.ask_question(x, y)
+    saturated = False
     while True:
-        # the oracle first, about each question it has not been asked yet
+        # the oracle first, about each reachable question not yet asked
+        questions = _reachable(facts, query)
         progress = False
-        for key in unasked:
-            if status[key] is Status.QUESTION and key not in facts.asked_oracle:
-                facts.asked_oracle.add(key)
-                answer = oracle(*key)
-                if answer is not OracleValue.UNKNOWN:
-                    facts.resolve(key[0], key[1], answer is OracleValue.YES)
-                    progress = True
-        unasked = []
+        if oracle is not None:
+            for key in questions:
+                if key not in facts.asked_oracle and status[key] is Status.QUESTION:
+                    facts.asked_oracle.add(key)
+                    answer = oracle(*key)
+                    if answer is not OracleValue.UNKNOWN:
+                        facts.resolve(key[0], key[1], answer is OracleValue.YES)
+                        progress = True
+            if progress:
+                questions = _reachable(facts, query)
 
-        # then equations and approximation files for participants still in
-        # an open question
-        lacking, candidates = [], []
-        for u in frontier:
-            if u in equations and (reader is None or u.url in facts.approx_loaded):
-                continue
-            lacking.append(u)
-            if any(status.get(pair_key(u, v)) is Status.QUESTION for v in members):
-                candidates.append(u)
-        frontier = lacking
-        # the round's documents and approximation files are fetched as one
-        # concurrent batch, then applied in order as if fetched one by one
-        order = sorted(candidates)
+        # then equations and approximation files for the names in them: the
+        # round's documents and files are fetched as one concurrent batch,
+        # then applied in name order as if fetched one by one
+        order = sorted({u for key in questions for u in key
+                        if u not in equations
+                        or (reader is not None and u.url not in facts.approx_loaded)})
         wanted = {}
         for name in order:
             if name not in equations and store.unloaded([name.url]):
@@ -363,40 +408,22 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
                     facts.resolve(a, b, value)
                 progress = True
 
-        # extend the question space: members of newly available equations
-        # join the participants, each paired with all the others
-        added = False
-        ready, unexpanded = unexpanded, []
-        for name in ready:
-            if name not in equations:
-                unexpanded.append(name)
-                continue
-            for el in equations[name]:
-                u = el.member
-                if u in member_set:
-                    continue
-                opened = facts.ask_against(u, members)
-                questions += opened
-                if oracle is not None:
-                    unasked += opened
-                member_set.add(u)
-                members.append(u)
-                unexpanded.append(u)
-                frontier.append(u)
-                added = True
+        if saturated and not progress:
+            # nothing left to ask or fetch: every reachable open question
+            # has its equations, and with the Yes facts they form a
+            # bisimulation
+            for u, v in questions:
+                facts.resolve(u, v, True)
+            _merge_stable_classes(facts, equations,
+                                  sorted({u for key in questions for u in key}))
+            saturate(facts, equations)
+            return facts.decided(x, y) is True
 
         saturate(facts, equations)
+        saturated = True
         resolved = facts.decided(x, y)
         if resolved is not None:
             return resolved
-
-        if not added and not progress:
-            # full transitive closure explored: postulate the rest positive
-            for u, v in questions:
-                if status[(u, v)] is Status.QUESTION:
-                    facts.resolve(u, v, True)
-            saturate(facts, equations)
-            return facts.decided(x, y) is True
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ from .bisim import (BisimHelpers, FactStore, OracleValue, bisimilar,
 from .names import EquationSystem, NameError_, SetName, parse_full_name
 from .store import Fetcher, SessionStore
 
+# After a failed connect an OracleClient answers Unknown, without trying to
+# connect again, for this many seconds.
+RECONNECT_BACKOFF_S = 5.0
+
 
 # ---------------------------------------------------------------------------
 # Trivial oracle: facts with delays, served from an XML file
@@ -201,7 +205,9 @@ class OracleClient:
 
     The oracle is advisory: a connection that fails or closes, an ERROR
     reply or a garbled one reads UNKNOWN, so the query derives the answer
-    itself.  The socket is then dropped and the next ask reconnects."""
+    itself.  The socket is then dropped and the next ask reconnects, except
+    that after a failed connect every ask reads UNKNOWN at once until
+    RECONNECT_BACKOFF_S have passed."""
 
     _REPLIES = {"YES": OracleValue.YES, "NO": OracleValue.NO,
                 "UNKNOWN": OracleValue.UNKNOWN}
@@ -212,14 +218,21 @@ class OracleClient:
         self._sock: Optional[socket.socket] = None
         self._file = None
         self._lock = threading.Lock()
+        self._retry_at = 0.0   # no connect attempt before this monotonic time
 
     def ask(self, x: SetName, y: SetName) -> OracleValue:
         with self._lock:
-            try:
-                if self._sock is None:
+            if self._sock is None:
+                if time.monotonic() < self._retry_at:
+                    return OracleValue.UNKNOWN
+                try:
                     self._sock = socket.create_connection(self.address,
                                                           timeout=self.timeout)
-                    self._file = self._sock.makefile("rwb")
+                except OSError:
+                    self._retry_at = time.monotonic() + RECONNECT_BACKOFF_S
+                    return OracleValue.UNKNOWN
+                self._file = self._sock.makefile("rwb")
+            try:
                 self._file.write(("ASK %s %s\n" % (x.full, y.full)).encode("utf-8"))
                 self._file.flush()
                 reply = self._file.readline().decode("utf-8", "replace").split()

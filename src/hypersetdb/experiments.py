@@ -9,12 +9,14 @@ engine that also exploits approximation files.
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .approx import generate_approximation_file, approximation_url
-from .bisim import BisimHelpers, FactStore, bisimilar
+from .bisim import BisimHelpers, FactStore, OracleValue, bisimilar
 from .engine import BisimulationEngine, OracleClient, serve
 from .names import SetName
 from .store import LatencyFetcher, MemoryFetcher, SessionStore
@@ -148,6 +150,13 @@ class Measurements:
     questions_resolved: int = 0
 
 
+def _questions_resolved(store: SessionStore, facts: FactStore) -> int:
+    """The pairs of the store's names that the facts decide."""
+    names = sorted(store.system.equations)
+    return sum(facts.decided(x, y) is not None
+               for x, y in itertools.combinations(names, 2))
+
+
 def run_experiment(scenario: Scenario, strategy: str, delay_ms: float = 0.0,
                    fetch_latency_ms: float = 25.0) -> Measurements:
     """Execute the scenario question under one strategy.
@@ -155,11 +164,9 @@ def run_experiment(scenario: Scenario, strategy: str, delay_ms: float = 0.0,
     The client always runs the lazy resolution algorithm itself; the engine
     strategies additionally consult the ASK service once per question (after
     giving the engine a head start of delay_ms, excluded from the wall time).
-    The engine thread starts before the client even with no head start, so
-    the two race: while the client waits on its own fetches the engine may
-    load the documents and decide pairs, and every question it has decided
-    by the time the client asks saves the client work.  Without a head
-    start the engine usually knows too little to repay the round trips.
+    With no head start the engine starts on the first ASK the service
+    receives, once the client's query has begun, so it knows nothing when
+    the client starts asking.
     """
     x, y = scenario.question
     if strategy == "no_engine":
@@ -171,7 +178,7 @@ def run_experiment(scenario: Scenario, strategy: str, delay_ms: float = 0.0,
         wall = (time.perf_counter() - started) * 1000.0
         return Measurements(strategy, delay_ms, wall, answer,
                             client_fetches=fetcher.fetch_count,
-                            questions_resolved=len(facts.status))
+                            questions_resolved=_questions_resolved(store, facts))
 
     if strategy not in ("engine", "engine_with_approx"):
         raise ValueError("unknown strategy %r" % strategy)
@@ -179,12 +186,22 @@ def run_experiment(scenario: Scenario, strategy: str, delay_ms: float = 0.0,
                                     fetch_latency_ms)
     engine = BisimulationEngine(scenario.roots, engine_fetcher,
                                 use_approximations=(strategy == "engine_with_approx"))
-    server = serve(engine.answer)
+    start_once = threading.Lock()
+
+    def start_engine() -> None:
+        if start_once.acquire(blocking=False):
+            engine.start()
+
+    def started_answer(a: SetName, b: SetName) -> OracleValue:
+        start_engine()
+        return engine.answer(a, b)
+
+    server = serve(started_answer)
     host, port = server.server_address
     client = OracleClient(host, port)
-    engine.start()
     try:
         if delay_ms > 0:
+            start_engine()
             time.sleep(delay_ms / 1000.0)
         client_fetcher = LatencyFetcher(MemoryFetcher(scenario.documents),
                                         fetch_latency_ms)
@@ -194,12 +211,13 @@ def run_experiment(scenario: Scenario, strategy: str, delay_ms: float = 0.0,
         started = time.perf_counter()
         answer = bisimilar(x, y, store, facts, helpers)
         wall = (time.perf_counter() - started) * 1000.0
+        start_engine()
         engine.join()
         return Measurements(strategy, delay_ms, wall, answer,
                             client_fetches=client_fetcher.fetch_count,
                             engine_fetches=engine.documents_fetched,
                             engine_productive_rounds=engine.productive_rounds,
-                            questions_resolved=len(facts.status))
+                            questions_resolved=_questions_resolved(store, facts))
     finally:
         client.close()
         server.shutdown()

@@ -14,9 +14,10 @@ from hypersetdb.approx import (approximation_url, generate_approximation_file,
                                make_approx_reader)
 from hypersetdb.bisim import (
     BisimHelpers, BisimulationError, FactStore, OracleValue, Status,
-    bisimilar, naive_bisimulation, naive_equal, pair_key, saturate,
+    bisimilar, naive_bisimulation, naive_equal, saturate,
     strongly_extensional,
 )
+from hypersetdb.experiments import build_chains
 from hypersetdb.names import Element, EquationSystem, SetName
 from hypersetdb.store import (MAX_FETCHES_IN_FLIGHT, FetchError, LatencyFetcher,
                               MemoryFetcher, SessionStore)
@@ -127,9 +128,10 @@ def test_facts_are_monotone():
 
 def derive_round(facts: FactStore, equations) -> bool:
     """Reference for `saturate`, test only: one sweep of the derivation rules
-    over every open question, returning whether it resolved anything.
-    Repeated until nothing changes it reaches the fixpoint `saturate` must
-    reach."""
+    over every open question, where a question left open asks the
+    label-matching member pairs it reads; returns whether the sweep resolved
+    or asked anything.  Repeated until nothing changes it reaches the
+    fixpoint `saturate` must reach."""
     changed = False
 
     def negative(xs, ys) -> bool:
@@ -152,40 +154,78 @@ def derive_round(facts: FactStore, equations) -> bool:
             changed |= facts.resolve(x, y, False)
         elif positive(xs, ys) and positive(ys, xs):
             changed |= facts.resolve(x, y, True)
+        else:
+            for (lx, mx), (ly, my) in itertools.product(xs, ys):
+                if lx == ly and mx != my and facts.get(mx, my) is None:
+                    facts.ask_question(mx, my)
+                    changed = True
     return changed
 
 
 def test_saturate_reaches_the_reference_fixpoint():
     """Over growing open fragments of random systems, with questions asked
-    and true Yes/No facts seeded between saturations, the store holds exactly
-    the facts the reference sweep derives."""
+    and true Yes/No facts seeded between saturations, saturate leaves a
+    fixpoint of the reference sweep, and every fact it holds is true.
+
+    Which pairs get asked depends on the order of examination (a question
+    resolved before it is examined asks nothing), so the result is not
+    compared pair by pair with the sweep's own fixpoint."""
     rng = random.Random(5)
+
+    def resolved(facts):
+        return sum(status is not Status.QUESTION for status in facts.status.values())
+
     for trial in range(300):
         system = random_closed_system(rng, max_names=12, max_labels=3)
         blocks = naive_bisimulation(system)
         names = list(system.equations)
-        fast, slow = FactStore(), FactStore()
+        facts = FactStore()
         equations = {}
         for step in range(rng.randint(1, 4)):
             for _ in range(rng.randint(0, len(names))):
                 name = rng.choice(names)
                 equations[name] = system.equations[name]
             for _ in range(rng.randint(0, 3 * len(names))):
-                x, y = rng.choice(names), rng.choice(names)
-                fast.ask_question(x, y)
-                slow.ask_question(x, y)
+                facts.ask_question(rng.choice(names), rng.choice(names))
             for _ in range(rng.randint(0, 3)):
                 x, y = rng.choice(names), rng.choice(names)
                 if x != y:
-                    fast.resolve(x, y, blocks[x] == blocks[y])
-                    slow.resolve(x, y, blocks[x] == blocks[y])
-            derived = saturate(fast, equations)
-            rounds = 0
-            while derive_round(slow, equations):
-                rounds += 1
-            assert fast.status == slow.status, "trial %d step %d" % (trial, step)
-            assert derived == (rounds > 0)
-            assert saturate(fast, equations) is False
+                    facts.resolve(x, y, blocks[x] == blocks[y])
+            before = resolved(facts)
+            assert saturate(facts, equations) == (resolved(facts) > before)
+            where = "trial %d step %d" % (trial, step)
+            assert derive_round(facts, equations) is False, where
+            assert saturate(facts, equations) is False, where
+            assert_facts_agree(facts, blocks)
+
+
+def test_the_postulate_leaves_unreachable_questions_open():
+    """u ? v reads a ? b2 and b ? b2, which wait for b2's document.  The
+    oracle settles u ? v, so that document is never needed; x ? y is then
+    decided by the postulate over c ? c2 alone, and a ? b2, which is false,
+    stays open."""
+    d1, d2 = "mem://d1.xml", "mem://d2.xml"
+    first = simple_system(d1, x=[("l", "u"), ("k", "c")], y=[("l", "v"), ("k", "c2")],
+                          c=[("k", "c")], c2=[("k", "c2")], u=[("l", "a"), ("l", "b")],
+                          a=[], a2=[], b=[("m", "a")])
+    b2 = SetName(d2, "b2")
+    first.define(SetName(d1, "v"), [Element("l", SetName(d1, "a2")), Element("l", b2)])
+    second = EquationSystem()
+    second.define(b2, [Element("m", SetName(d1, "a"))])
+    documents = {d1: from_equations(first, d1), d2: from_equations(second, d2)}
+    blocks = naive_bisimulation(closed_union(documents))
+    u, v = SetName(d1, "u"), SetName(d1, "v")
+
+    def oracle(p, q):
+        return OracleValue.YES if {p, q} == {u, v} else OracleValue.UNKNOWN
+
+    fetcher = MemoryFetcher(documents)
+    store, facts = SessionStore(fetcher), FactStore()
+    assert bisimilar(SetName(d1, "x"), SetName(d1, "y"), store, facts,
+                     BisimHelpers(oracle=oracle))
+    assert fetcher.fetched == [d1]
+    assert facts.get(SetName(d1, "a"), b2) is Status.QUESTION
+    assert_facts_agree(facts, blocks)
 
 
 # -- BibDB ground truth ---------------------------------------------------------
@@ -301,6 +341,8 @@ def test_strongly_extensional_systems_have_singleton_blocks():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_yes_facts_form_an_equivalence_after_saturation(seed):
+    """After a session of questions, `decided` answers Yes symmetrically
+    and transitively: a pair that holds by transitivity needs no question."""
     rng = random.Random(seed)
     system = random_closed_system(rng, max_names=10)
     store = closed_session(system)
@@ -308,17 +350,13 @@ def test_yes_facts_form_an_equivalence_after_saturation(seed):
     names = list(system.equations)
     for x, y in itertools.combinations(names, 2):
         bisimilar(x, y, store, facts)
-    yes = {p for p, s in facts.status.items() if s is Status.YES}
-    members = {n for p in yes for n in p}
-    for a, b in yes:
-        assert pair_key(b, a) in yes  # symmetric by construction
-    for a in members:
-        for b in members:
-            for c in members:
-                if a == b or b == c or a == c:
-                    continue
-                if pair_key(a, b) in yes and pair_key(b, c) in yes:
-                    assert pair_key(a, c) in yes
+    for a in names:
+        for b in names:
+            if facts.decided(a, b):
+                assert facts.decided(b, a)
+                for c in names:
+                    if facts.decided(b, c):
+                        assert facts.decided(a, c), (a.full, b.full, c.full)
 
 
 def test_lazy_bisimilar_over_documents_agrees_with_naive():
@@ -347,12 +385,47 @@ def test_lazy_bisimilar_over_documents_agrees_with_naive():
             assert saturate(facts, store.system.equations) is False
 
 
+def test_every_pair_asked_on_a_fresh_fact_store_agrees_with_naive():
+    """Each question alone, with no facts from earlier questions: on closed
+    systems, and on systems split over 2-4 documents fetched on demand."""
+    rng = random.Random(17)
+    for trial in range(40):
+        system = random_closed_system(rng, max_names=12, max_labels=3)
+        blocks = naive_bisimulation(system)
+        store = closed_session(system)
+        for x, y in itertools.combinations(system.equations, 2):
+            assert bisimilar(x, y, store, FactStore()) == (blocks[x] == blocks[y]), \
+                "closed trial %d: %s ? %s" % (trial, x.full, y.full)
+    for trial in range(40):
+        system = random_closed_system(rng, max_names=12, max_labels=3)
+        blocks = naive_bisimulation(system)
+        documents, home = split_documents(system, rng, rng.randint(2, 4))
+        for x, y in itertools.combinations(system.equations, 2):
+            store = SessionStore(MemoryFetcher(documents))
+            assert bisimilar(home[x], home[y], store, FactStore()) == \
+                (blocks[x] == blocks[y]), \
+                "split trial %d: %s ? %s" % (trial, x.full, y.full)
+
+
+@pytest.mark.parametrize("n", [50, 100, 200])
+def test_a_straight_chain_question_asks_one_pair_per_level(n):
+    """x1 ? x1' over two straight chains of n names, 5 files per side, reads
+    only x_i ? x_i' on each level: n questions, and each file fetched once."""
+    scenario = build_chains(files=5, names=n)
+    fetcher = MemoryFetcher(scenario.documents)
+    store, facts = SessionStore(fetcher), FactStore()
+    assert bisimilar(*scenario.question, store, facts)
+    assert len(facts.status) == n
+    assert fetcher.fetch_count == 10
+
+
 HASH_SEED_SCRIPT = """
 import itertools, random
 from conftest import random_closed_system, split_documents
 from test_bisim import with_approximation_files
 from hypersetdb.approx import make_approx_reader
-from hypersetdb.bisim import BisimHelpers, FactStore, bisimilar
+from hypersetdb.bisim import (BisimHelpers, FactStore, OracleValue, bisimilar,
+                              naive_bisimulation)
 from hypersetdb.engine import BisimulationEngine
 from hypersetdb.store import MemoryFetcher, SessionStore
 
@@ -363,6 +436,16 @@ def report(store, fetcher, facts):
     print(list(store.loaded_documents))
     print(sorted(fetcher.fetched))
     print(sorted((x.full, y.full, s.value) for (x, y), s in facts.status.items()))
+
+
+def recording_oracle(blocks, asks):
+    # records each ask in order, and knows the answer to every third
+    def oracle(x, y):
+        asks.append((x.full, y.full))
+        if len(asks) % 3:
+            return OracleValue.UNKNOWN
+        return OracleValue.YES if blocks[x] == blocks[y] else OracleValue.NO
+    return oracle
 
 
 rng = random.Random(3)
@@ -380,6 +463,16 @@ for helped in (False, True):
         for x, y in pairs:
             bisimilar(x, y, store, facts, helpers)
         report(store, fetcher, facts)
+# with an oracle, whose asks are in a defined order too
+blocks = naive_bisimulation(system)
+fetcher, asks = MemoryFetcher(documents), []
+store, facts = SessionStore(fetcher), FactStore()
+helpers = BisimHelpers(oracle=recording_oracle({home[n]: b for n, b in blocks.items()}, asks))
+for x, y in itertools.combinations(names[:10], 2):
+    bisimilar(x, y, store, facts, helpers)
+assert asks
+print(asks)
+report(store, fetcher, facts)
 # from every root, then from each root alone, so that the walk fetches documents
 urls = sorted({n.url for n in names})
 for roots in [urls] + [[url] for url in urls]:

@@ -1,5 +1,7 @@
 import itertools
 import socket
+import socketserver
+import threading
 import time
 
 import pytest
@@ -7,11 +9,12 @@ import pytest
 from hypersetdb.bisim import (
     BisimHelpers, FactStore, OracleValue, bisimilar, naive_bisimulation,
 )
+from hypersetdb import engine as engine_module
 from hypersetdb.engine import (
-    BisimulationEngine, OracleClient, TrivialOracle, generate_trivial_oracle_xml,
-    serve,
+    RECONNECT_BACKOFF_S, BisimulationEngine, OracleClient, TrivialOracle,
+    generate_trivial_oracle_xml, serve,
 )
-from hypersetdb.names import EquationSystem, SetName, WdbError
+from hypersetdb.names import EquationSystem, SetName, WdbError, parse_full_name
 from hypersetdb.store import FetchError, MemoryFetcher, SessionStore
 from hypersetdb.xmlwdb import load_equations
 
@@ -239,6 +242,100 @@ def test_bisimilar_consults_served_oracle_first():
         assert bisimilar(SetName(F1, "b2"), SetName(F2, "p3"),
                          store, facts, helpers)
         assert query_fetcher.fetch_count == 0  # answered without any download
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+
+
+# ---------------------------------------------------------------------------
+# A failing oracle
+# ---------------------------------------------------------------------------
+
+def bibdb_pairs():
+    names = [SetName(F1, s) for s in ("BibDB", "b1", "b2")] + \
+        [SetName(F2, s) for s in ("p1", "p2", "p3")]
+    return list(itertools.combinations(names, 2))
+
+
+def test_after_a_failed_connect_the_client_backs_off(monkeypatch):
+    """Against a refused port, the asks inside the back-off interval read
+    UNKNOWN without a connect attempt, and queries still answer right."""
+    attempts = []
+    connect = socket.create_connection
+
+    def counting_connect(*args, **kwargs):
+        attempts.append(args[0])
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module.socket, "create_connection", counting_connect)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    client = OracleClient("127.0.0.1", port)   # nothing listens there any more
+    started = time.monotonic()
+    x, y = SetName(F1, "b2"), SetName(F2, "p3")
+    assert all(client.ask(x, y) is OracleValue.UNKNOWN for _ in range(50))
+    store, facts = SessionStore(MemoryFetcher(bibdb_documents())), FactStore()
+    blocks = naive_bisimulation(closed_bibdb())
+    for a, b in bibdb_pairs():
+        assert bisimilar(a, b, store, facts, BisimHelpers(oracle=client)) == \
+            (blocks[a] == blocks[b])
+    assert time.monotonic() - started < RECONNECT_BACKOFF_S
+    assert attempts == [("127.0.0.1", port)]
+
+
+class _StubOracle(socketserver.StreamRequestHandler):
+    """On the first connection, answers the first request with a garbled
+    line or closes without a reply; answers right on later connections."""
+
+    def handle(self) -> None:
+        server = self.server
+        with server.lock:
+            server.connections += 1
+            faulty = server.connections == 1
+        for line in self.rfile:
+            if faulty:
+                if server.fault == "closes":
+                    return
+                self.wfile.write(b"YE\xffS garbled\n")
+                faulty = False
+                continue
+            _, x, y = line.decode("utf-8").split()
+            word = "YES" if server.blocks[parse_full_name(x)] == \
+                server.blocks[parse_full_name(y)] else "NO"
+            self.wfile.write(("%s %s %s\n" % (word, x, y)).encode("utf-8"))
+
+
+@pytest.mark.parametrize("fault", ["garbled", "closes"])
+def test_a_faulty_reply_reads_unknown_and_the_next_ask_reconnects(fault):
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _StubOracle)
+    server.daemon_threads = True
+    server.fault, server.connections, server.lock = fault, 0, threading.Lock()
+    server.blocks = naive_bisimulation(closed_bibdb())
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    client = OracleClient(*server.server_address)
+    replies = []
+
+    def oracle(x, y):
+        replies.append(client.ask(x, y))
+        return replies[-1]
+
+    try:
+        # the query's first ask meets the fault
+        store, facts = SessionStore(MemoryFetcher(bibdb_documents())), FactStore()
+        x, y = SetName(F1, "b1"), SetName(F2, "p1")
+        assert bisimilar(x, y, store, facts, BisimHelpers(oracle=oracle)) is False
+        assert replies[0] is OracleValue.UNKNOWN
+        assert server.connections == 1
+        # the next ask reconnects and is answered
+        assert client.ask(SetName(F1, "b2"), SetName(F2, "p3")) is OracleValue.YES
+        assert server.connections == 2
+        for a, b in bibdb_pairs():
+            assert bisimilar(a, b, store, facts, BisimHelpers(oracle=oracle)) == \
+                (server.blocks[a] == server.blocks[b])
+        assert server.connections == 2
     finally:
         client.close()
         server.shutdown()
