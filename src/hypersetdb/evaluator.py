@@ -10,7 +10,7 @@ the output renderer folds generated names back into readable nested form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import grammar as g
@@ -34,6 +34,9 @@ class Closure:
     parameters: List[Tuple[str, str]]  # (kind, name)
     body: ParseNode
     env: Dict[str, object]
+    # call memo: argument key -> result; see Evaluator.eval_call
+    memo: Dict[tuple, object] = field(default_factory=dict, compare=False,
+                                      repr=False)
 
 
 @dataclass
@@ -64,6 +67,9 @@ class Evaluator:
     starts from the shared predefined library, whose declarations it
     evaluates into its own environment.  `decorate` groups the graph itself
     and calls no library query, so no `library add` changes it.
+
+    `in_formula` is true while a formula is evaluated; only then may a set
+    query call return a memoized result (see `eval_call`).
     """
 
     def __init__(self, store: SessionStore, facts: Optional[FactStore] = None,
@@ -74,6 +80,7 @@ class Evaluator:
         self.class_ids = ClassIds(store)
         self.atoms: Dict[str, SetName] = {}
         self.empty_name: Optional[SetName] = None
+        self.in_formula = False
         self.library = predefined_library()
         self.library_env = self.eval_declarations(self.library.declarations, {})
 
@@ -126,7 +133,7 @@ class Evaluator:
             raise EvaluationError("not a query command")
         body = query.children[2]
         if query.children[0].label == "boolean":
-            return QueryResult(boolean=self.eval_formula(body, self.library_env))
+            return QueryResult(boolean=self.eval_condition(body, self.library_env))
         root = self.eval_term(body, self.library_env)
         self.store.lookup(root)  # the result equation must be present
         return QueryResult(root=root)
@@ -179,7 +186,7 @@ class Evaluator:
             vertex = self.eval_term(node.children[4], env)
             return self.eval_decorate(graph, vertex)
         if label == g.IF_ELSE_TERM:
-            branch = node.children[3] if self.eval_formula(node.children[1], env) \
+            branch = node.children[3] if self.eval_condition(node.children[1], env) \
                 else node.children[5]
             return self.eval_term(branch, env)
         if label == g.SET_QUERY_CALL:
@@ -229,20 +236,55 @@ class Evaluator:
         return current
 
     def eval_call(self, node: ParseNode, env: Dict[str, object]):
+        """Call a declared query; inside a formula, memoized on what its
+        arguments denote.
+
+        The language is extensional and equations are write-once, so a
+        call's value depends only on the classes of its set arguments and
+        the text of its label arguments.  The key holds a set argument's
+        class id, or the name itself when it has none.  Boolean calls occur
+        only in formulas, so they are always memoized.  Outside formulas a
+        set call is evaluated afresh: a result name reused in a query's
+        answer would change the printed output.  A call that raises stores
+        nothing."""
         name = node.children[1].identifier_text()
         closure = env.get(name)
         if not isinstance(closure, Closure):
             raise EvaluationError("%s is not a declared query" % name)
         params = [c for c in node.children[3].children if c.label != ","]
+        memoized = self.in_formula
         call_env = dict(closure.env)
+        key = []
         for (kind, pname), arg in zip(closure.parameters, params):
             if kind == "set":
-                call_env[pname] = ("set", self.eval_term(arg, env))
+                value = self.eval_term(arg, env)
+                if memoized:
+                    cid = self.class_ids.of(value)
+                    key.append(value if cid is None else cid)
             else:
-                call_env[pname] = ("label", self.eval_label(arg, env))
-        if closure.result == "set":
-            return self.eval_term(closure.body, call_env)
-        return self.eval_formula(closure.body, call_env)
+                value = self.eval_label(arg, env)
+                key.append(value)
+            call_env[pname] = (kind, value)
+        evaluate = self.eval_term if closure.result == "set" else self.eval_formula
+        if not memoized:
+            return evaluate(closure.body, call_env)
+        memo_key = tuple(key)
+        if memo_key in closure.memo:
+            return closure.memo[memo_key]
+        result = evaluate(closure.body, call_env)
+        closure.memo[memo_key] = result
+        return result
+
+    def eval_condition(self, node: ParseNode, env: Dict[str, object]) -> bool:
+        """Evaluate a formula met in a term or as a boolean query, marking
+        the evaluation as inside a formula until it returns or raises."""
+        if self.in_formula:
+            return self.eval_formula(node, env)
+        self.in_formula = True
+        try:
+            return self.eval_formula(node, env)
+        finally:
+            self.in_formula = False
 
     # -- iteration constructs ---------------------------------------------------
 
@@ -272,7 +314,7 @@ class Evaluator:
         kept = [element
                 for element, bound in self._iterate(node.children[2],
                                                     list(self.elements(target)), env)
-                if self.eval_formula(condition, bound)]
+                if self.eval_condition(condition, bound)]
         return self.define_fresh(kept)
 
     def eval_collect(self, node: ParseNode, env: Dict[str, object]) -> SetName:
@@ -282,7 +324,7 @@ class Evaluator:
         out: FlatExpr = []
         for _, bound in self._iterate(node.children[4],
                                       list(self.elements(target)), env):
-            if condition is None or self.eval_formula(condition, bound):
+            if condition is None or self.eval_condition(condition, bound):
                 out.append(self._eval_labelled_term(template, bound))
         return self.define_fresh(out)
 
@@ -303,7 +345,7 @@ class Evaluator:
             for element, bound in self._iterate(pair, pool, stage_env):
                 if element in current_set:
                     continue
-                if self.eval_formula(condition, bound):
+                if self.eval_condition(condition, bound):
                     current.append(element)
                     current_set.add(element)
                     added = True
@@ -534,7 +576,7 @@ def postprocess(result: QueryResult, store: SessionStore,
 
     root = result.root
     system = store.system
-    reachable = system.reachable(root)
+    reachable, on_cycle = reach_and_cycles(system.equations, root)
     generated = {n for n in reachable if n.is_local()}
 
     ref_count: Dict[SetName, int] = {}
@@ -553,16 +595,10 @@ def postprocess(result: QueryResult, store: SessionStore,
             return expr[0].label
         return None
 
-    def cyclic(name: SetName) -> bool:
-        for el in system.equations.get(name, []):
-            if name in system.reachable(el.member):
-                return True
-        return False
-
-    def inline(name: SetName) -> bool:
-        return (name in generated and name != root
-                and atom_text(name) is None and not is_empty(name)
-                and ref_count.get(name, 0) == 1 and not cyclic(name))
+    inlined = {name for name in generated
+               if name != root and atom_text(name) is None
+               and not is_empty(name) and ref_count.get(name, 0) == 1
+               and name not in on_cycle}
 
     def render_ref(name: SetName) -> str:
         if name == root:
@@ -572,7 +608,7 @@ def postprocess(result: QueryResult, store: SessionStore,
         atom = atom_text(name)
         if atom is not None:
             return '"%s"' % atom
-        if inline(name):
+        if name in inlined:
             return render_bracket(system.equations[name])
         if name in generated:
             return name.simple
@@ -586,11 +622,54 @@ def postprocess(result: QueryResult, store: SessionStore,
 
     lines = ["Result = " + render_bracket(system.equations.get(root, []))]
     auxiliary = [n for n in sorted(generated, key=lambda n: n.simple)
-                 if n != root and not inline(n) and not is_empty(n)
+                 if n != root and n not in inlined and not is_empty(n)
                  and atom_text(n) is None]
     for name in auxiliary:
         lines.append("%s = %s" % (name.simple, render_bracket(system.equations[name])))
     return _with_timing("\n\n".join(lines), elapsed_ms)
+
+
+def reach_and_cycles(equations: Dict[SetName, FlatExpr], root: SetName
+                     ) -> Tuple[Set[SetName], Set[SetName]]:
+    """The names reachable from root (root included) and those among them
+    that lie on a cycle, by one iterative pass of Tarjan's strongly
+    connected components algorithm.  A name is on a cycle when its
+    component has more than one name or it is its own member."""
+    index: Dict[SetName, int] = {root: 0}
+    low: Dict[SetName, int] = {root: 0}
+    stack: List[SetName] = [root]
+    on_stack: Set[SetName] = {root}
+    on_cycle: Set[SetName] = set()
+    work = [(root, iter(equations.get(root, ())))]
+    while work:
+        name, members = work[-1]
+        for _, member in members:
+            if member not in index:
+                index[member] = low[member] = len(index)
+                stack.append(member)
+                on_stack.add(member)
+                work.append((member, iter(equations.get(member, ()))))
+                break
+            if member in on_stack:
+                low[name] = min(low[name], index[member])
+                if member == name:
+                    on_cycle.add(name)
+        else:
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[name])
+            if low[name] == index[name]:
+                component = []
+                while True:
+                    top = stack.pop()
+                    on_stack.discard(top)
+                    component.append(top)
+                    if top == name:
+                        break
+                if len(component) > 1:
+                    on_cycle.update(component)
+    return set(index), on_cycle
 
 
 def _with_timing(text: str, elapsed_ms: Optional[int]) -> str:

@@ -1,7 +1,11 @@
 import contextlib
 import io
+import os
+import re
 import socket
 import socketserver
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -348,3 +352,51 @@ def test_benchmark_hook_points_exist(monkeypatch):
         assert WELL_TYPED in make_session().run_command("set query {};")
     assert cli.parse is original
     assert {"library", "parser", "analysis", "evaluator"} <= {span[0] for span in tracer.spans}
+
+
+# a generated name printed at a reference site or heading an equation below
+_GENERATED_REF = re.compile(r"(?:(?<=:)|^)([A-Za-z_][\w-]*)(?=[,}]| = |$)", re.M)
+
+
+def renumbered(output: str) -> str:
+    """The output with generated names renamed g0, g1, ... in order of first
+    appearance."""
+    names = {}
+
+    def rename(match):
+        name = match.group(1)
+        if name == "Result":
+            return name
+        return names.setdefault(name, "g%d" % len(names))
+    return _GENERATED_REF.sub(rename, output)
+
+
+@pytest.mark.parametrize("term", [
+    "{ 'a':call Pair(BibDB, BibDB), 'b':call Pair(BibDB, BibDB) }",
+    "call HorizontalTC(call LabelledPairs(BibDB))",
+], ids=["pair-pair", "horizontal-tc"])
+def test_memoized_calls_leave_later_output_unchanged(term):
+    let = "set query let set constant BibDB = %s#BibDB in %%s endlet;" % F1
+    session = make_session(show_time=False)
+    assert WELL_TYPED in session.run_command(let % "call StrictLinOrder_on_TC(BibDB)")
+    after = session.run_command(let % term)
+    fresh = make_session(show_time=False).run_command(let % term)
+    assert WELL_TYPED in fresh
+    assert renumbered(after) == renumbered(fresh)
+
+
+def test_demo_script_runs_its_queries():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, str(root / "scripts" / "demo_bibdb.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    blocks = done.stdout.split("\n>>> ")[1:]
+    queries = [b for b in blocks if b.split(None, 2)[1] == "query"]
+    # the first query is the demo's deliberately ill-typed one
+    assert NOT_WELL_TYPED in queries[0]
+    assert len(queries) == 3
+    for block in queries[1:]:
+        assert WELL_TYPED in block and "Result = " in block

@@ -8,11 +8,14 @@ from hypersetdb.analysis import analyze, expand_library
 from hypersetdb.bisim import FactStore, naive_bisimulation
 from hypersetdb.evaluator import Evaluator, QueryResult, postprocess
 from hypersetdb.library import PREDEFINED_DECLARATIONS
-from hypersetdb.names import Element, EquationSystem, SetName
+from hypersetdb.names import LOCAL_URL, Element, EquationSystem, SetName
 from hypersetdb.parser import parse
-from hypersetdb.store import MemoryFetcher, SessionStore
+from hypersetdb.store import FetchError, MemoryFetcher, SessionStore
+from hypersetdb.xmlwdb import from_equations
 
-from conftest import bibdb_f1_text, bibdb_f2_text
+from conftest import (
+    bibdb_f1_text, bibdb_f2_text, duplicate_and_shuffle, random_closed_system,
+)
 
 F1 = "mem://BibDB-f1.xml"
 F2 = "mem://BibDB-f2.xml"
@@ -26,6 +29,13 @@ def make_evaluator(documents=None) -> Evaluator:
 def run(evaluator: Evaluator, source: str) -> QueryResult:
     tree = analyze(parse(source), evaluator.library)
     return evaluator.eval_query(tree)
+
+
+def declare(evaluator: Evaluator, *declarations: str) -> None:
+    """Add declarations to the evaluator's library, as `library add` does."""
+    tree = analyze(parse("library add " + ",\n".join(declarations) + ";"),
+                   evaluator.library)
+    evaluator.add_library(tree.children[1], list(declarations))
 
 
 def bibdb_evaluator() -> Evaluator:
@@ -454,7 +464,6 @@ def test_decorate_adds_only_its_result_closure_to_the_store():
 # ---------------------------------------------------------------------------
 
 def test_query_results_invariant_under_store_presentation():
-    from conftest import duplicate_and_shuffle, random_closed_system
     rng = random.Random(99)
     for trial in range(10):
         url = "mem://inv%d.xml" % trial
@@ -474,6 +483,121 @@ def test_query_results_invariant_under_store_presentation():
         b2 = run(ev, "boolean query exists l:x in %s . 'l0':x in %s;"
                  % (mapping[root].full, mapping[root].full)).boolean
         assert b1 == b2
+
+
+# ---------------------------------------------------------------------------
+# The call memo
+# ---------------------------------------------------------------------------
+
+NONEMPTY_MEMBERS = ("set query NonEmptyMembers (set x) be "
+                    "collect { 'k':y where l:y in x and exists m:z in y . true }")
+HAS_L0_TWIN = ("boolean query HasL0Twin (set x) be "
+               "exists l:y in x . 'l0':y in x")
+
+
+def counting_bodies(monkeypatch, ev: Evaluator, method: str, body) -> list:
+    """Record each evaluation of body through ev's eval_term/eval_formula."""
+    seen = []
+    original = getattr(ev, method)
+
+    def counting(node, env):
+        if node is body:
+            seen.append(node)
+        return original(node, env)
+    monkeypatch.setattr(ev, method, counting)
+    return seen
+
+
+def test_calls_on_a_twin_hit_the_memo_and_agree_with_the_oracle(monkeypatch):
+    rng = random.Random(11)
+    for trial in range(8):
+        system = random_closed_system(rng, max_names=8, max_labels=2,
+                                      url="mem://memo%d.xml" % trial, acyclic=True)
+        twin, mapping = duplicate_and_shuffle(system, rng,
+                                              url="mem://memo%dt.xml" % trial)
+        ev = make_evaluator()
+        ev.store.system.merge(system)
+        ev.store.system.merge(twin)
+        declare(ev, NONEMPTY_MEMBERS, HAS_L0_TWIN)
+        members = ev.library_env["NonEmptyMembers"]
+        has_l0 = ev.library_env["HasL0Twin"]
+        set_bodies = counting_bodies(monkeypatch, ev, "eval_term", members.body)
+        bool_bodies = counting_bodies(monkeypatch, ev, "eval_formula", has_l0.body)
+        root = next(iter(system.equations))
+        pair = (root, mapping[root])
+
+        # a set call reuses its result only inside a formula
+        probe = "boolean query call NonEmptyMembers(%s) = call NonEmptyMembers(%s);"
+        for name in pair:
+            assert run(ev, probe % (name.full, name.full)).boolean is True
+        assert len(set_bodies) == 1
+        (memoized,) = members.memo.values()
+        answers = [run(ev, "boolean query call HasL0Twin(%s);" % name.full).boolean
+                   for name in pair]
+        assert len(bool_bodies) == 1 and answers[0] is answers[1]
+
+        blocks = naive_bisimulation(ev.store.system)
+        for name in pair:
+            shape = {(l, blocks[m]) for l, m in ev.store.system[name]}
+            expected = {("k", blocks[m]) for _, m in ev.store.system[name]
+                        if ev.store.system[m]}
+            assert {(l, blocks[m]) for l, m in ev.store.system[memoized]} == expected
+            assert answers[0] is any(("l0", block) in shape for _, block in shape)
+
+
+def test_a_call_that_fails_to_fetch_is_not_memoized():
+    inner = EquationSystem()
+    inner.define(SetName("mem://inner.xml", "leaf"), [])
+    inner.define(SetName("mem://inner.xml", "y"),
+                 [Element("l0", SetName("mem://inner.xml", "leaf"))])
+    outer = EquationSystem()
+    outer.define(SetName("mem://outer.xml", "x"),
+                 [Element("a", SetName("mem://inner.xml", "y"))])
+    documents = {"mem://outer.xml": from_equations(outer, "mem://outer.xml"),
+                 "mem://inner.xml": from_equations(inner, "mem://inner.xml")}
+    failures = []
+
+    def fails_inner_once(url: str) -> str:
+        if url == "mem://inner.xml" and not failures:
+            failures.append(url)
+            raise FetchError("unreachable: %s" % url)
+        return documents[url]
+
+    ev = Evaluator(SessionStore(fails_inner_once))
+    declare(ev, "boolean query Deep (set x) be "
+                "exists l:y in x . exists m:z in y . true")
+    query = "boolean query call Deep(mem://outer.xml#x);"
+    with pytest.raises(FetchError):
+        run(ev, query)
+    assert ev.library_env["Deep"].memo == {}
+    assert run(ev, query).boolean is True
+    assert failures == ["mem://inner.xml"]
+
+
+LET_PROBE = """let set constant c = %s,
+                     boolean query IsC (set s) be s = c,
+                     set query Wrap (set s) be { 'w':c }
+                 in if ( call IsC(a) and call Wrap(a) = { 'w':a } )
+                    then "yes" else "no" fi endlet"""
+
+
+def test_let_queries_made_per_element_never_share_results():
+    # every element makes new IsC and Wrap closures, capturing a c that
+    # equals a for the 'y' labels only; all are called on the same argument
+    # key, and the many short-lived closures give their ids a chance of reuse
+    labels = ["%s%d" % (prefix, i) for i in range(16) for prefix in "yn"]
+    ev = make_evaluator()
+    result = run(ev, """set query
+        let set constant a = { 'v':{} },
+            set constant t = { %s }
+        in collect {
+            l:if l = 'y*' then %s else %s fi
+            where l:e in t }
+        endlet;""" % (", ".join("'%s':{}" % label for label in labels),
+                      LET_PROBE % "{ 'v':{} }", LET_PROBE % "{ 'w':{} }"))
+    expected = ", ".join("'%s':\"%s\"" % (label, "yes" if label[0] == "y" else "no")
+                         for label in labels)
+    assert postprocess(result, ev.store) == "Result = {%s}" % expected
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +643,85 @@ def test_postprocess_keeps_multereferenced_names_below():
     assert lines[0].startswith("Result = {'p':res")
     assert any(line.startswith("res") and "'x':{}" in line and "'y':{}" in line
                for line in lines)
+
+
+def reference_render(root: SetName, system: EquationSystem) -> str:
+    """The renderer's rules as first written: a name is cyclic when a
+    member reaches it, checked per element by a fresh closure walk."""
+    generated = {n for n in system.reachable(root) if n.is_local()}
+    ref_count = {}
+    for name in generated | {root}:
+        for el in system.equations.get(name, []):
+            ref_count[el.member] = ref_count.get(el.member, 0) + 1
+
+    def is_empty(name):
+        return name in generated and system.equations.get(name) == []
+
+    def atom_text(name):
+        expr = system.equations.get(name, []) if name in generated else None
+        if expr is not None and len(expr) == 1 and is_empty(expr[0].member):
+            return expr[0].label
+        return None
+
+    def cyclic(name):
+        return any(name in system.reachable(el.member)
+                   for el in system.equations.get(name, []))
+
+    def inline(name):
+        return (name in generated and name != root and atom_text(name) is None
+                and not is_empty(name) and ref_count.get(name, 0) == 1
+                and not cyclic(name))
+
+    def ref(name):
+        if name == root:
+            return "Result"
+        if is_empty(name):
+            return "{}"
+        if atom_text(name) is not None:
+            return '"%s"' % atom_text(name)
+        if inline(name):
+            return bracket(system.equations[name])
+        return name.simple if name in generated else name.full
+
+    def bracket(elements):
+        return "{" + ", ".join("'%s':%s" % (el.label, ref(el.member))
+                               for el in elements) + "}" if elements else "{}"
+
+    lines = ["Result = " + bracket(system.equations.get(root, []))]
+    lines += ["%s = %s" % (n.simple, bracket(system.equations[n]))
+              for n in sorted(generated, key=lambda n: n.simple)
+              if n != root and not inline(n) and not is_empty(n)
+              and atom_text(n) is None]
+    return "\n\n".join(lines)
+
+
+def test_postprocess_agrees_with_the_reference_rules_on_cyclic_systems():
+    rng = random.Random(5)
+    for trial in range(40):
+        local = random_closed_system(rng, max_names=12, max_labels=3, url=LOCAL_URL)
+        document = random_closed_system(rng, max_names=10, max_labels=2,
+                                        url="mem://doc%d.xml" % trial)
+        store = SessionStore(MemoryFetcher())
+        document_names = list(document.equations)
+        for name, elements in document.equations.items():
+            store.define(name, elements)
+        for name, elements in local.equations.items():
+            # some generated names point into the document, which may
+            # itself point back at a generated name
+            store.define(name, [el if rng.random() < 0.7 else
+                                Element(el.label, rng.choice(document_names))
+                                for el in elements])
+        if rng.random() < 0.5:
+            # a document may name a generated name: a cycle through both
+            extra = store.fresh("res")
+            back = SetName("mem://doc%d.xml" % trial, "back")
+            store.define(back, [Element("g", extra)])
+            store.define(extra, [Element("b", back),
+                                 Element("x", rng.choice(list(local.equations)))])
+            store.define(store.fresh("res"), [Element("e", extra)])
+        for root in list(store.system.equations):
+            assert postprocess(QueryResult(root=root), store) == \
+                reference_render(root, store.system), trial
 
 
 def test_postprocess_timing_line():
