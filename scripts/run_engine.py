@@ -1,6 +1,8 @@
 """Serve a bisimulation engine over the ASK protocol.
 
-Background mode derives facts for every document reachable from the roots:
+Background mode loads every document reachable from the roots and partitions
+their names into bisimilarity classes; it prints "background derivation
+complete" when done:
 
     python scripts/run_engine.py --port 7428 file:///data/BibDB-f1.xml
 

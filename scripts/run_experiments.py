@@ -7,15 +7,29 @@ scenario, the approximation effect on the self-contained scenario, the
 zero-head-start crossover on the three-file scenario, and the cost of lazy
 `bisimilar` alone on straight chains of n names per side (5 files per side,
 no fetch latency): wall time, document fetches, and the decided pairs of the
-client's names (n on a straight chain: one question per level).
+client's names (n on a straight chain: one question per level), beside the
+time a background engine takes to complete on the same chains.
 """
 
 import argparse
 import sys
+import time
 
+from hypersetdb.engine import BisimulationEngine
 from hypersetdb.experiments import (
-    build_chains, build_self_contained, build_three_file, run_experiment,
+    Scenario, build_chains, build_self_contained, build_three_file, run_experiment,
 )
+from hypersetdb.store import MemoryFetcher
+
+
+def engine_ms(scenario: Scenario) -> float:
+    """Wall time of a background engine over all the scenario's roots, from
+    start to complete, with no fetch latency."""
+    engine = BisimulationEngine(scenario.roots, MemoryFetcher(scenario.documents))
+    started = time.perf_counter()
+    engine.start()
+    engine.join()
+    return (time.perf_counter() - started) * 1000.0
 
 
 def main() -> int:
@@ -67,12 +81,14 @@ def main() -> int:
           "on the first ASK)" % engine.wall_ms)
 
     print("\nlazy bisimilar on straight chains, 5 files per side, no latency")
-    print("  %6s  %10s  %8s  %10s" % ("n", "wall [ms]", "fetches", "decided"))
+    print("  %6s  %10s  %8s  %10s  %12s"
+          % ("n", "wall [ms]", "fetches", "decided", "engine [ms]"))
     for n in chain_sizes:
-        m = run_experiment(build_chains(files=5, names=n), "no_engine",
-                           fetch_latency_ms=0)
-        print("  %6d  %10.0f  %8d  %10d"
-              % (n, m.wall_ms, m.client_fetches, m.questions_resolved))
+        scenario = build_chains(files=5, names=n)
+        m = run_experiment(scenario, "no_engine", fetch_latency_ms=0)
+        print("  %6d  %10.0f  %8d  %10d  %12.1f"
+              % (n, m.wall_ms, m.client_fetches, m.questions_resolved,
+                 engine_ms(scenario)))
     return 0
 
 

@@ -1,27 +1,29 @@
 """Bisimulation: hyperset equality between set names.
 
 Two set names are equal when they are bisimilar: every labelled element of one
-has a label-matching bisimilar element in the other, both ways.  Equality over
-a (possibly distributed) WDB is decided by deriving positive and negative facts
-with lazy document fetching.  One derivation kernel, `saturate` over a
-`FactStore`, serves query-time equality, the background engine and the
-per-file approximations (`approx.py`).  The question space is demand-driven:
-a question asks the partner pairs its rules read, and nothing else, so a
-query examines only the pairs reachable from it (on-the-fly checking,
-Fernandez & Mounier, CAV 1991).  The kernel re-examines a question only when
-something it depends on has changed, through a dependency index kept on the
-`FactStore` for the whole session.  A brute-force partition refinement over
-closed systems serves as the independent test oracle.
+has a label-matching bisimilar element in the other, both ways.  Equality is
+decided by two kernels.  `saturate` derives positive and negative facts over
+a `FactStore` with lazy document fetching; it serves query-time equality
+(`bisimilar`) and the per-file approximations (`approx.py`).  Its question
+space is demand-driven: a question asks the partner pairs its rules read,
+and nothing else, so a query examines only the pairs reachable from it
+(on-the-fly checking, Fernandez & Mounier, CAV 1991), and a question is
+re-examined only when something it depends on has changed, through a
+dependency index kept on the `FactStore` for the whole session.
+`stable_blocks` computes the coarsest stable partition of a finite graph by
+partition refinement; it serves the background engine, whose documents are
+loaded whole, and the merge at the end of a lazy `bisimilar` call.  A
+brute-force partition refinement over closed systems serves as the
+independent test oracle.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping,
+                    Optional, Set, Tuple)
 
 from .names import Element, EquationSystem, SetName, WdbError
 from .store import SessionStore, fetch_concurrently, settled
@@ -69,7 +71,6 @@ class FactStore:
         self.asked_oracle: Set[Pair] = set()
         self.approx_loaded: Set[str] = set()   # documents whose file was read
         self.productive_rounds = 0
-        self.lock = threading.Lock()
         self.pending: List[Pair] = []                  # new, not yet examined
         self.woken: List[Pair] = []                    # indexed, to re-examine
         self.reads: Dict[Pair, Tuple[Pair, ...]] = {}  # open question -> pairs it reads
@@ -135,39 +136,32 @@ class FactStore:
             return False
         key = pair_key(x, y)
         new = Status.YES if value else Status.NO
-        with self.lock:
-            old = self.status.get(key)
-            if old in (Status.YES, Status.NO):
-                if old is not new:
-                    raise BisimulationError(
-                        "conflicting bisimulation facts for %s ? %s" % (x.full, y.full))
-                return False
-            self.status[key] = new
-            self.reads.pop(key, None)
-            readers = self.watchers.pop(key, None)
-            if readers:
-                self.woken.extend(readers)
-            if value:
-                self._union(x, y)
+        old = self.status.get(key)
+        if old in (Status.YES, Status.NO):
+            if old is not new:
+                raise BisimulationError(
+                    "conflicting bisimulation facts for %s ? %s" % (x.full, y.full))
+            return False
+        self.status[key] = new
+        self.reads.pop(key, None)
+        readers = self.watchers.pop(key, None)
+        if readers:
+            self.woken.extend(readers)
+        if value:
+            self._union(x, y)
         return True
 
     def decided(self, x: SetName, y: SetName) -> Optional[bool]:
         """The fact about x ? y, a pair that holds by transitivity included;
-        None while it is unknown.  The engine's ASK service calls this from
-        other threads, so it finds the classes without compressing paths."""
+        None while it is unknown."""
         status = self.get(x, y)
         if status is Status.YES:
             return True
         if status is Status.NO:
             return False
         parent = self._parent
-        if x in parent or y in parent:
-            while x in parent:
-                x = parent[x]
-            while y in parent:
-                y = parent[y]
-            if x.full == y.full:
-                return True
+        if (x in parent or y in parent) and self.same_class(x, y):
+            return True
         return None
 
 
@@ -283,6 +277,77 @@ def saturate(facts: FactStore, equations: Equations) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# The refinement kernel
+# ---------------------------------------------------------------------------
+
+def stable_blocks(names: Iterable[SetName], equations: Equations,
+                  outside: Optional[Callable[[SetName], Hashable]] = None
+                  ) -> Dict[SetName, int]:
+    """The coarsest partition of names stable under their equations, as a
+    block number per name: two names share a block exactly when their
+    elements match label for label into shared blocks.  A member that is not
+    in names is keyed by outside(member); without outside, names must be
+    closed under their members.  Blocks are numbered in the sorted order of
+    their first names, so nothing depends on the hash seed.
+
+    Partition refinement by signatures (Paige & Tarjan, SIAM J. Comput.
+    16(6), 1987): a name's signature is the set of (label, block of member)
+    of its elements, and a block splits by signature.  Only the predecessors
+    of names whose block changed are signed again, and the largest part of a
+    split keeps the block's id, so a name changes block at most log n times
+    and a straight chain of n names costs O(n) signatures."""
+    order = sorted(set(names))
+    block = dict.fromkeys(order, 0)
+    members: Dict[int, Set[SetName]] = {0: set(order)}
+    # the signature the names of a block share, unless they are to be signed
+    shared: Dict[int, Optional[FrozenSet]] = {0: None}
+    predecessors: Dict[SetName, List[SetName]] = {}
+    for n in order:
+        for el in equations[n]:
+            if el.member in block:
+                predecessors.setdefault(el.member, []).append(n)
+
+    def signature(n: SetName) -> FrozenSet:
+        return frozenset((el.label, True, block[el.member]) if el.member in block
+                         else (el.label, False, outside(el.member))  # type: ignore[misc]
+                         for el in equations[n])
+
+    dirty: Dict[SetName, None] = dict.fromkeys(order)
+    while dirty:
+        touched: Dict[int, Dict[FrozenSet, List[SetName]]] = {}
+        for n in dirty:
+            touched.setdefault(block[n], {}).setdefault(signature(n), []).append(n)
+        moved: List[SetName] = []
+        for b, parts in touched.items():
+            parts.pop(shared[b], None)     # unchanged: they stay with the rest
+            if not parts:
+                continue
+            stay = len(members[b]) - sum(len(part) for part in parts.values())
+            largest = max(parts, key=lambda sig: len(parts[sig]))
+            if len(parts[largest]) > stay:
+                # the largest part keeps b; the names that stay move out
+                keep = parts.pop(largest)
+                rest = members[b].difference(keep)
+                for part in parts.values():
+                    rest.difference_update(part)
+                if rest:
+                    parts[shared[b]] = list(rest)   # type: ignore[index]
+                members[b] = set(keep)
+                shared[b] = largest
+            for sig, part in parts.items():
+                new = len(shared)
+                shared[new] = sig
+                members[new] = set(part)
+                members[b].difference_update(part)
+                for n in part:
+                    block[n] = new
+                moved.extend(part)
+        dirty = dict.fromkeys(p for n in moved for p in predecessors.get(n, ()))
+    number: Dict[int, int] = {}
+    return {n: number.setdefault(block[n], len(number)) for n in order}
+
+
+# ---------------------------------------------------------------------------
 # The lazy distributed algorithm
 # ---------------------------------------------------------------------------
 
@@ -315,26 +380,12 @@ def _reachable(facts: FactStore, key: Pair) -> List[Pair]:
 def _merge_stable_classes(facts: FactStore, equations: Equations,
                           names: List[SetName]) -> None:
     """Merge the classes of names that the coarsest partition of names stable
-    under their equations puts together, found by naive refinement; a member
-    outside names counts as its positive class.  Any two names of one block
-    are bisimilar, since the blocks and the Yes facts form a bisimulation."""
-    inside = set(names)
-    block = dict.fromkeys(names, 0)
-    count = 1
-    while True:
-        signatures: Dict[object, int] = {}
-        refined = {}
-        for n in names:
-            signature = (block[n], frozenset(
-                (el.label, block[el.member] if el.member in inside
-                 else facts._find(el.member)) for el in equations[n]))
-            refined[n] = signatures.setdefault(signature, len(signatures))
-        if len(signatures) == count:
-            break
-        block, count = refined, len(signatures)
+    under their equations puts together; a member outside names counts as its
+    positive class.  Any two names of one block are bisimilar, since the
+    blocks and the Yes facts form a bisimulation."""
     first: Dict[int, SetName] = {}
-    for n in names:
-        representative = first.setdefault(block[n], n)
+    for n, b in stable_blocks(names, equations, facts._find).items():
+        representative = first.setdefault(b, n)
         if representative is not n:
             facts.resolve(representative, n, True)
 

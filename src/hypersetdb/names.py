@@ -152,12 +152,6 @@ class EquationSystem:
         except KeyError:
             raise UndefinedNameError("referenced set name undefined: %s" % name.full)
 
-    def referenced_names(self) -> Set[SetName]:
-        refs: Set[SetName] = set()
-        for expr in self.equations.values():
-            refs.update(el.member for el in expr)
-        return refs
-
     def mentions(self, name: SetName) -> bool:
         return name in self.mentioned
 

@@ -122,9 +122,13 @@ def validate(doc: XmlWdbDocument, deep: bool = False,
             out.append(Violation("bad-href", "set:href %r is not a full set name" % href))
             continue
         try:
-            parse_set_name(href, base_url=doc.source_url)
+            target = parse_set_name(href, base_url=doc.source_url)
         except WdbError:
             out.append(Violation("bad-href", "set:href %r is not a full set name" % href))
+            continue
+        if target.is_local():
+            out.append(Violation("bad-href", "set:href %r names a session-generated set"
+                                 % href))
 
     if deep:
         if fetcher is None:

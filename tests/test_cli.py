@@ -100,6 +100,21 @@ def test_session_parses_only_the_users_text(monkeypatch):
     assert lengths == [len(query) for query in queries]
 
 
+def test_document_naming_a_session_generated_set_is_refused():
+    """A document that hrefs local://session#res must not read the set the
+    session happened to generate under that name."""
+    document = """<set:eqns xmlns:set="http://www.csc.liv.ac.uk/~molyneux/XML-WDB">
+      <set:eqn set:id="x"><a set:href="local://session#res"/></set:eqn>
+    </set:eqns>"""
+    session = Session(SessionConfig(show_time=False),
+                      fetcher=MemoryFetcher({"mem://d.xml": document}))
+    assert "Result = {'k':{}}" in session.run_command("set query { 'k': {} };")
+    output = session.run_command("set query mem://d.xml#x;")
+    assert "invalid XML-WDB document mem://d.xml" in output
+    assert "bad-href" in output
+    assert "Result" not in output
+
+
 def test_library_list_contains_predefined_declarations():
     session = make_session()
     output = session.run_command("library list;")

@@ -1,24 +1,35 @@
 import itertools
+import os
+import random
+import re
 import socket
 import socketserver
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from hypersetdb.bisim import (
-    BisimHelpers, FactStore, OracleValue, bisimilar, naive_bisimulation,
+    BisimHelpers, BisimulationError, FactStore, OracleValue, bisimilar,
+    naive_bisimulation,
 )
+from hypersetdb import bisim as bisim_module
 from hypersetdb import engine as engine_module
 from hypersetdb.engine import (
     RECONNECT_BACKOFF_S, BisimulationEngine, OracleClient, TrivialOracle,
     generate_trivial_oracle_xml, serve,
 )
-from hypersetdb.names import EquationSystem, SetName, WdbError, parse_full_name
-from hypersetdb.store import FetchError, MemoryFetcher, SessionStore
+from hypersetdb.names import (EquationSystem, SetName, UndefinedNameError, WdbError,
+                              parse_full_name)
+from hypersetdb.store import FetchError, LatencyFetcher, MemoryFetcher, SessionStore
 from hypersetdb.xmlwdb import load_equations
 
-from conftest import bibdb_f1_text, bibdb_f2_text
+from conftest import (BibDb, bibdb_f1_text, bibdb_f2_text, duplicate_and_shuffle,
+                      random_closed_system, split_documents)
+from test_bisim import with_approximation_files
 
 F1 = "mem://BibDB-f1.xml"
 F2 = "mem://BibDB-f2.xml"
@@ -170,6 +181,120 @@ def test_engine_monotone_unknown_then_decided():
     assert engine.answer(x, y) is OracleValue.YES
 
 
+def engine_answers_agree(engine, system, home, blocks):
+    """Every pair of loaded names is answered as the partition says; a pair
+    with a name the engine never loaded reads Unknown or the truth."""
+    loaded = engine.store.system.equations
+    for x, y in itertools.combinations(system.equations, 2):
+        value = engine.answer(home[x], home[y])
+        expected = OracleValue.YES if blocks[x] == blocks[y] else OracleValue.NO
+        if home[x] in loaded and home[y] in loaded:
+            assert value is expected, (x.full, y.full)
+        else:
+            assert value in (expected, OracleValue.UNKNOWN), (x.full, y.full)
+
+
+def test_engine_answers_match_naive_on_split_systems():
+    """Random systems split over 2-4 linked documents, with and without
+    approximation files, from every root or from one."""
+    rng = random.Random(5)
+    for trial in range(80):
+        system = random_closed_system(rng, max_names=16, max_labels=3)
+        blocks = naive_bisimulation(system)
+        documents, home = split_documents(system, rng, rng.randint(2, 4))
+        approximations = trial % 2 == 1
+        if approximations:
+            documents = with_approximation_files(documents)
+        urls = sorted({name.url for name in home.values()})
+        roots = urls if trial % 4 < 2 else [rng.choice(urls)]
+        engine = BisimulationEngine(roots, MemoryFetcher(documents),
+                                    use_approximations=approximations)
+        engine.start()
+        engine.join(timeout=30)
+        if trial % 4 < 2:
+            assert len(engine.store.system.equations) == len(system.equations)
+        engine_answers_agree(engine, system, home, blocks)
+
+
+def test_engine_answers_never_change_once_decided():
+    """A second thread polls every pair while the engine loads over slow
+    fetches: an answer, once Yes or No, is right and stays."""
+    rng = random.Random(9)
+    for trial in range(6):
+        # a system with a shuffled copy of itself has many equal pairs
+        system = random_closed_system(rng, max_names=10, max_labels=2)
+        system.merge(duplicate_and_shuffle(system, rng)[0])
+        blocks = naive_bisimulation(system)
+        documents, home = split_documents(system, rng, 4)
+        if trial % 2:
+            documents = with_approximation_files(documents)
+        root = sorted({name.url for name in home.values()})[0]
+        fetcher = LatencyFetcher(MemoryFetcher(documents), 20.0)
+        engine = BisimulationEngine([root], fetcher, use_approximations=trial % 2 == 1)
+        pairs = list(itertools.combinations(system.equations, 2))
+        first, changed = {}, []
+        polls = 0
+
+        def poll():
+            nonlocal polls
+            while not engine.complete.is_set():
+                polls += 1
+                for x, y in pairs:
+                    value = engine.answer(home[x], home[y])
+                    if value is not OracleValue.UNKNOWN and \
+                            first.setdefault((x, y), value) is not value:
+                        changed.append((x.full, y.full))
+
+        poller = threading.Thread(target=poll)
+        engine.start()
+        poller.start()
+        poller.join(timeout=30)
+        engine.join(timeout=30)
+        assert polls > 1
+        assert not changed, changed
+        for (x, y), value in first.items():
+            assert value is engine.answer(home[x], home[y])
+            assert (value is OracleValue.YES) == (blocks[x] == blocks[y])
+        engine_answers_agree(engine, system, home, blocks)
+
+
+def test_engine_with_a_contradicting_approximation_file_fails():
+    """An approximation file claiming b1 = BibDB: join raises once both
+    names are loaded."""
+    from hypersetdb.approx import approximation_url, generate_approximation_file
+    documents = bibdb_documents()
+    text = generate_approximation_file(F1, load_equations(documents[F1], F1))
+    assert text.count('value="no"') == 3
+    documents[approximation_url(F1)] = text.replace('value="no"', 'value="yes"', 1)
+    engine = BisimulationEngine([F1], MemoryFetcher(documents), use_approximations=True)
+    engine.start()
+    assert engine.complete.wait(30)
+    with pytest.raises(BisimulationError, match="contradicts"):
+        engine.join(timeout=30)
+
+
+def test_engine_decides_without_bisimilar(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bisimilar called")
+    monkeypatch.setattr(engine_module, "bisimilar", refuse)
+    monkeypatch.setattr(bisim_module, "bisimilar", refuse)
+    engine = BisimulationEngine([F1], MemoryFetcher(bibdb_documents()))
+    engine.start()
+    engine.join(timeout=30)
+    assert engine.answer(SetName(F1, "b2"), SetName(F2, "p3")) is OracleValue.YES
+    assert engine.productive_rounds == 0
+
+
+def test_engine_with_a_dangling_href_fails():
+    documents = bibdb_documents()
+    documents[F1] = documents[F1].replace(F2 + "#p2", F2 + "#p9")   # F2 has no p9
+    engine = BisimulationEngine([F1], MemoryFetcher(documents))
+    engine.start()
+    assert engine.complete.wait(30)
+    with pytest.raises(UndefinedNameError, match="BibDB-f2.xml#p9"):
+        engine.join(timeout=30)
+
+
 # ---------------------------------------------------------------------------
 # The ASK protocol
 # ---------------------------------------------------------------------------
@@ -191,6 +316,50 @@ def test_ask_protocol_round_trip():
         client.close()
         server.shutdown()
         server.server_close()
+
+
+def test_run_engine_script_serves_the_bibdb(tmp_path):
+    """scripts/run_engine.py in background mode over file:// BibDB: an ASK
+    while it derives reads Unknown or the truth, and every ASK after
+    `background derivation complete` the truth."""
+    bib = BibDb(tmp_path)
+    system = EquationSystem()
+    for url, file in ((bib.f1_url, "BibDB-f1.xml"), (bib.f2_url, "BibDB-f2.xml")):
+        system.merge(load_equations(bib.directory.joinpath(file).read_text("utf-8"), url))
+    blocks = naive_bisimulation(system)
+
+    def expected(x, y):
+        return OracleValue.YES if blocks[x] == blocks[y] else OracleValue.NO
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    process = subprocess.Popen(
+        [sys.executable, str(root / "scripts" / "run_engine.py"), "--port", "0",
+         "--no-network", bib.f1_url],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    watchdog = threading.Timer(60.0, process.kill)
+    watchdog.start()
+    client = None
+    try:
+        match = re.fullmatch(r"serving ASK protocol on (\S+):(\d+)\n",
+                             process.stdout.readline())
+        assert match, process.stderr.read()
+        client = OracleClient(match.group(1), int(match.group(2)))
+        x, y = bib.name("b2"), bib.name("p3")
+        assert client.ask(x, y) in (expected(x, y), OracleValue.UNKNOWN)
+        assert process.stdout.readline() == "background derivation complete\n"
+        for a, b in itertools.combinations(sorted(system.equations), 2):
+            assert client.ask(a, b) is expected(a, b), (a.full, b.full)
+    finally:
+        if client is not None:
+            client.close()
+        process.terminate()
+        process.wait(timeout=30)
+        watchdog.cancel()
+        process.stdout.close()
+        process.stderr.close()
 
 
 def test_ask_with_malformed_name_gets_error_and_service_continues():

@@ -6,7 +6,8 @@ import pytest
 from hypersetdb.bisim import naive_bisimulation, naive_equal
 from hypersetdb.names import Element, EquationSystem, SetName
 from hypersetdb.xmlwdb import (
-    SET_NS, XmlWdbDocument, from_equations, load_equations, to_equations, validate,
+    SET_NS, XmlWdbDocument, XmlWdbError, from_equations, load_equations, to_equations,
+    validate,
 )
 
 from conftest import bibdb_f1_text, bibdb_f2_text, random_closed_system
@@ -107,6 +108,17 @@ def test_dangling_ref_is_a_violation():
     </set:eqns>""" % SET_NS
     doc = XmlWdbDocument.parse(text, F1)
     assert any(v.code == "dangling-ref" for v in validate(doc))
+
+
+def test_href_to_the_session_url_is_refused():
+    """A document may not name sets that a query session generates."""
+    text = """<set:eqns xmlns:set="%s">
+      <set:eqn set:id="a"><x set:href="local://session#res"/></set:eqn>
+    </set:eqns>""" % SET_NS
+    doc = XmlWdbDocument.parse(text, F1)
+    assert [v.code for v in validate(doc)] == ["bad-href"]
+    with pytest.raises(XmlWdbError, match="local://session#res"):
+        load_equations(text, F1)
 
 
 def test_deep_validate_checks_href_targets():
