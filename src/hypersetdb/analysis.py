@@ -217,13 +217,15 @@ def ids_search(tree: ParseNode, occurrence: ParseNode,
 # Syntactic category renaming
 # ---------------------------------------------------------------------------
 
-def scr_relabel(tree: ParseNode, errors: List[AnalysisItem]) -> bool:
-    """Bottom-up relabelling of unmarked nodes by unique grammar forks.
+def scr_relabel(postorder: Sequence[ParseNode], errors: List[AnalysisItem]) -> bool:
+    """Bottom-up relabelling of unmarked nodes by unique grammar forks, over
+    the tree's nodes in left-to-right postorder, so the leftmost error is the
+    one reported.
 
     Pre-marked-correct nodes must already carry the fork's root; a missing
     fork or a mismatch is a typing error.  Returns success.
     """
-    for node in _postorder(tree):
+    for node in postorder:
         if node.is_leaf() or node.seen:
             continue
         if not all(c.seen and c.correct for c in node.children):
@@ -245,12 +247,6 @@ def scr_relabel(tree: ParseNode, errors: List[AnalysisItem]) -> bool:
         node.seen = True
         node.correct = True
     return True
-
-
-def _postorder(node: ParseNode):
-    for child in node.children:
-        yield from _postorder(child)
-    yield node
 
 
 def _snippet(node: ParseNode, limit: int = 40) -> str:
@@ -326,14 +322,14 @@ def analyze(result: ParseResult, library: Optional[Library] = None) -> ParseNode
         raise AnalysisError(errors)
 
     # step 3/4: mark structure, then rename remaining categories bottom-up
-    for node in tree.walk():
+    for node in result.preorder:
         if node.is_leaf():
             node.seen = node.correct = True
         elif node.label in g.IDENTIFIER_CATEGORIES or node.label == g.VARIABLE_PAIR:
             node.seen = node.correct = True
         elif node.label == g.SET_NAME:
             node.correct = True
-    if not scr_relabel(tree, errors):
+    if not scr_relabel(result.postorder, errors):
         raise AnalysisError(errors)
 
     # step 5: boundedness of binding constructs
@@ -345,8 +341,6 @@ def analyze(result: ParseResult, library: Optional[Library] = None) -> ParseNode
 
 def _check_bounded(result: ParseResult, triples: Dict[int, DeclTriple],
                    errors: List[AnalysisItem]) -> None:
-    tree = result.tree
-
     def within(node: Optional[ParseNode], region: ParseNode) -> bool:
         while node is not None:
             if node is region:
@@ -354,7 +348,7 @@ def _check_bounded(result: ParseResult, triples: Dict[int, DeclTriple],
             node = node.parent
         return False
 
-    for node in tree.walk():
+    for node in result.preorder:
         # (a) binder-bounded variables must not occur free in the bounding term
         if node.label in (g.COLLECT, g.SEPARATE, g.RECURSION, g.QUANTIFIED):
             btflvn, uses = result.btflvn_sublists[id(node)]

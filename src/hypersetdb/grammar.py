@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -48,46 +48,29 @@ class Token:
     position: int  # 0-based character offset
 
 
+# one scanner: the first alternative that matches wins, so punctuation is
+# tried longest first; whitespace is skipped, any other character is an error
+_TOKEN_RE = re.compile("|".join("(?P<%s>%s)" % alternative for alternative in (
+    ("SETNAME", SETNAME_RE.pattern),
+    ("LABELVALUE", LABEL_VALUE_RE.pattern),
+    ("ATOM", ATOM_RE.pattern),
+    ("WORD", WORD_RE.pattern),
+    ("PUNCT", "|".join(map(re.escape, MULTI_PUNCT + tuple(SINGLE_PUNCT)))),
+    ("SPACE", r"\s+"),
+    ("UNEXPECTED", "."),
+)), re.S)
+
+
 def tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "SPACE":
             continue
-        m = SETNAME_RE.match(source, i)
-        if m:
-            tokens.append(Token("SETNAME", m.group(0), i))
-            i = m.end()
-            continue
-        m = LABEL_VALUE_RE.match(source, i)
-        if m:
-            tokens.append(Token("LABELVALUE", m.group(0), i))
-            i = m.end()
-            continue
-        m = ATOM_RE.match(source, i)
-        if m:
-            tokens.append(Token("ATOM", m.group(0), i))
-            i = m.end()
-            continue
-        m = WORD_RE.match(source, i)
-        if m:
-            tokens.append(Token("WORD", m.group(0), i))
-            i = m.end()
-            continue
-        for punct in MULTI_PUNCT:
-            if source.startswith(punct, i):
-                tokens.append(Token("PUNCT", punct, i))
-                i += len(punct)
-                break
-        else:
-            if ch in SINGLE_PUNCT:
-                tokens.append(Token("PUNCT", ch, i))
-                i += 1
-            else:
-                raise TokenError("unexpected character %r" % ch, i)
-    tokens.append(Token("EOF", "", n))
+        if kind == "UNEXPECTED":
+            raise TokenError("unexpected character %r" % m.group(), m.start())
+        tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("EOF", "", len(source)))
     return tokens
 
 
@@ -296,6 +279,20 @@ def _fixed_forks() -> List[Fork]:
 
 FIXED_FORKS: List[Fork] = _fixed_forks()
 
+
+def _index_forks(forks: List[Fork]) -> Dict[Tuple[int, str], List[Fork]]:
+    """(arity, first child label) -> the forks that can match, in the order
+    given; a class slot in first position is expanded to its members."""
+    index: Dict[Tuple[int, str], List[Fork]] = {}
+    for fork in forks:
+        first = fork.shape[0]
+        for label in _CLASS_MEMBERS.get(first, (first,)):
+            index.setdefault((len(fork.shape), label), []).append(fork)
+    return index
+
+
+_FORK_INDEX = _index_forks(FIXED_FORKS)
+
 # identifier forks: one alphanumeric leaf, six possible roots
 IDENTIFIER_FORKS: List[Fork] = [
     Fork(category, ("#identifier-leaf",), identifier=True)
@@ -307,35 +304,31 @@ def is_identifier_leaf(label: str) -> bool:
     return bool(WORD_RE.fullmatch(label)) and label not in KEYWORDS
 
 
+# Kleene-repetition rules: (root, member class, separators, fewest members)
+_VARIADIC_RULES = (
+    (DECLARATIONS, DECLARATION_CATEGORIES, (",",), 1),
+    (VARIABLES, frozenset({VARIABLE}), (",",), 1),
+    (PARAMETERS, _CLASS_MEMBERS[PARAMETER], (",",), 1),
+    (LABELLED_TERMS, frozenset({LABELLED_TERM}), (",",), 1),
+    (MULTIPLE_UNION, TERM_CATEGORIES, ("U", "union"), 2),
+    (CONJUNCTION, FORMULA_CATEGORIES, ("and",), 2),
+    (DISJUNCTION, FORMULA_CATEGORIES, ("or",), 2),
+    (QUASI_IMPLICATION, FORMULA_CATEGORIES, QUASI_CONNECTIVES, 2),
+)
+_SEPARATORS = frozenset(s for _, _, separators, _ in _VARIADIC_RULES for s in separators)
+
+
 def _variadic_match(children: Sequence[str]) -> List[str]:
     """Match the Kleene-repetition rules, which generate forks of unbounded
     arity; returns the matching roots."""
-    roots: List[str] = []
     n = len(children)
-
-    def alternating(member_ok, separators: Iterable[str], minimum: int) -> bool:
-        if n < 2 * minimum - 1 or n % 2 == 0:
-            return False
-        return (all(member_ok(children[i]) for i in range(0, n, 2))
-                and all(children[i] in separators for i in range(1, n, 2)))
-
-    if alternating(lambda c: c in DECLARATION_CATEGORIES, (",",), 1):
-        roots.append(DECLARATIONS)
-    if alternating(lambda c: c == VARIABLE, (",",), 1):
-        roots.append(VARIABLES)
-    if alternating(lambda c: c in TERM_CATEGORIES | LABEL_CATEGORIES, (",",), 1):
-        roots.append(PARAMETERS)
-    if alternating(lambda c: c == LABELLED_TERM, (",",), 1):
-        roots.append(LABELLED_TERMS)
-    if alternating(lambda c: c in TERM_CATEGORIES, ("U", "union"), 2):
-        roots.append(MULTIPLE_UNION)
-    if alternating(lambda c: c in FORMULA_CATEGORIES, ("and",), 2):
-        roots.append(CONJUNCTION)
-    if alternating(lambda c: c in FORMULA_CATEGORIES, ("or",), 2):
-        roots.append(DISJUNCTION)
-    if alternating(lambda c: c in FORMULA_CATEGORIES, QUASI_CONNECTIVES, 2):
-        roots.append(QUASI_IMPLICATION)
-    return roots
+    if n % 2 == 0 or (n > 1 and children[1] not in _SEPARATORS):
+        return []
+    members, separators = children[0::2], children[1::2]
+    return [root for root, member_class, allowed, minimum in _VARIADIC_RULES
+            if n >= 2 * minimum - 1
+            and all(s in allowed for s in separators)
+            and all(m in member_class for m in members)]
 
 
 def fork_table() -> List[Fork]:
@@ -354,7 +347,8 @@ def fork_candidates(children: Sequence[str]) -> List[str]:
     by their shape; <variable pair> is structural (built directly by the
     parser around its declared variables) and is deliberately not produced.
     """
-    roots = [f.root for f in FIXED_FORKS if f.matches(children)]
+    indexed = _FORK_INDEX.get((len(children), children[0])) if children else None
+    roots = [f.root for f in indexed or () if f.matches(children)]
     roots.extend(_variadic_match(children))
     if len(children) == 1:
         leaf = children[0]

@@ -8,7 +8,7 @@ the declarations in scope and relabels the affected ancestors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import grammar as g
@@ -45,9 +45,12 @@ class ParseNode:
         return tuple(c.label for c in self.children)
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """The subtree in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def leaves(self) -> List["ParseNode"]:
         return [n for n in self.walk() if n.is_leaf()]
@@ -62,12 +65,6 @@ class ParseNode:
         return "%s%r" % (self.label, self.child_labels())
 
 
-def link_parents(root: ParseNode) -> None:
-    for node in root.walk():
-        for child in node.children:
-            child.parent = node
-
-
 def reprint(node: ParseNode) -> str:
     """Source text regenerated from the leaves; reparsing it yields an
     isomorphic tree."""
@@ -76,9 +73,15 @@ def reprint(node: ParseNode) -> str:
 
 @dataclass
 class ParseResult:
+    """A parsed command: its tree, the tree's nodes in preorder and in
+    left-to-right postorder, the identifier uses in preorder, and for each
+    binder (keyed by id) its bounding node with the uses inside that node."""
+
     tree: ParseNode
-    identifier_nodes: List[ParseNode] = field(default_factory=list)
-    btflvn_sublists: Dict[int, Tuple[ParseNode, List[ParseNode]]] = field(default_factory=dict)
+    preorder: List[ParseNode]
+    postorder: List[ParseNode]
+    identifier_nodes: List[ParseNode]
+    btflvn_sublists: Dict[int, Tuple[ParseNode, List[ParseNode]]]
 
 
 class _Parser:
@@ -584,48 +587,64 @@ class _Parser:
 # Identifier and bounding-node bookkeeping
 # ---------------------------------------------------------------------------
 
-def _declared_name_nodes(tree: ParseNode) -> set:
-    """Identifier nodes that declare (rather than use) a name: declared
-    constants/query names, query parameters, variable-pair components and
-    recursion variables."""
-    declared = set()
-    for node in tree.walk():
-        if node.label in g.DECLARATION_CATEGORIES:
-            declared.add(id(node.children[2]))
-        elif node.label == g.VARIABLE:
-            declared.add(id(node.children[1]))
-        elif node.label == g.VARIABLE_PAIR:
-            for child in node.children:
-                if child.label in g.IDENTIFIER_CATEGORIES:
-                    declared.add(id(child))
-        elif node.label == g.RECURSION:
-            declared.add(id(node.children[1]))
-    return declared
+def _declares(parent: ParseNode, identifier: ParseNode) -> bool:
+    """Whether an identifier node declares (rather than uses) a name: a
+    declared constant/query name, a query parameter, a variable-pair
+    component or a recursion variable."""
+    if parent.label in g.DECLARATION_CATEGORIES:
+        return parent.children[2] is identifier
+    if parent.label in (g.VARIABLE, g.RECURSION):
+        return parent.children[1] is identifier
+    return parent.label == g.VARIABLE_PAIR
 
 
-def identifier_uses(tree: ParseNode) -> List[ParseNode]:
-    declared = _declared_name_nodes(tree)
-    return [node for node in tree.walk()
-            if node.label in g.IDENTIFIER_CATEGORIES and id(node) not in declared]
+# the child that bounds a binder or declaration node, by the node's label
+_BOUNDING_CHILD = dict.fromkeys(g.DECLARATION_CATEGORIES, -1)
+_BOUNDING_CHILD.update({g.COLLECT: 6, g.SEPARATE: 4, g.RECURSION: 5,
+                        g.FORALL: 3, g.EXISTS: 3})
 
 
 def bounding_node(bn: ParseNode) -> Optional[ParseNode]:
     """The bounding term / formula / label-value node (BTFLVN) of a binder or
     declaration node: the expression that must not capture the names the
-    binder declares.  Positions follow the fork shapes built by the parser."""
-    if bn.label == g.COLLECT:
-        return bn.children[6]
-    if bn.label == g.SEPARATE:
-        return bn.children[4]
-    if bn.label == g.RECURSION:
-        return bn.children[5]
-    if bn.label in (g.FORALL, g.EXISTS):
-        return bn.children[3]
+    binder declares.  Positions follow the fork shapes built by the parser;
+    a quantified formula is bounded as its quantifier is."""
     if bn.label == g.QUANTIFIED:
-        return bounding_node(bn.children[0])
-    if bn.label in g.DECLARATION_CATEGORIES:
-        return bn.children[-1]
-    return None
+        bn = bn.children[0]
+    index = _BOUNDING_CHILD.get(bn.label)
+    return None if index is None else bn.children[index]
+
+
+def _one_pass(tree: ParseNode) -> ParseResult:
+    """Link parents, list the nodes in preorder and left-to-right postorder,
+    and collect the identifier uses and each binder's share of them, in one
+    walk.  A node comes off the stack on entry and again on exit, when the
+    uses found since its entry are exactly those inside it."""
+    preorder: List[ParseNode] = []
+    postorder: List[ParseNode] = []
+    uses: List[ParseNode] = []
+    sublists: Dict[int, Tuple[ParseNode, List[ParseNode]]] = {}
+    binders: Dict[int, List[ParseNode]] = {}  # id(bounding node) -> binders
+    stack: List[Tuple[ParseNode, int]] = [(tree, -1)]
+    while stack:
+        node, entered = stack.pop()
+        if entered >= 0:
+            postorder.append(node)
+            for binder in binders.pop(id(node), ()):
+                sublists[id(binder)] = (node, uses[entered:])
+            continue
+        preorder.append(node)
+        stack.append((node, len(uses)))
+        if node.label in g.IDENTIFIER_CATEGORIES and not _declares(node.parent, node):
+            uses.append(node)
+        btflvn = bounding_node(node)
+        if btflvn is not None:
+            sublists[id(node)] = (btflvn, [])  # keeps the binders in preorder
+            binders.setdefault(id(btflvn), []).append(node)
+        for child in reversed(node.children):
+            child.parent = node
+            stack.append((child, -1))
+    return ParseResult(tree, preorder, postorder, uses, sublists)
 
 
 def parse(source: str) -> ParseResult:
@@ -635,15 +654,10 @@ def parse(source: str) -> ParseResult:
         tree = parser.parse_top_level()
     except ParseError:
         raise ParseError("expected %s" % parser.furthest_expected, parser.furthest)
+    except RecursionError:
+        raise ParseError("expected a less deeply nested expression",
+                         parser.peek().position)
     trailing = parser.peek()
     if trailing.kind != "EOF":
         raise ParseError("unexpected input after command", trailing.position)
-    link_parents(tree)
-    uses = identifier_uses(tree)
-    sublists: Dict[int, Tuple[ParseNode, List[ParseNode]]] = {}
-    for node in tree.walk():
-        btflvn = bounding_node(node)
-        if btflvn is not None:
-            inside = set(id(n) for n in btflvn.walk())
-            sublists[id(node)] = (btflvn, [u for u in uses if id(u) in inside])
-    return ParseResult(tree, uses, sublists)
+    return _one_pass(tree)

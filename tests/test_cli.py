@@ -156,6 +156,74 @@ def test_library_add_analysis_error_is_located_in_the_command():
     assert output.endswith("...ary add set constant broken = missing; <-------")
 
 
+# Exact replies to ill-formed and ill-typed commands, recorded before the front
+# end was put into one pass; the pair with two typing errors in different
+# subtrees pins that the leftmost one is reported.
+GOLDEN_DIAGNOSTICS = [
+    ("set query { 'a': x } $;",
+     "Query is not well-formed\n\nError at character 22, unexpected character '$' (at character 22):\n  ...set query { 'a': x } $; <-------"),
+    ("set query { 'a b':{} };",
+     'Query is not well-formed\n\nError at character 13, unexpected character "\'" (at character 13):\n  ...set query { \'a b\':{} }; <-------'),
+    ('library add set constant c = { \'a\': "x };',
+     'Query is not well-formed\n\nError at character 37, unexpected character \'"\' (at character 37):\n  ...y add set constant c = { \'a\': "x }; <-------'),
+    ('set query ;',
+     'Query is not well-formed\n\nError at character 11, expected a term:\n  ...set query ; <-------'),
+    ('boolean query a = ;',
+     'Query is not well-formed\n\nError at character 19, expected a label:\n  ...boolean query a = ; <-------'),
+    ('set query {} {};',
+     "Query is not well-formed\n\nError at character 14, expected ';':\n  ...set query {} {}; <-------"),
+    ("set query let label constant l = 'a*' in {} endlet;",
+     'Query is not well-formed\n\nError at character 1, expected query:\n  ...set query le <-------'),
+    ('boolean query (true and );',
+     'Query is not well-formed\n\nError at character 25, expected a formula:\n  ...boolean query (true and ); <-------'),
+    ('boolean query forall l:x in {} . ;',
+     'Query is not well-formed\n\nError at character 34, expected a formula:\n  ...lean query forall l:x in {} . ; <-------'),
+    ('library add set constant = {};',
+     'Query is not well-formed\n\nError at character 26, expected identifier:\n  ...library add set constant = {}; <-------'),
+    ('library remove c;',
+     "Query is not well-formed\n\nError at character 9, expected 'add' or 'list':\n  ...library remove c; <-------"),
+    ("set query collect { pub-type:pub where pub-type:pub in BibDB and exists 'refers-to':ref in pub . ref=b2 };",
+     "Query is well-formed, but not well-typed\n\nError at character 56, occurrence of identifier name BibDB not declared:\n  ...ype:pub where pub-type:pub in BibDB and ex <-------\nError at character 102, occurrence of identifier name b2 not declared:\n  ... 'refers-to':ref in pub . ref=b2 }; <-------"),
+    ("boolean query let set constant c = {}, label constant l = 'a' in (l = c and c = l) endlet;",
+     "Query is well-formed, but not well-typed\n\nError at character 67, the statement 'l = c' cannot be properly typed:\n  ...}, label constant l = 'a' in (l = c and c  <-------"),
+    ("boolean query let set constant c = {}, label constant l = 'a' in (l < l and (c = l or l = c)) endlet;",
+     "Query is well-formed, but not well-typed\n\nError at character 78, the statement 'c = l' cannot be properly typed:\n  ...nstant l = 'a' in (l < l and (c = l or l = <-------"),
+    ('set query let set constant c = x in c endlet;',
+     'Query is well-formed, but not well-typed\n\nError at character 32, occurrence of identifier name x not declared:\n  ...et query let set constant c = x in c endle <-------'),
+    ('boolean query forall l:x in x . true;',
+     'Query is well-formed, but not well-typed\n\nError at character 29, variable x occurs in the term bounding it:\n  ...boolean query forall l:x in x . true; <-------'),
+    ('set query recursion p { l:x in p where true };',
+     'Query is well-formed, but not well-typed\n\nError at character 32, variable p occurs in the term bounding it:\n  ...et query recursion p { l:x in p where true <-------'),
+    ("set query let set query f (set x) be { 'l':y } in call f({}) endlet;",
+     "Query is well-formed, but not well-typed\n\nError at character 44, occurrence of identifier name y not declared:\n  ... set query f (set x) be { 'l':y } in call  <-------"),
+    ('set query let set query f (set x) be call f(x) in call f({}) endlet;',
+     'Query is well-formed, but not well-typed\n\nError at character 43, recursive call of f: recursive calls are not allowed:\n  ...t set query f (set x) be call f(x) in call <-------'),
+    ('set query let set query f (set x,set y) be {} in call f({}) endlet;',
+     'Query is well-formed, but not well-typed\n\nError at character 50, query f expects 2 parameter(s), got 1:\n  ...uery f (set x,set y) be {} in call f({}) e <-------'),
+    ("set query let label constant l = 'a', set query f (set x) be {} in call f(l) endlet;",
+     "Query is well-formed, but not well-typed\n\nError at character 75, parameter 'l' is not a set:\n  ...ery f (set x) be {} in call f(l) endlet; <-------"),
+    ('set query let boolean query f (set x) be true in call f({}) endlet;',
+     "Query is well-formed, but not well-typed\n\nError at character 1, the statement 'set query let boolean query f ( set x ) ...' cannot be properly typed:\n  ...set query le <-------"),
+    ('set query call Pair({});',
+     'Query is well-formed, but not well-typed\n\nError at character 11, query Pair expects 2 parameter(s), got 1:\n  ...set query call Pair({} <-------'),
+    ('library add set constant broken = missing;',
+     'Query is well-formed, but not well-typed\n\nError at character 35, occurrence of identifier name missing not declared:\n  ...ary add set constant broken = missing; <-------'),
+    ("library add set query g (set x) be { 'a': z }, set constant k = call g({}, {});",
+     "Query is well-formed, but not well-typed\n\nError at character 43, occurrence of identifier name z not declared:\n  ...set query g (set x) be { 'a': z }, set con <-------"),
+    ('boolean query forall l:x in {} . let set constant c = x in c = x endlet;',
+     'Query is well-formed, but not well-typed\n\nError at character 55, free variable x in a set constant definition:\n  ... in {} . let set constant c = x in c = x e <-------'),
+    ("boolean query forall l:y in {} . let set query f (set x) be { 'l':y } in call f({}) = {} endlet;",
+     "Query is well-formed, but not well-typed\n\nError at character 67, variable y is free in the body of f:\n  ... set query f (set x) be { 'l':y } in call  <-------"),
+    ('boolean query (forall m:y in y . true and forall n:z in z . true);',
+     'Query is well-formed, but not well-typed\n\nError at character 30, variable y occurs in the term bounding it:\n  ...boolean query (forall m:y in y . true and <-------\nError at character 57, variable z occurs in the term bounding it:\n  ...in y . true and forall n:z in z . true); <-------'),
+]
+
+
+@pytest.mark.parametrize("command,expected", GOLDEN_DIAGNOSTICS)
+def test_golden_diagnostics(command, expected):
+    assert make_session(show_time=False).run_command(command) == expected
+
+
 def test_library_add_compiles_only_the_added_declarations(monkeypatch):
     session = make_session(show_time=False)
     compiled = []
@@ -259,6 +327,29 @@ def test_repl_continues_after_errors():
     text = stream_out.getvalue()
     assert "not well-formed" in text
     assert "Result = {}" in text
+
+
+DEPTH = 2000
+
+
+@pytest.mark.parametrize("command", [
+    "set query " + "(" * DEPTH + "{}" + ")" * DEPTH + ";",
+    "boolean query " + "not " * DEPTH + "true;",
+    "set query " + "{'a': " * DEPTH + "{}" + "}" * DEPTH + ";",
+    "library add set constant c = " + "(" * DEPTH + "{}" + ")" * DEPTH + ";",
+], ids=["parentheses", "not", "enumerate", "library-add"])
+def test_deep_nesting_is_refused_and_the_session_goes_on(command):
+    session = make_session(show_time=False)
+    output = session.run_command(command)
+    assert output.startswith(NOT_WELL_FORMED + "\n\nError at character ")
+    assert "expected a less deeply nested expression:" in output
+    assert output.endswith(" <-------")
+    assert session.run_command("set query { 'a':{} };") == \
+        WELL_TYPED + "\n\nResult = {'a':{}}"
+    stream_out = io.StringIO()
+    repl(session, io.StringIO(command + "\nset query {};\n"), stream_out)
+    assert "less deeply nested" in stream_out.getvalue()
+    assert "Result = {}" in stream_out.getvalue()
 
 
 def test_session_isolation():

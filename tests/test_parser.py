@@ -1,9 +1,12 @@
 import itertools
+import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypersetdb import grammar as g
+from hypersetdb.library import PREDEFINED_DECLARATIONS
 from hypersetdb.parser import ParseError, ParseNode, bounding_node, parse, reprint
 
 
@@ -242,6 +245,7 @@ def test_btflvn_sublists_cover_binder_terms():
 
 @settings(max_examples=40, deadline=None)
 @given(st.text(alphabet="abcxyz{}()=:,;'\" ", min_size=0, max_size=30))
+@example("(" * 2000 + "{}" + ")" * 2000)
 def test_parser_never_crashes_on_noise(noise):
     try:
         parse("set query " + noise + ";")
@@ -260,3 +264,217 @@ def test_fork_table_uniqueness_per_entry():
         by_shape.setdefault(fork.shape, set()).add(fork.root)
     for shape, roots in by_shape.items():
         assert len(roots) == 1, (shape, roots)
+
+
+# ---------------------------------------------------------------------------
+# The indexed fork table against the linear scan
+# ---------------------------------------------------------------------------
+
+def _variadic_reference(children):
+    """The Kleene-repetition roots by their definition: members and
+    separators alternate, with at least the rule's fewest members."""
+    n = len(children)
+
+    def alternating(member_ok, separators, minimum):
+        if n < 2 * minimum - 1 or n % 2 == 0:
+            return False
+        return (all(member_ok(children[i]) for i in range(0, n, 2))
+                and all(children[i] in separators for i in range(1, n, 2)))
+
+    rules = [
+        (g.DECLARATIONS, lambda c: c in g.DECLARATION_CATEGORIES, (",",), 1),
+        (g.VARIABLES, lambda c: c == g.VARIABLE, (",",), 1),
+        (g.PARAMETERS, lambda c: c in g.TERM_CATEGORIES | g.LABEL_CATEGORIES, (",",), 1),
+        (g.LABELLED_TERMS, lambda c: c == g.LABELLED_TERM, (",",), 1),
+        (g.MULTIPLE_UNION, lambda c: c in g.TERM_CATEGORIES, ("U", "union"), 2),
+        (g.CONJUNCTION, lambda c: c in g.FORMULA_CATEGORIES, ("and",), 2),
+        (g.DISJUNCTION, lambda c: c in g.FORMULA_CATEGORIES, ("or",), 2),
+        (g.QUASI_IMPLICATION, lambda c: c in g.FORMULA_CATEGORIES, g.QUASI_CONNECTIVES, 2),
+    ]
+    return [root for root, member_ok, separators, minimum in rules
+            if alternating(member_ok, separators, minimum)]
+
+
+def _leaf_reference(children):
+    """Roots recognised by the shape of a single leaf."""
+    if len(children) != 1:
+        return []
+    leaf = children[0]
+    if g.SETNAME_RE.fullmatch(leaf):
+        return [g.SET_NAME]
+    if g.ATOM_RE.fullmatch(leaf):
+        return [g.ATOMIC_VALUE]
+    match = g.LABEL_VALUE_RE.fullmatch(leaf)
+    if match:
+        return [g.WILDCARD_LABEL if match.group(1) or match.group(3) else g.LABEL_VALUE]
+    if g.is_identifier_leaf(leaf):
+        return [f.root for f in g.IDENTIFIER_FORKS]
+    return []
+
+
+def _candidates_reference(children):
+    return ([f.root for f in g.FIXED_FORKS if f.matches(children)]
+            + _variadic_reference(children) + _leaf_reference(children))
+
+
+def _expanded_fork_shapes():
+    """Every fixed fork with one slot at a time varied over its class, as
+    test_fork_uniqueness_assertion expands them."""
+    for fork in g.FIXED_FORKS:
+        slot_choices = [_sample_categories(slot) for slot in fork.shape]
+        base = tuple(choices[0] for choices in slot_choices)
+        yield base
+        for index, choices in enumerate(slot_choices):
+            for choice in choices:
+                yield base[:index] + (choice,) + base[index + 1:]
+
+
+# every query parsed in this file
+PARSER_TEST_QUERIES = [
+    "boolean query let label constant l='Robert' in l='Rob*' endlet;",
+    "set query collect { pub-type:pub where pub-type:pub in BibDB "
+    "and exists 'refers-to':ref in pub . ref=b2 };",
+    "set query http://www.liv.ac.uk/~u/f.xml#b2;",
+    "boolean query (forall l:x in a . l='b' and x=a);",
+    "boolean query (true => false <=> true);",
+    "set query tc x;", "set query TC x;", "set query transitiveclosure x;",
+    "set query {};",
+    "set query { 'a':{}, 'b':{'c':{}} };",
+    "set query let set constant c = {} in (c U c U {}) endlet;",
+    "boolean query let set constant c = {} in "
+    "(exists l:x in c . ('k':x in c and not x=c)) endlet;",
+    "set query let set query f (set x,label m) be "
+    "separate { l:y in x where l=m } in call f({}, 'q') endlet;",
+    "set query if true then {} else tc {} fi;",
+    "set query recursion p { l:x in {} where 'a':x in p };",
+    "set query decorate ({}, {});",
+    "library list verbose;",
+    "library add set constant c = {};",
+    "exit;",
+    "set query let set constant g be { 'null':call Pair(\"a\",\"b\") } in "
+    "call Can(call HorizontalTC(g)) endlet;",
+    "set query let set constant c = {} in "
+    "separate { l:x in c where x=c } endlet;",
+]
+
+
+def _random_label_sequences(rng, count):
+    categories = sorted({value for name, value in vars(g).items()
+                         if name.isupper() and isinstance(value, str)
+                         and value.startswith("<") and value.endswith(">")})
+    terminals = sorted({slot for fork in g.FIXED_FORKS for slot in fork.shape
+                        if slot not in g._CLASS_MEMBERS and slot not in categories}
+                       | set(g.QUASI_CONNECTIVES) | {"U", "union", "and", "or", ","})
+    labels = categories + terminals
+    separators = [",", "U", "union", "and", "or"] + list(g.QUASI_CONNECTIVES)
+    for _ in range(count):
+        n = rng.randint(0, 9)
+        if rng.random() < 0.5:
+            yield tuple(rng.choice(labels) for _ in range(n))
+        else:  # alternating members and separators, as the variadic rules read
+            members = rng.choice([categories, sorted(g.FORMULA_CATEGORIES),
+                                  sorted(g.TERM_CATEGORIES)])
+            separator = rng.choice(separators)
+            yield tuple(rng.choice(members) if i % 2 == 0 else
+                        (separator if rng.random() < 0.9 else rng.choice(separators))
+                        for i in range(2 * n + 1))
+
+
+def test_fork_index_equals_the_linear_scan():
+    sequences = list(_expanded_fork_shapes())
+    for source in PARSER_TEST_QUERIES:
+        sequences.extend(node.child_labels() for node in parse(source).preorder)
+    sequences.extend(_random_label_sequences(random.Random(13), 20000))
+    matched = variadic = 0
+    for children in sequences:
+        expected = _candidates_reference(children)
+        assert g.fork_candidates(children) == expected, children
+        matched += bool(expected)
+        variadic += bool(_variadic_reference(children))
+    # the sample reaches the fixed forks and the repetition rules
+    assert matched > len(sequences) // 8 and variadic > len(sequences) // 20
+
+
+# ---------------------------------------------------------------------------
+# The one-pass bookkeeping against its walk-based definition
+# ---------------------------------------------------------------------------
+
+def _reference_walk(node):
+    yield node
+    for child in node.children:
+        yield from _reference_walk(child)
+
+
+def _reference_postorder(node):
+    for child in node.children:
+        yield from _reference_postorder(child)
+    yield node
+
+
+def _reference_identifier_uses(tree):
+    declared = set()
+    for node in _reference_walk(tree):
+        if node.label in g.DECLARATION_CATEGORIES:
+            declared.add(id(node.children[2]))
+        elif node.label == g.VARIABLE:
+            declared.add(id(node.children[1]))
+        elif node.label == g.VARIABLE_PAIR:
+            for child in node.children:
+                if child.label in g.IDENTIFIER_CATEGORIES:
+                    declared.add(id(child))
+        elif node.label == g.RECURSION:
+            declared.add(id(node.children[1]))
+    return [node for node in _reference_walk(tree)
+            if node.label in g.IDENTIFIER_CATEGORIES and id(node) not in declared]
+
+
+def _reference_btflvn_sublists(tree, uses):
+    sublists = {}
+    for node in _reference_walk(tree):
+        btflvn = bounding_node(node)
+        if btflvn is not None:
+            inside = set(id(n) for n in _reference_walk(btflvn))
+            sublists[id(node)] = (btflvn, [u for u in uses if id(u) in inside])
+    return sublists
+
+
+def _bib_session_commands(directory, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench import inputs
+    rng = random.Random(101)
+    return [command.text for command in inputs.bib_commands(inputs.bibdb(rng, directory), rng)]
+
+
+def _same_nodes(left, right):
+    return len(left) == len(right) and all(a is b for a, b in zip(left, right))
+
+
+def test_one_pass_bookkeeping_equals_the_walks(tmp_path, monkeypatch):
+    deep_parens = ("set query let set constant c = {} in " + "(c U " * 300 + "c"
+                   + ")" * 300 + " endlet;")
+    # each binder's bounding term is the previous binder's variable
+    deep_binders = ("boolean query let set constant x0 = {} in "
+                    + "".join("exists l:x%d in x%d . " % (i + 1, i) for i in range(300))
+                    + "true endlet;")
+    sources = (["library add " + ",\n".join(PREDEFINED_DECLARATIONS) + ";",
+                deep_parens, deep_binders]
+               + _bib_session_commands(tmp_path, monkeypatch) + PARSER_TEST_QUERIES)
+    for source in sources:
+        result = parse(source)
+        tree = result.tree
+        assert tree.parent is None
+        for node in _reference_walk(tree):
+            assert all(child.parent is node for child in node.children)
+        assert _same_nodes(result.preorder, list(_reference_walk(tree)))
+        assert _same_nodes(result.postorder, list(_reference_postorder(tree)))
+        assert _same_nodes(list(tree.walk()), result.preorder)
+        uses = _reference_identifier_uses(tree)
+        assert _same_nodes(result.identifier_nodes, uses)
+        expected = _reference_btflvn_sublists(tree, uses)
+        assert list(result.btflvn_sublists) == list(expected)
+        for key, (btflvn, inside) in expected.items():
+            got_btflvn, got_inside = result.btflvn_sublists[key]
+            assert got_btflvn is btflvn
+            assert _same_nodes(got_inside, inside)
+    # each quantifier and its head, and the declaration of x0
+    assert len(parse(deep_binders).btflvn_sublists) == 601
