@@ -1,5 +1,7 @@
 """Query evaluation by reduction: extend the store with fresh equations and
 simplify until the result is a flat bracket expression or a truth value.
+An analyzed query or declaration is compiled once into nested closures,
+which the evaluator then runs.
 
 Equality compares interned class ids where both names have one and
 otherwise delegates to the bisimulation module; separation, collection,
@@ -10,8 +12,10 @@ the output renderer folds generated names back into readable nested form.
 from __future__ import annotations
 
 import functools
+import operator
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import grammar as g
 from .analysis import Library, analyze
@@ -27,14 +31,23 @@ class EvaluationError(WdbError):
     pass
 
 
-# environment bindings: ("set", SetName) | ("label", str) | query closures
+# A compiled node: run(evaluator, env) -> SetName | bool | str.  An
+# environment maps a name to its value: a SetName, a label (str) or a Closure.
+Env = Dict[str, object]
+Run = Callable[["Evaluator", Env], object]
+Declarations = Callable[["Evaluator", Env], Env]
+
+
 @dataclass
 class Closure:
-    result: str                       # "set" | "boolean"
-    parameters: List[Tuple[str, str]]  # (kind, name)
-    body: ParseNode
-    env: Dict[str, object]
-    # call memo: argument key -> result; see Evaluator.eval_call
+    """A declared query bound in an environment: its parameter names, its
+    compiled body and the environment it captured.  `memo` maps an argument
+    key to a result (see `_call`); closures, and so memos, belong to one
+    evaluator, since the class ids in the keys do."""
+
+    parameters: Tuple[str, ...]
+    body: Run
+    env: Env
     memo: Dict[tuple, object] = field(default_factory=dict, compare=False,
                                       repr=False)
 
@@ -50,26 +63,39 @@ class QueryResult:
 
 
 @functools.lru_cache(maxsize=None)
-def predefined_library() -> Library:
-    """The predefined library, compiled once per process the way a user's
-    `library add` of its declarations is.  Every evaluator shares it; it is
-    never mutated, since `Library.extended` returns a new library."""
+def _predefined() -> Tuple[Library, Declarations]:
     tree = analyze(parse(
         "library add " + ",\n".join(PREDEFINED_DECLARATIONS) + ";"))
-    return Library().extended(tree.children[1], PREDEFINED_DECLARATIONS)
+    library = Library().extended(tree.children[1], PREDEFINED_DECLARATIONS)
+    return library, compile_declarations(library.declarations)
+
+
+def predefined_library() -> Library:
+    """The predefined library, analyzed and compiled once per process the
+    way a user's `library add` of its declarations is.  Every evaluator
+    shares it and its compiled declarations; it is never mutated, since
+    `Library.extended` returns a new library."""
+    return _predefined()[0]
 
 
 class Evaluator:
-    """Evaluates typed parse trees over a session store.
+    """Runs compiled queries over a session store.
 
     One evaluator serves a whole query session: generated equations, atom
     registry and resolved bisimulation facts persist between queries.  It
-    starts from the shared predefined library, whose declarations it
-    evaluates into its own environment.  `decorate` groups the graph itself
-    and calls no library query, so no `library add` changes it.
+    starts from the shared predefined library, whose compiled declarations
+    it runs into its own environment, so its query closures and their call
+    memos are its own.  `decorate` groups the graph itself and calls no
+    library query, so no `library add` changes it.
 
     `in_formula` is true while a formula is evaluated; only then may a set
-    query call return a memoized result (see `eval_call`).
+    query call return a memoized result (see `_call`).  `call_depth` counts
+    the query bodies in progress, each weighted by the terms and formulas
+    around the call that entered it.  A call that would take it past
+    `max_call_depth`, a third of the interpreter's recursion limit, is
+    refused before it starts: that leaves the innermost body and the
+    equality kernel below it room on the stack, so no bisimulation or store
+    update is cut off half-way.
     """
 
     def __init__(self, store: SessionStore, facts: Optional[FactStore] = None,
@@ -81,18 +107,21 @@ class Evaluator:
         self.atoms: Dict[str, SetName] = {}
         self.empty_name: Optional[SetName] = None
         self.in_formula = False
-        self.library = predefined_library()
-        self.library_env = self.eval_declarations(self.library.declarations, {})
+        self.call_depth = 0
+        self.max_call_depth = sys.getrecursionlimit() // 3
+        self.library, declarations = _predefined()
+        self.library_env = declarations(self, {})
 
     # -- plumbing ------------------------------------------------------------
 
     def add_library(self, command: ParseNode, sources: Sequence[str]) -> None:
-        """Compile an analyzed `library add` command: evaluate only its
-        declarations, in the environment of the library in use, which they
-        then extend.  Raises WdbError before the library in use changes."""
+        """Add the declarations of an analyzed `library add` command:
+        compile and run only them, in the environment of the library in
+        use, which they then extend.  Raises WdbError before the library in
+        use changes."""
         library = self.library.extended(command, sources)
         added = library.declarations[len(self.library.declarations):]
-        env = self.eval_declarations(added, self.library_env)
+        env = compile_declarations(added)(self, self.library_env)
         self.library, self.library_env = library, env
 
     def equal(self, x: SetName, y: SetName) -> bool:
@@ -128,224 +157,36 @@ class Evaluator:
     # -- evaluation of a whole query ------------------------------------------
 
     def eval_query(self, top_level: ParseNode) -> QueryResult:
+        """Compile an analyzed query command and run it in the library's
+        environment."""
         query = top_level.children[0]
         if query.label != g.QUERY:
             raise EvaluationError("not a query command")
         body = query.children[2]
         if query.children[0].label == "boolean":
-            return QueryResult(boolean=self.eval_condition(body, self.library_env))
-        root = self.eval_term(body, self.library_env)
+            return QueryResult(boolean=_condition(body)(self, self.library_env))
+        root = _term(body)(self, self.library_env)
         self.store.lookup(root)  # the result equation must be present
         return QueryResult(root=root)
 
-    # -- terms -----------------------------------------------------------------
-
-    def eval_term(self, node: ParseNode, env: Dict[str, object]) -> SetName:
-        label = node.label
-        if label in (g.SET_VARIABLE, g.SET_CONSTANT):
-            kind, value = self._binding(env, node, ("set",))
-            return value
-        if label == g.SET_NAME:
-            text = node.children[0].label
-            url, _, simple = text.rpartition("#")
-            return SetName(url, simple)
-        if label == g.ATOMIC_VALUE:
-            return self.atom(node.children[0].label.strip('"'))
-        if label == g.ENUMERATE:
-            elements: FlatExpr = []
-            if node.children[1].label == g.LABELLED_TERMS:
-                for lt in node.children[1].children:
-                    if lt.label == g.LABELLED_TERM:
-                        elements.append(self._eval_labelled_term(lt, env))
-            return self.define_fresh(elements)
-        if label == g.UNION:
-            target = self.eval_term(node.children[1], env)
-            combined: FlatExpr = []
-            for _, member in self.elements(target):
-                combined.extend(self.elements(member))
-            return self.define_fresh(combined)
-        if label == g.PAREN_TERM:
-            inner = node.children[1]
-            if inner.label == g.MULTIPLE_UNION:
-                combined = []
-                for child in inner.children:
-                    if child.label not in ("U", "union"):
-                        combined.extend(self.elements(self.eval_term(child, env)))
-                return self.define_fresh(combined)
-            return self.eval_term(inner, env)
-        if label == g.COLLECT:
-            return self.eval_collect(node, env)
-        if label == g.SEPARATE:
-            return self.eval_separate(node, env)
-        if label == g.TRANSITIVE_CLOSURE:
-            return self.eval_tc(self.eval_term(node.children[1], env))
-        if label == g.RECURSION:
-            return self.eval_recursion(node, env)
-        if label == g.DECORATION:
-            graph = self.eval_term(node.children[2], env)
-            vertex = self.eval_term(node.children[4], env)
-            return self.eval_decorate(graph, vertex)
-        if label == g.IF_ELSE_TERM:
-            branch = node.children[3] if self.eval_condition(node.children[1], env) \
-                else node.children[5]
-            return self.eval_term(branch, env)
-        if label == g.SET_QUERY_CALL:
-            return self.eval_call(node, env)
-        if label == g.TERM_WITH_DECLS:
-            inner_env = self.eval_declarations(node.children[1].children, env)
-            return self.eval_term(node.children[3], inner_env)
-        raise EvaluationError("cannot evaluate %s as a term" % label)
-
-    def _binding(self, env: Dict[str, object], node: ParseNode,
-                 kinds: Tuple[str, ...]):
-        name = node.identifier_text()
-        try:
-            binding = env[name]
-        except KeyError:
-            raise EvaluationError("unbound identifier %s" % name)
-        if isinstance(binding, Closure) or binding[0] not in kinds:
-            raise EvaluationError("identifier %s has the wrong kind" % name)
-        return binding
-
-    def _eval_labelled_term(self, node: ParseNode, env: Dict[str, object]) -> Element:
-        label = self.eval_label(node.children[0], env)
-        member = self.eval_term(node.children[2], env)
-        return Element(label, member)
-
-    def eval_declarations(self, declarations: Sequence[ParseNode],
-                          env: Dict[str, object]) -> Dict[str, object]:
-        current = dict(env)
-        for decl in declarations:
-            if decl.label == g.SET_CONSTANT_DECL:
-                name = decl.children[2].identifier_text()
-                current[name] = ("set", self.eval_term(decl.children[-1], current))
-            elif decl.label == g.LABEL_CONSTANT_DECL:
-                name = decl.children[2].identifier_text()
-                value = decl.children[-1].children[0].label.strip("'")
-                current[name] = ("label", value)
-            elif decl.label in (g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL):
-                name = decl.children[2].identifier_text()
-                params: List[Tuple[str, str]] = []
-                for variable in decl.children[4].children:
-                    if variable.label == g.VARIABLE:
-                        params.append((variable.children[0].label,
-                                       variable.children[1].identifier_text()))
-                result = "set" if decl.label == g.SET_QUERY_DECL else "boolean"
-                current[name] = Closure(result, params, decl.children[-1],
-                                        dict(current))
-        return current
-
-    def eval_call(self, node: ParseNode, env: Dict[str, object]):
-        """Call a declared query; inside a formula, memoized on what its
-        arguments denote.
-
-        The language is extensional and equations are write-once, so a
-        call's value depends only on the classes of its set arguments and
-        the text of its label arguments.  The key holds a set argument's
-        class id, or the name itself when it has none.  Boolean calls occur
-        only in formulas, so they are always memoized.  Outside formulas a
-        set call is evaluated afresh: a result name reused in a query's
-        answer would change the printed output.  A call that raises stores
-        nothing."""
-        name = node.children[1].identifier_text()
-        closure = env.get(name)
-        if not isinstance(closure, Closure):
-            raise EvaluationError("%s is not a declared query" % name)
-        params = [c for c in node.children[3].children if c.label != ","]
-        memoized = self.in_formula
-        call_env = dict(closure.env)
-        key = []
-        for (kind, pname), arg in zip(closure.parameters, params):
-            if kind == "set":
-                value = self.eval_term(arg, env)
-                if memoized:
-                    cid = self.class_ids.of(value)
-                    key.append(value if cid is None else cid)
-            else:
-                value = self.eval_label(arg, env)
-                key.append(value)
-            call_env[pname] = (kind, value)
-        evaluate = self.eval_term if closure.result == "set" else self.eval_formula
-        if not memoized:
-            return evaluate(closure.body, call_env)
-        memo_key = tuple(key)
-        if memo_key in closure.memo:
-            return closure.memo[memo_key]
-        result = evaluate(closure.body, call_env)
-        closure.memo[memo_key] = result
-        return result
-
-    def eval_condition(self, node: ParseNode, env: Dict[str, object]) -> bool:
-        """Evaluate a formula met in a term or as a boolean query, marking
-        the evaluation as inside a formula until it returns or raises."""
-        if self.in_formula:
-            return self.eval_formula(node, env)
-        self.in_formula = True
-        try:
-            return self.eval_formula(node, env)
-        finally:
-            self.in_formula = False
-
     # -- iteration constructs ---------------------------------------------------
 
-    def _pair_binder(self, pair: ParseNode):
-        """(literal label or None, label variable or None, set variable)."""
-        label_part, _, set_part = pair.children
-        if label_part.label == g.LABEL_VALUE:
-            return label_part.children[0].label.strip("'"), None, \
-                set_part.identifier_text()
-        return None, label_part.identifier_text(), set_part.identifier_text()
-
-    def _iterate(self, pair: ParseNode, elements: FlatExpr, env: Dict[str, object]):
-        """Bind the variable pair against each matching element."""
-        literal, label_var, set_var = self._pair_binder(pair)
-        for element in elements:
-            if literal is not None and element.label != literal:
-                continue
-            bound = dict(env)
-            if label_var is not None:
-                bound[label_var] = ("label", element.label)
-            bound[set_var] = ("set", element.member)
-            yield element, bound
-
-    def eval_separate(self, node: ParseNode, env: Dict[str, object]) -> SetName:
-        target = self.eval_term(node.children[4], env)
-        condition = node.children[6]
-        kept = [element
-                for element, bound in self._iterate(node.children[2],
-                                                    list(self.elements(target)), env)
-                if self.eval_condition(condition, bound)]
-        return self.define_fresh(kept)
-
-    def eval_collect(self, node: ParseNode, env: Dict[str, object]) -> SetName:
-        template = node.children[2]
-        target = self.eval_term(node.children[6], env)
-        condition = node.children[8] if node.children[7].label == "and" else None
-        out: FlatExpr = []
-        for _, bound in self._iterate(node.children[4],
-                                      list(self.elements(target)), env):
-            if condition is None or self.eval_condition(condition, bound):
-                out.append(self._eval_labelled_term(template, bound))
-        return self.define_fresh(out)
-
-    def eval_recursion(self, node: ParseNode, env: Dict[str, object]) -> SetName:
-        rec_var = node.children[1].identifier_text()
-        pair = node.children[3]
-        target = self.eval_term(node.children[5], env)
-        condition = node.children[7]
-        pool = list(self.elements(target))
-
+    def eval_recursion(self, rec_var: str, pool: FlatExpr, env: Env,
+                       matches, condition: Run) -> SetName:
+        """The least fixpoint of a recursion: each stage binds rec_var to the
+        elements kept so far and keeps every pool element whose condition
+        then holds, until a stage keeps nothing new."""
         current: List[Element] = []
         current_set: Set[Element] = set()
         while True:
             stage_name = self.define_fresh(list(current), hint=rec_var)
             stage_env = dict(env)
-            stage_env[rec_var] = ("set", stage_name)
+            stage_env[rec_var] = stage_name
             added = False
-            for element, bound in self._iterate(pair, pool, stage_env):
+            for element, bound in matches(pool, stage_env):
                 if element in current_set:
                     continue
-                if self.eval_condition(condition, bound):
+                if condition(self, bound):
                     current.append(element)
                     current_set.add(element)
                     added = True
@@ -365,8 +206,6 @@ class Evaluator:
             index += 1
         return self.define_fresh(items)
 
-    # -- membership, labels and formulas ------------------------------------------
-
     def eval_membership(self, label: str, member: SetName, target: SetName) -> bool:
         ids = self.class_ids
         target_id = ids.of(target)
@@ -378,120 +217,6 @@ class Evaluator:
                 return False
         return any(el.label == label and self.equal(el.member, member)
                    for el in self.elements(target))
-
-    def eval_label(self, node: ParseNode, env: Dict[str, object]) -> str:
-        if node.label == g.LABEL_VALUE:
-            return node.children[0].label.strip("'")
-        if node.label in (g.LABEL_VARIABLE, g.LABEL_CONSTANT):
-            _, value = self._binding(env, node, ("label",))
-            return value
-        raise EvaluationError("cannot evaluate %s as a label" % node.label)
-
-    def _wildcard_parts(self, node: ParseNode, env: Dict[str, object]) -> Tuple[bool, str, bool]:
-        if len(node.children) == 1:
-            text = node.children[0].label.strip("'")
-            prefix = text.startswith("*")
-            suffix = text.endswith("*") and len(text) > 1
-            return prefix, text.strip("*"), suffix
-        prefix = node.children[0].label == "*"
-        suffix = node.children[-1].label == "*"
-        name_node = node.children[1] if prefix else node.children[0]
-        return prefix, self.eval_label(name_node, env), suffix
-
-    def match_wildcard(self, value: str, prefix_star: bool, core: str,
-                       suffix_star: bool) -> bool:
-        if prefix_star and suffix_star:
-            return core in value
-        if suffix_star:
-            return value.startswith(core)
-        if prefix_star:
-            return value.endswith(core)
-        return value == core
-
-    def eval_label_relation(self, node: ParseNode, env: Dict[str, object]) -> bool:
-        lhs, op_node, rhs = node.children
-        op = op_node.label
-        if node.label == g.LABEL_EQUALITY:
-            if lhs.label == g.WILDCARD_LABEL or rhs.label == g.WILDCARD_LABEL:
-                wildcard, other = (lhs, rhs) if lhs.label == g.WILDCARD_LABEL \
-                    else (rhs, lhs)
-                value = self.eval_label(other, env)
-                return self.match_wildcard(value, *self._wildcard_parts(wildcard, env))
-            return self.eval_label(lhs, env) == self.eval_label(rhs, env)
-        left, right = self.eval_label(lhs, env), self.eval_label(rhs, env)
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        return left >= right
-
-    def eval_formula(self, node: ParseNode, env: Dict[str, object]) -> bool:
-        label = node.label
-        if label == g.BOOLEAN_LITERAL:
-            return node.children[0].label == "true"
-        if label == g.NEGATED:
-            return not self.eval_formula(node.children[1], env)
-        if label in (g.LABEL_EQUALITY, g.LABEL_RELATIONSHIP):
-            return self.eval_label_relation(node, env)
-        if label == g.SET_EQUALITY:
-            lhs = self.eval_term(node.children[0], env)
-            rhs = self.eval_term(node.children[2], env)
-            return self.equal(lhs, rhs)
-        if label == g.MEMBERSHIP:
-            lt = node.children[0]
-            element_label = self.eval_label(lt.children[0], env)
-            member = self.eval_term(lt.children[2], env)
-            target = self.eval_term(node.children[2], env)
-            return self.eval_membership(element_label, member, target)
-        if label == g.BOOLEAN_QUERY_CALL:
-            return self.eval_call(node, env)
-        if label == g.PAREN_FORMULA:
-            return self._eval_formula_group(node.children[1], env)
-        if label == g.QUANTIFIED:
-            return self._eval_quantified(node, env)
-        if label == g.IF_ELSE_FORMULA:
-            branch = node.children[3] if self.eval_formula(node.children[1], env) \
-                else node.children[5]
-            return self.eval_formula(branch, env)
-        if label == g.FORMULA_WITH_DECLS:
-            inner_env = self.eval_declarations(node.children[1].children, env)
-            return self.eval_formula(node.children[3], inner_env)
-        raise EvaluationError("cannot evaluate %s as a formula" % label)
-
-    def _eval_formula_group(self, inner: ParseNode, env: Dict[str, object]) -> bool:
-        if inner.label == g.CONJUNCTION:
-            return all(self.eval_formula(child, env)
-                       for child in inner.children if child.label != "and")
-        if inner.label == g.DISJUNCTION:
-            return any(self.eval_formula(child, env)
-                       for child in inner.children if child.label != "or")
-        if inner.label == g.QUASI_IMPLICATION:
-            value = self.eval_formula(inner.children[0], env)
-            index = 1
-            while index < len(inner.children):
-                op = inner.children[index].label
-                operand = inner.children[index + 1]
-                if op in ("=>", "implies"):
-                    value = (not value) or self.eval_formula(operand, env)
-                elif op == "<=":
-                    value = value or (not self.eval_formula(operand, env))
-                else:  # iff / <=>
-                    value = value == self.eval_formula(operand, env)
-                index += 2
-            return value
-        return self.eval_formula(inner, env)
-
-    def _eval_quantified(self, node: ParseNode, env: Dict[str, object]) -> bool:
-        quantifier = node.children[0]
-        body = node.children[1]
-        target = self.eval_term(quantifier.children[3], env)
-        matches = self._iterate(quantifier.children[1],
-                                list(self.elements(target)), env)
-        if quantifier.label == g.FORALL:
-            return all(self.eval_formula(body, bound) for _, bound in matches)
-        return any(self.eval_formula(body, bound) for _, bound in matches)
 
     # -- decoration ---------------------------------------------------------------
 
@@ -561,6 +286,470 @@ class Evaluator:
 
 
 # ---------------------------------------------------------------------------
+# Compiling analyzed trees to closures
+# ---------------------------------------------------------------------------
+#
+# Each node is compiled once into a nested closure run(evaluator, env)
+# (Feeley & Lapalme, "Using closures for code generation", Computer
+# Languages 12(1), 1987).  Everything fixed once analysis is done is worked
+# out here: the node kind, literal labels, identifier names, variable pairs,
+# connective operands and the kind of each call argument.  A node runs its
+# sub-nodes in a fixed order, so generated names are allocated in a fixed
+# order too.
+
+_MISSING = object()
+
+
+def _term(node: ParseNode) -> Run:
+    make = _TERMS.get(node.label)
+    if make is None:
+        raise EvaluationError("cannot evaluate %s as a term" % node.label)
+    return make(node)
+
+
+def _formula(node: ParseNode) -> Run:
+    make = _FORMULAS.get(node.label)
+    if make is None:
+        raise EvaluationError("cannot evaluate %s as a formula" % node.label)
+    return make(node)
+
+
+def _label(node: ParseNode) -> Run:
+    if node.label == g.LABEL_VALUE:
+        text = node.children[0].label.strip("'")
+        return lambda ev, env: text
+    if node.label in (g.LABEL_VARIABLE, g.LABEL_CONSTANT):
+        return _identifier(node)
+    raise EvaluationError("cannot evaluate %s as a label" % node.label)
+
+
+def compile_declarations(declarations: Sequence[ParseNode]) -> Declarations:
+    """Compile a declaration list into a function from an environment to a
+    new one extended by the declarations in order.  A query closure
+    captures the environment before its own declaration."""
+    steps = []  # (name, run giving its value in the environment so far)
+    for decl in declarations:
+        if decl.label == g.SET_CONSTANT_DECL:
+            value = _term(decl.children[-1])
+        elif decl.label == g.LABEL_CONSTANT_DECL:
+            value = _label(decl.children[-1])
+        elif decl.label in (g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL):
+            value = _query(decl)
+        else:
+            continue
+        steps.append((decl.children[2].identifier_text(), value))
+
+    def run(ev: Evaluator, env: Env) -> Env:
+        current = dict(env)
+        for name, value in steps:
+            current[name] = value(ev, current)
+        return current
+    return run
+
+
+def _query(decl: ParseNode) -> Run:
+    parameters = tuple(variable.children[1].identifier_text()
+                       for variable in decl.children[4].children
+                       if variable.label == g.VARIABLE)
+    body = (_term if decl.label == g.SET_QUERY_DECL else _formula)(decl.children[-1])
+    return lambda ev, env: Closure(parameters, body, dict(env))
+
+
+def _condition(node: ParseNode) -> Run:
+    """A formula met in a term or as a boolean query: it marks the
+    evaluation as inside a formula until it returns or raises."""
+    formula = _formula(node)
+
+    def run(ev, env):
+        if ev.in_formula:
+            return formula(ev, env)
+        ev.in_formula = True
+        try:
+            return formula(ev, env)
+        finally:
+            ev.in_formula = False
+    return run
+
+
+def _call(node: ParseNode) -> Run:
+    """Call a declared query; inside a formula, memoized on what its
+    arguments denote.
+
+    The language is extensional and equations are write-once, so a call's
+    value depends only on the classes of its set arguments and the text of
+    its label arguments.  The key holds a set argument's class id, or the
+    name itself when it has none.  Boolean calls occur only in formulas, so
+    they are always memoized.  Outside formulas a set call is evaluated
+    afresh: a result name reused in a query's answer would change the
+    printed output.  A call that raises stores nothing.
+
+    A call is refused on entry, before anything is evaluated, when its body
+    would take `call_depth` past `max_call_depth` (see `Evaluator`)."""
+    name = node.children[1].identifier_text()
+    arguments = []  # (is a set argument, run)
+    for arg in node.children[3].children:
+        if arg.label in g.TERM_CATEGORIES:
+            arguments.append((True, _term(arg)))
+        elif arg.label != ",":
+            arguments.append((False, _label(arg)))
+    weight = 1 + _nesting(node)
+
+    def run(ev, env):
+        if ev.call_depth + weight > ev.max_call_depth:
+            raise EvaluationError("query calls nested too deeply")
+        closure = env[name]
+        memoized = ev.in_formula
+        values = []
+        key = []
+        for is_set, argument in arguments:
+            value = argument(ev, env)
+            values.append(value)
+            if not is_set:
+                key.append(value)
+            elif memoized:
+                cid = ev.class_ids.of(value)
+                key.append(value if cid is None else cid)
+        if memoized:
+            key = tuple(key)
+            result = closure.memo.get(key, _MISSING)
+            if result is not _MISSING:
+                return result
+        call_env = dict(closure.env)
+        call_env.update(zip(closure.parameters, values))
+        ev.call_depth += weight
+        try:
+            result = closure.body(ev, call_env)
+        finally:
+            ev.call_depth -= weight
+        if memoized:
+            closure.memo[key] = result
+        return result
+    return run
+
+
+def _nesting(node: ParseNode) -> int:
+    """The terms and formulas that enclose a call inside the query or the
+    query body it lies in: about the interpreter frames between the body's
+    entry and the call."""
+    depth = 0
+    node = node.parent
+    while node is not None and node.label not in (g.QUERY, g.SET_QUERY_DECL,
+                                                  g.BOOLEAN_QUERY_DECL):
+        if node.label in g.TERM_CATEGORIES or node.label in g.FORMULA_CATEGORIES:
+            depth += 1
+        node = node.parent
+    return depth
+
+
+def _identifier(node: ParseNode) -> Run:
+    name = node.identifier_text()
+    return lambda ev, env: env[name]
+
+
+def _binder(pair: ParseNode):
+    """The variable pair l:x of an iteration, as a generator of the
+    (element, environment with l and x bound) of each element it matches."""
+    label_part, _, set_part = pair.children
+    set_var = set_part.identifier_text()
+    literal = label_var = None
+    if label_part.label == g.LABEL_VALUE:
+        literal = label_part.children[0].label.strip("'")
+    else:
+        label_var = label_part.identifier_text()
+
+    def matches(elements, env):
+        for element in elements:
+            if literal is not None and element.label != literal:
+                continue
+            bound = dict(env)
+            if label_var is not None:
+                bound[label_var] = element.label
+            bound[set_var] = element.member
+            yield element, bound
+    return matches
+
+
+# -- terms ---------------------------------------------------------------------
+
+def _set_name(node: ParseNode) -> Run:
+    url, _, simple = node.children[0].label.rpartition("#")
+    name = SetName(url, simple)
+    return lambda ev, env: name
+
+
+def _atomic_value(node: ParseNode) -> Run:
+    text = node.children[0].label.strip('"')
+    return lambda ev, env: ev.atom(text)
+
+
+def _enumerate(node: ParseNode) -> Run:
+    items = [(_label(lt.children[0]), _term(lt.children[2]))
+             for lt in node.children[1].children if lt.label == g.LABELLED_TERM]
+
+    def run(ev, env):
+        elements = []
+        for label, member in items:
+            elements.append(Element(label(ev, env), member(ev, env)))
+        return ev.define_fresh(elements)
+    return run
+
+
+def _union(node: ParseNode) -> Run:
+    target = _term(node.children[1])
+
+    def run(ev, env):
+        combined: FlatExpr = []
+        for _, member in ev.elements(target(ev, env)):
+            combined.extend(ev.elements(member))
+        return ev.define_fresh(combined)
+    return run
+
+
+def _paren_term(node: ParseNode) -> Run:
+    inner = node.children[1]
+    if inner.label != g.MULTIPLE_UNION:
+        return _term(inner)
+    parts = [_term(child) for child in inner.children
+             if child.label not in ("U", "union")]
+
+    def run(ev, env):
+        combined: FlatExpr = []
+        for part in parts:
+            combined.extend(ev.elements(part(ev, env)))
+        return ev.define_fresh(combined)
+    return run
+
+
+def _collect(node: ParseNode) -> Run:
+    template = node.children[2]
+    label, member = _label(template.children[0]), _term(template.children[2])
+    matches = _binder(node.children[4])
+    target = _term(node.children[6])
+    condition = _condition(node.children[8]) if node.children[7].label == "and" \
+        else None
+
+    def run(ev, env):
+        out: FlatExpr = []
+        for _, bound in matches(ev.elements(target(ev, env)), env):
+            if condition is None or condition(ev, bound):
+                out.append(Element(label(ev, bound), member(ev, bound)))
+        return ev.define_fresh(out)
+    return run
+
+
+def _separate(node: ParseNode) -> Run:
+    matches = _binder(node.children[2])
+    target = _term(node.children[4])
+    condition = _condition(node.children[6])
+
+    def run(ev, env):
+        kept = []
+        for element, bound in matches(ev.elements(target(ev, env)), env):
+            if condition(ev, bound):
+                kept.append(element)
+        return ev.define_fresh(kept)
+    return run
+
+
+def _recursion(node: ParseNode) -> Run:
+    rec_var = node.children[1].identifier_text()
+    matches = _binder(node.children[3])
+    target = _term(node.children[5])
+    condition = _condition(node.children[7])
+    return lambda ev, env: ev.eval_recursion(rec_var, ev.elements(target(ev, env)),
+                                             env, matches, condition)
+
+
+def _transitive_closure(node: ParseNode) -> Run:
+    target = _term(node.children[1])
+    return lambda ev, env: ev.eval_tc(target(ev, env))
+
+
+def _decoration(node: ParseNode) -> Run:
+    graph, vertex = _term(node.children[2]), _term(node.children[4])
+    return lambda ev, env: ev.eval_decorate(graph(ev, env), vertex(ev, env))
+
+
+def _if_else(branch_compiler, condition_compiler):
+    def make(node: ParseNode) -> Run:
+        condition = condition_compiler(node.children[1])
+        then = branch_compiler(node.children[3])
+        otherwise = branch_compiler(node.children[5])
+        return lambda ev, env: (then if condition(ev, env) else otherwise)(ev, env)
+    return make
+
+
+def _with_declarations(body_compiler):
+    def make(node: ParseNode) -> Run:
+        declarations = compile_declarations(node.children[1].children)
+        body = body_compiler(node.children[3])
+        return lambda ev, env: body(ev, declarations(ev, env))
+    return make
+
+
+# -- formulas ------------------------------------------------------------------
+
+def _boolean_literal(node: ParseNode) -> Run:
+    value = node.children[0].label == "true"
+    return lambda ev, env: value
+
+
+def _negated(node: ParseNode) -> Run:
+    inner = _formula(node.children[1])
+    return lambda ev, env: not inner(ev, env)
+
+
+def _set_equality(node: ParseNode) -> Run:
+    lhs, rhs = _term(node.children[0]), _term(node.children[2])
+    return lambda ev, env: ev.equal(lhs(ev, env), rhs(ev, env))
+
+
+def _membership(node: ParseNode) -> Run:
+    labelled = node.children[0]
+    label, member = _label(labelled.children[0]), _term(labelled.children[2])
+    target = _term(node.children[2])
+    return lambda ev, env: ev.eval_membership(label(ev, env), member(ev, env),
+                                              target(ev, env))
+
+
+_COMPARISONS = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
+                ">=": operator.ge}
+
+
+def _label_relation(node: ParseNode) -> Run:
+    lhs, op_node, rhs = node.children
+    if node.label == g.LABEL_RELATIONSHIP:
+        compare = _COMPARISONS[op_node.label]
+    elif g.WILDCARD_LABEL in (lhs.label, rhs.label):
+        wildcard, other = (lhs, rhs) if lhs.label == g.WILDCARD_LABEL else (rhs, lhs)
+        return _wildcard_match(wildcard, _label(other))
+    else:
+        compare = operator.eq
+    left, right = _label(lhs), _label(rhs)
+    return lambda ev, env: compare(left(ev, env), right(ev, env))
+
+
+def _wildcard_match(wildcard: ParseNode, value: Run) -> Run:
+    """A label against a pattern: a literal such as 'Rob*' or '*base*', or a
+    label name with stars, such as l* or *l*."""
+    if len(wildcard.children) == 1:
+        text = wildcard.children[0].label.strip("'")
+        prefix = text.startswith("*")
+        suffix = text.endswith("*") and len(text) > 1
+        core_text = text.strip("*")
+
+        def core(ev, env):
+            return core_text
+    else:
+        prefix = wildcard.children[0].label == "*"
+        suffix = wildcard.children[-1].label == "*"
+        core = _label(wildcard.children[1] if prefix else wildcard.children[0])
+    if prefix and suffix:
+        match = str.__contains__
+    elif suffix:
+        match = str.startswith
+    elif prefix:
+        match = str.endswith
+    else:
+        match = operator.eq
+    return lambda ev, env: match(value(ev, env), core(ev, env))
+
+
+def _paren_formula(node: ParseNode) -> Run:
+    inner = node.children[1]
+    if inner.label in (g.CONJUNCTION, g.DISJUNCTION):
+        # an operand with this value decides the group: false for a
+        # conjunction, true for a disjunction
+        decisive = inner.label == g.DISJUNCTION
+        operands = [_formula(child) for child in inner.children
+                    if child.label not in ("and", "or")]
+
+        def connective(ev, env):
+            for operand in operands:
+                if operand(ev, env) == decisive:
+                    return decisive
+            return not decisive
+        return connective
+    if inner.label == g.QUASI_IMPLICATION:
+        return _quasi_implication(inner)
+    return _formula(inner)
+
+
+def _quasi_implication(chain: ParseNode) -> Run:
+    """A left-associative chain of =>/implies, <= and <=>/iff; the first two
+    evaluate their right operand only when it decides the value."""
+    first = _formula(chain.children[0])
+    steps = [(op.label, _formula(operand))
+             for op, operand in zip(chain.children[1::2], chain.children[2::2])]
+
+    def run(ev, env):
+        value = first(ev, env)
+        for op, operand in steps:
+            if op in ("=>", "implies"):
+                value = (not value) or operand(ev, env)
+            elif op == "<=":
+                value = value or (not operand(ev, env))
+            else:  # iff / <=>
+                value = value == operand(ev, env)
+        return value
+    return run
+
+
+def _quantified(node: ParseNode) -> Run:
+    quantifier = node.children[0]
+    matches = _binder(quantifier.children[1])
+    target = _term(quantifier.children[3])
+    body = _formula(node.children[1])
+    if quantifier.label == g.FORALL:
+        def forall(ev, env):
+            for _, bound in matches(ev.elements(target(ev, env)), env):
+                if not body(ev, bound):
+                    return False
+            return True
+        return forall
+
+    def exists(ev, env):
+        for _, bound in matches(ev.elements(target(ev, env)), env):
+            if body(ev, bound):
+                return True
+        return False
+    return exists
+
+
+_TERMS: Dict[str, Callable[[ParseNode], Run]] = {
+    g.SET_VARIABLE: _identifier,
+    g.SET_CONSTANT: _identifier,
+    g.SET_NAME: _set_name,
+    g.ATOMIC_VALUE: _atomic_value,
+    g.ENUMERATE: _enumerate,
+    g.UNION: _union,
+    g.PAREN_TERM: _paren_term,
+    g.COLLECT: _collect,
+    g.SEPARATE: _separate,
+    g.TRANSITIVE_CLOSURE: _transitive_closure,
+    g.RECURSION: _recursion,
+    g.DECORATION: _decoration,
+    g.IF_ELSE_TERM: _if_else(_term, _condition),
+    g.SET_QUERY_CALL: _call,
+    g.TERM_WITH_DECLS: _with_declarations(_term),
+}
+
+_FORMULAS: Dict[str, Callable[[ParseNode], Run]] = {
+    g.BOOLEAN_LITERAL: _boolean_literal,
+    g.NEGATED: _negated,
+    g.LABEL_EQUALITY: _label_relation,
+    g.LABEL_RELATIONSHIP: _label_relation,
+    g.SET_EQUALITY: _set_equality,
+    g.MEMBERSHIP: _membership,
+    g.BOOLEAN_QUERY_CALL: _call,
+    g.PAREN_FORMULA: _paren_formula,
+    g.QUANTIFIED: _quantified,
+    g.IF_ELSE_FORMULA: _if_else(_formula, _formula),
+    g.FORMULA_WITH_DECLS: _with_declarations(_formula),
+}
+
+
+# ---------------------------------------------------------------------------
 # Output rendering
 # ---------------------------------------------------------------------------
 
@@ -600,6 +789,8 @@ def postprocess(result: QueryResult, store: SessionStore,
                and not is_empty(name) and ref_count.get(name, 0) == 1
                and name not in on_cycle}
 
+    inlined_text: Dict[SetName, str] = {}
+
     def render_ref(name: SetName) -> str:
         if name == root:
             return "Result"
@@ -609,16 +800,31 @@ def postprocess(result: QueryResult, store: SessionStore,
         if atom is not None:
             return '"%s"' % atom
         if name in inlined:
-            return render_bracket(system.equations[name])
+            return inlined_text[name]
         if name in generated:
             return name.simple
         return name.full
 
-    def render_bracket(elements: FlatExpr) -> str:
+    def bracket(elements: FlatExpr) -> str:
         if not elements:
             return "{}"
         parts = ["'%s':%s" % (el.label, render_ref(el.member)) for el in elements]
         return "{" + ", ".join(parts) + "}"
+
+    def render_bracket(elements: FlatExpr) -> str:
+        """The bracket of elements.  The inlined names below it, each
+        referenced once, are rendered first, innermost first, so that a
+        deeply nested result needs no deep recursion."""
+        stack = [el.member for el in elements if el.member in inlined]
+        while stack:
+            below = [el.member for el in system.equations[stack[-1]]
+                     if el.member in inlined and el.member not in inlined_text]
+            if below:
+                stack.extend(below)
+            else:
+                name = stack.pop()
+                inlined_text[name] = bracket(system.equations[name])
+        return bracket(elements)
 
     lines = ["Result = " + render_bracket(system.equations.get(root, []))]
     auxiliary = [n for n in sorted(generated, key=lambda n: n.simple)

@@ -93,6 +93,9 @@ class _Parser:
         self.pos = 0
         self.furthest = 0
         self.furthest_expected = "query"
+        # start of a parenthesised term that failed -> what its attempt
+        # found as the furthest error: (position, expected)
+        self.failed_parens: Dict[int, Tuple[int, str]] = {}
 
     # -- token helpers ------------------------------------------------------
 
@@ -102,12 +105,15 @@ class _Parser:
 
     def fail(self, expected: str) -> "ParseError":
         token = self.peek()
-        if token.position >= self.furthest:
-            self.furthest = token.position
-            self.furthest_expected = expected
+        self.note_furthest(token.position, expected)
         shown = token.text if token.kind != "EOF" else "end of input"
         return ParseError("expected %s but found %r" % (expected, shown),
                           token.position)
+
+    def note_furthest(self, position: int, expected: str) -> None:
+        if position >= self.furthest:
+            self.furthest = position
+            self.furthest_expected = expected
 
     def take(self) -> Token:
         token = self.tokens[self.pos]
@@ -325,18 +331,37 @@ class _Parser:
         return self.node(g.ENUMERATE, [lb, inner, rb])
 
     def parse_paren_term(self) -> ParseNode:
-        lp = self.expect("(")
-        first = self.parse_term()
-        if self.at_word("U", "union"):
-            children = [first]
-            while self.at_word("U", "union"):
-                children.append(self.leaf(self.take()))
-                children.append(self.parse_term())
-            inner: ParseNode = self.node(g.MULTIPLE_UNION, children)
-        else:
-            inner = first
-        rp = self.expect(")")
-        return self.node(g.PAREN_TERM, [lp, inner, rp])
+        """A parenthesised term.  A formula tries a term first at each of
+        its opening parentheses, so a nest that failed as a term at a start
+        fails there again without being re-parsed, and its attempt's effect
+        on the furthest error is replayed: a formula nested d deep in
+        parentheses costs about d term steps, not d squared."""
+        start = self.pos
+        if start in self.failed_parens:
+            self.note_furthest(*self.failed_parens[start])
+            raise ParseError("expected a term", self.peek().position)
+        outer = self.furthest, self.furthest_expected
+        self.furthest = -1
+        try:
+            lp = self.expect("(")
+            first = self.parse_term()
+            if self.at_word("U", "union"):
+                children = [first]
+                while self.at_word("U", "union"):
+                    children.append(self.leaf(self.take()))
+                    children.append(self.parse_term())
+                inner: ParseNode = self.node(g.MULTIPLE_UNION, children)
+            else:
+                inner = first
+            rp = self.expect(")")
+            return self.node(g.PAREN_TERM, [lp, inner, rp])
+        except ParseError:
+            self.failed_parens[start] = (self.furthest, self.furthest_expected)
+            raise
+        finally:
+            found = self.furthest, self.furthest_expected
+            self.furthest, self.furthest_expected = outer
+            self.note_furthest(*found)
 
     def parse_labelled_term(self) -> ParseNode:
         label = self.parse_label_operand()

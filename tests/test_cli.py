@@ -371,6 +371,54 @@ def test_session_isolation():
     assert (len(library.declarations), len(library.scope)) == sizes
 
 
+def test_sessions_share_the_compiled_library_but_not_its_memos():
+    # each session interns {} and then its pair-like set, so the two sets
+    # get the same class id in their sessions while they differ
+    pair = "boolean query call isPair({ 'fst':{}, 'snd':{} });"
+    not_pair = "boolean query call isPair({ 'fst':{}, 'x':{} });"
+    first, second = make_session(show_time=False), make_session(show_time=False)
+    assert first.run_command(pair) == WELL_TYPED + "\n\nResult = true"
+    assert second.run_command(not_pair) == WELL_TYPED + "\n\nResult = false"
+    closures = [s.evaluator.library_env["isPair"] for s in (first, second)]
+    assert closures[0].body is closures[1].body  # compiled once per process
+    assert list(closures[0].memo) == list(closures[1].memo) == [(1,)]
+    assert [list(c.memo.values()) for c in closures] == [[True], [False]]
+    # each memo keeps answering for its own session
+    assert first.run_command(pair) == WELL_TYPED + "\n\nResult = true"
+    assert second.run_command(not_pair) == WELL_TYPED + "\n\nResult = false"
+    assert second.run_command(pair) == WELL_TYPED + "\n\nResult = true"
+
+
+def test_deep_query_calls_are_refused_and_the_session_goes_on():
+    session = make_session(show_time=False)
+    chain = ["set query f0 (set x) be { 'a':x }"] + [
+        "set query f%d (set x) be call f%d({ 'a':x })" % (i, i - 1) for i in range(1, 350)]
+    assert LIBRARY_OK in session.run_command("library add " + ",\n".join(chain) + ";")
+    assert session.run_command("set query call f349({});") == \
+        "Query failed: query calls nested too deeply"
+    follow_up = "boolean query %s#b2 = %s#p3;" % (F1, F2)
+    assert session.run_command(follow_up) == \
+        make_session(show_time=False).run_command(follow_up)
+    # f325({}) is {} wrapped in 326 'a's, the innermost printed as an atom
+    assert session.run_command("set query call f325({});") == \
+        WELL_TYPED + "\n\nResult = " + "{'a':" * 325 + '"a"' + "}" * 325
+    stream_out = io.StringIO()
+    repl(session, io.StringIO("set query call f349({});\nset query {};\n"), stream_out)
+    assert stream_out.getvalue() == ("Query failed: query calls nested too deeply\n\n"
+                                     + WELL_TYPED + "\n\nResult = {}\n\n")
+    # a call deep inside its body counts for the frames around it: here a
+    # level takes four, and 250 levels would overflow the stack if each
+    # counted as one
+    wrapped = ["set query g0 (set x) be x"] + [
+        "set query g%d (set x) be { 'a':{ 'b':{ 'c':call g%d(x) } } }" % (i, i - 1)
+        for i in range(1, 251)]
+    assert LIBRARY_OK in session.run_command("library add " + ",\n".join(wrapped) + ";")
+    assert session.run_command("set query call g250({});") == \
+        "Query failed: query calls nested too deeply"
+    assert session.run_command("set query call g20({});").startswith(
+        WELL_TYPED + "\n\nResult = {'a':{'b':{'c':{'a':")
+
+
 def test_flags_parsing():
     config = build_flags(["--oracle", "127.0.0.1:9999", "--use-approximations",
                           "--no-network", "--script", "cmds.txt", "--no-time"])

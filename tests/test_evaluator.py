@@ -495,16 +495,15 @@ HAS_L0_TWIN = ("boolean query HasL0Twin (set x) be "
                "exists l:y in x . 'l0':y in x")
 
 
-def counting_bodies(monkeypatch, ev: Evaluator, method: str, body) -> list:
-    """Record each evaluation of body through ev's eval_term/eval_formula."""
+def counting_bodies(monkeypatch, closure) -> list:
+    """Record each run of a query closure's compiled body."""
     seen = []
-    original = getattr(ev, method)
+    body = closure.body
 
-    def counting(node, env):
-        if node is body:
-            seen.append(node)
-        return original(node, env)
-    monkeypatch.setattr(ev, method, counting)
+    def counting(ev, env):
+        seen.append(env)
+        return body(ev, env)
+    monkeypatch.setattr(closure, "body", counting)
     return seen
 
 
@@ -521,8 +520,8 @@ def test_calls_on_a_twin_hit_the_memo_and_agree_with_the_oracle(monkeypatch):
         declare(ev, NONEMPTY_MEMBERS, HAS_L0_TWIN)
         members = ev.library_env["NonEmptyMembers"]
         has_l0 = ev.library_env["HasL0Twin"]
-        set_bodies = counting_bodies(monkeypatch, ev, "eval_term", members.body)
-        bool_bodies = counting_bodies(monkeypatch, ev, "eval_formula", has_l0.body)
+        set_bodies = counting_bodies(monkeypatch, members)
+        bool_bodies = counting_bodies(monkeypatch, has_l0)
         root = next(iter(system.equations))
         pair = (root, mapping[root])
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypersetdb import grammar as g
+from hypersetdb import parser as parser_module
 from hypersetdb.library import PREDEFINED_DECLARATIONS
 from hypersetdb.parser import ParseError, ParseNode, bounding_node, parse, reprint
 
@@ -478,3 +479,117 @@ def test_one_pass_bookkeeping_equals_the_walks(tmp_path, monkeypatch):
             assert _same_nodes(got_inside, inside)
     # each quantifier and its head, and the declaration of x0
     assert len(parse(deep_binders).btflvn_sublists) == 601
+
+
+# ---------------------------------------------------------------------------
+# Backtracking over parenthesised terms
+# ---------------------------------------------------------------------------
+
+def _counting_term_entries(monkeypatch) -> list:
+    entries = []
+    original = parser_module._Parser.parse_term
+
+    def counting(self):
+        entries.append(self.pos)
+        return original(self)
+    monkeypatch.setattr(parser_module._Parser, "parse_term", counting)
+    return entries
+
+
+def test_parenthesised_formulas_take_linear_term_steps(monkeypatch):
+    # a formula tries a term first at every opening parenthesis; the nest
+    # must not be parsed as a term again at each level.  (400 deep exceeds
+    # the parser's nesting guard, so 50 and 200 stand for 100 and 400.)
+    entries = _counting_term_entries(monkeypatch)
+    counts = {}
+    for depth in (50, 200):
+        entries.clear()
+        tree = parse("boolean query " + "(" * depth + "true" + ")" * depth + ";").tree
+        assert reprint(tree).count("(") == depth
+        counts[depth] = len(entries)
+    assert counts[200] <= 4 * counts[50] + 10
+
+
+class _Forgetful(dict):
+    """A failed-term table that remembers nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_a_remembered_term_failure_acts_as_parsing_the_term_again():
+    # between two attempts at one start another production may fail as far
+    # with another expectation (first case), or the furthest error may lie
+    # beyond what the attempt reaches (second case)
+    source = "set query ( ( x U ;"
+    for before in ((0, "query"), (40, "beyond")):
+        states = []
+        for table in ({}, _Forgetful()):
+            p = parser_module._Parser(source)
+            p.failed_parens = table
+            p.furthest, p.furthest_expected = before
+            for attempt in range(2):
+                if attempt:
+                    p.furthest_expected = "another production"
+                p.pos = 2
+                with pytest.raises(ParseError):
+                    p.parse_paren_term()
+            states.append((p.furthest, p.furthest_expected))
+        assert states[0] == states[1]
+
+
+def test_remembered_term_failures_report_the_same_errors(monkeypatch):
+    """The parser with failed parenthesised terms remembered agrees with
+    one that parses them again, on the trees it builds and on the furthest
+    error it reports."""
+
+    def outcome(source):
+        try:
+            return reprint(parse(source).tree)
+        except ParseError as exc:
+            return str(exc)
+
+    remembered_init = parser_module._Parser.__init__
+
+    def forgetful_init(self, source):
+        remembered_init(self, source)
+        self.failed_parens = _Forgetful()
+
+    rng = random.Random(14)
+
+    def term(depth):
+        roll = rng.randrange(5 if depth else 2)
+        if roll < 2:
+            return ["{}", "x"][roll]
+        if roll == 2:
+            return "( %s )" % term(depth - 1)
+        if roll == 3:
+            return "( %s U %s )" % (term(depth - 1), term(depth - 1))
+        return "{ 'a':%s }" % term(depth - 1)
+
+    def formula(depth):
+        roll = rng.randrange(6 if depth else 2)
+        if roll == 0:
+            return "true"
+        if roll == 1:
+            return "%s = %s" % (term(depth), term(depth))
+        if roll == 2:
+            return "( %s )" % formula(depth - 1)
+        if roll == 3:
+            return "( %s %s %s )" % (formula(depth - 1), rng.choice(["and", "or", "=>"]),
+                                     formula(depth - 1))
+        if roll == 4:
+            return "'a':%s in %s" % (term(depth - 1), term(depth - 1))
+        return "not %s" % formula(depth - 1)
+
+    sources = []
+    for _ in range(1500):
+        words = ("boolean query %s ;" % formula(4)).split()
+        sources.append(" ".join(words))
+        del words[rng.randrange(2, len(words))]  # most lose well-formedness
+        sources.append(" ".join(words))
+    remembered = [outcome(source) for source in sources]
+    monkeypatch.setattr(parser_module._Parser, "__init__", forgetful_init)
+    assert [outcome(source) for source in sources] == remembered
+    assert sum(text.startswith("Error") for text in remembered) > 100
+    assert sum(not text.startswith("Error") for text in remembered) > 100
