@@ -66,9 +66,8 @@ def main() -> int:
                                  delay_ms=0, fetch_latency_ms=latency)
     without = run_experiment(self_contained, "no_engine",
                              fetch_latency_ms=latency)
-    print("  engine+approximations: %d document fetches, "
-          "%d productive derivation rounds"
-          % (with_approx.engine_fetches, with_approx.engine_productive_rounds))
+    print("  engine+approximations: %d document fetches"
+          % with_approx.engine_fetches)
     print("  no engine: %d pairs of names decided in %.0f ms"
           % (without.questions_resolved, without.wall_ms))
 

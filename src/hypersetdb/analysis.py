@@ -9,8 +9,9 @@ properly bounded (no variable may sneak into the very term that bounds it).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import grammar as g
 from .parser import ParseNode, ParseResult
@@ -166,10 +167,14 @@ class Library:
 
 
 def ids_search(tree: ParseNode, occurrence: ParseNode,
-               library: Optional[Library] = None) -> DeclTriple:
+               library: Optional[Library] = None,
+               declarations: Callable[[ParseNode], List[Tuple[ParseNode, str, DeclKind]]]
+               = binder_declarations) -> DeclTriple:
     """Walk ancestors of an identifier occurrence looking for the nearest
     declaration of its name; rightmost declaration of a binder wins.  A name
     the query does not declare is looked up in the compiled library.
+    `declarations` lists a binding site's declarations, as
+    `binder_declarations` does.
 
     Inside the body of a let/library declaration d_i only declarations to its
     left are visible, so a name occurring in its own defining body resolves to
@@ -185,7 +190,7 @@ def ids_search(tree: ParseNode, occurrence: ParseNode,
             break
         if current.label not in _BINDING_SITES:
             continue
-        decls = binder_declarations(current)
+        decls = declarations(current)
         if current.label in _DECLARATION_LISTS:
             if previous.label == g.DECLARATIONS:
                 # ascent came from inside some declaration d_i: restrict the
@@ -265,10 +270,12 @@ def analyze(result: ParseResult, library: Optional[Library] = None) -> ParseNode
     tree = result.tree
     errors: List[AnalysisItem] = []
 
-    # step 1: find a declaration for every identifier occurrence
+    # step 1: find a declaration for every identifier occurrence; each
+    # binding site's declarations are listed once, not once per use
+    declarations = functools.cache(binder_declarations)
     triples: Dict[int, DeclTriple] = {}
     for occurrence in result.identifier_nodes:
-        triple = ids_search(tree, occurrence, library)
+        triple = ids_search(tree, occurrence, library, declarations)
         triples[id(occurrence)] = triple
         if not triple.declared:
             name = occurrence.identifier_text()

@@ -2,13 +2,14 @@
 
 From one document alone two relations are computable: an upper approximation
 (its negative facts are globally valid) and a lower approximation (pairs it
-fails to separate are globally equal).  Both are computed by the kernel that
-decides query-time equality, `bisim.saturate`, run over the document's own
-equations on a fresh `FactStore`: names from other documents have no equation
-there, so the upper approximation leaves them unknown, and the lower one
-first takes them as distinct from every other name.  Combining both gives
-the simple approximation set: definite yes/no facts about global equality
-shipped next to the document as an XML file.
+fails to separate are globally equal).  The upper one is computed by the No
+prover that serves query-time equality, `bisim.saturate`, run over the
+document's own equations on a fresh `FactStore`: names from other documents
+have no equation there, so they stay unknown.  The lower one is computed by
+the refinement kernel, `bisim.stable_blocks`, over the document's names,
+which takes every name from another document as distinct from every other
+name.  Combining both gives the simple approximation set: definite yes/no
+facts about global equality shipped next to the document as an XML file.
 
 Approximation files and trivial-oracle files share one grouped facts format:
 
@@ -25,7 +26,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .bisim import FactStore, Status, pair_key, saturate
+from .bisim import FactStore, Status, pair_key, saturate, stable_blocks
 from .names import (Element, EquationSystem, NameError_, SetName, WdbError,
                     parse_full_name)
 from .store import Fetcher
@@ -73,38 +74,25 @@ class ApproxSet:
     simple: Dict[Pair, bool] = field(default_factory=dict)
 
 
-def _refuted(fragment: Fragment, a_priori: bool) -> Set[Pair]:
-    """Local pairs the derivation rules decide No from the fragment alone.
-
-    With a_priori, every pair of distinct mentioned names touching a
-    non-local name is taken as No before deriving."""
-    facts = FactStore()
-    local = set(fragment.local)
-    if a_priori:
-        mentioned = set(local)
-        for expr in fragment.equations.values():
-            mentioned.update(el.member for el in expr)
-        for u, v in itertools.combinations(mentioned, 2):
-            if u not in local or v not in local:
-                facts.resolve(u, v, False)
-    for x, y in itertools.combinations(fragment.local, 2):
-        facts.ask_question(x, y)
-    saturate(facts, fragment.equations)
-    return {key for key, status in facts.status.items()
-            if status is Status.NO and key[0] in local and key[1] in local}
-
-
 def upper_approx(fragment: Fragment) -> Set[Pair]:
     """Negative facts derivable with non-local names unknown: they hold
     globally."""
-    return _refuted(fragment, a_priori=False)
+    facts = FactStore()
+    for x, y in itertools.combinations(fragment.local, 2):
+        facts.ask_question(x, y)
+    saturate(facts, fragment.equations)
+    # a No needs both equations, so only pairs of local names are refuted
+    return {key for key, status in facts.status.items() if status is Status.NO}
 
 
 def lower_approx(fragment: Fragment) -> Set[Pair]:
-    """Negative facts derivable when any pair of distinct names touching a
-    non-local name is distinct a priori.  Pairs of local names not derived
-    here are globally equal."""
-    return _refuted(fragment, a_priori=True)
+    """Negative facts derivable when every non-local name is distinct from
+    every other name: the pairs of local names that refinement puts in
+    different blocks, each non-local member keyed by its own name.  Pairs of
+    local names not derived here are globally equal."""
+    blocks = stable_blocks(fragment.local, fragment.equations, outside=lambda m: m)
+    return {pair_key(x, y) for x, y in itertools.combinations(fragment.local, 2)
+            if blocks[x] != blocks[y]}
 
 
 def simple_approx(fragment: Fragment) -> ApproxSet:

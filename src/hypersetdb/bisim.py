@@ -2,19 +2,21 @@
 
 Two set names are equal when they are bisimilar: every labelled element of one
 has a label-matching bisimilar element in the other, both ways.  Equality is
-decided by two kernels.  `saturate` derives positive and negative facts over
-a `FactStore` with lazy document fetching; it serves query-time equality
-(`bisimilar`) and the per-file approximations (`approx.py`).  Its question
-space is demand-driven: a question asks the partner pairs its rules read,
-and nothing else, so a query examines only the pairs reachable from it
-(on-the-fly checking, Fernandez & Mounier, CAV 1991), and a question is
-re-examined only when something it depends on has changed, through a
-dependency index kept on the `FactStore` for the whole session.
-`stable_blocks` computes the coarsest stable partition of a finite graph by
-partition refinement; it serves the background engine, whose documents are
-loaded whole, and the merge at the end of a lazy `bisimilar` call.  A
-brute-force partition refinement over closed systems serves as the
-independent test oracle.
+decided by two kernels, one job each.  `saturate` is the No prover: it
+derives negative facts over a `FactStore` with lazy document fetching, and
+serves query-time equality (`bisimilar`) and the upper approximation
+(`approx.py`).  Its question space is demand-driven: a question asks the
+partner pairs its negative rule reads, and nothing else, so a query examines
+only the pairs reachable from it (on-the-fly checking, Fernandez & Mounier,
+CAV 1991), and a question is re-examined only when something it depends on
+has changed, through a dependency index kept on the `FactStore` for the
+whole session.  `stable_blocks` computes the coarsest stable partition of a
+finite graph by partition refinement, the greatest fixpoint a Yes on a
+cycle needs; it serves the background engine, whose documents are loaded
+whole, the merge at the end of a lazy `bisimilar` call and the lower
+approximation.  Every other Yes comes from transitivity, the oracle or an
+approximation file.  A brute-force partition refinement over closed systems
+serves as the independent test oracle.
 """
 
 from __future__ import annotations
@@ -60,10 +62,9 @@ class FactStore:
 
     The store also holds the dependency index of `saturate`, so the index
     lasts as long as the facts: the questions still to examine, the pairs
-    each open question reads and the open questions reading each pair, the
-    questions waiting for a name's equation, and the open questions incident
-    to each name.  Equations are write-once, so what a question reads never
-    changes once both its equations exist.
+    each open question reads and the open questions reading each pair, and
+    the questions waiting for a name's equation.  Equations are write-once,
+    so what a question reads never changes once both its equations exist.
     """
 
     def __init__(self) -> None:
@@ -71,14 +72,11 @@ class FactStore:
         self.asked_oracle: Set[Pair] = set()
         self.approx_loaded: Set[str] = set()   # documents whose file was read
         self.productive_rounds = 0
-        self.pending: List[Pair] = []                  # new, not yet examined
-        self.woken: List[Pair] = []                    # indexed, to re-examine
+        self.pending: List[Pair] = []                  # to examine
         self.reads: Dict[Pair, Tuple[Pair, ...]] = {}  # open question -> pairs it reads
         self.watchers: Dict[Pair, List[Pair]] = {}     # pair -> questions reading it
         self.blocked: Dict[SetName, List[Pair]] = {}   # name -> questions needing it
-        self.incident: Dict[SetName, List[Pair]] = {}  # name -> indexed questions
         self._parent: Dict[SetName, SetName] = {}
-        self._members: Dict[SetName, List[SetName]] = {}  # root -> its class
 
     # union-find over positively resolved names
     def _find(self, n: SetName) -> SetName:
@@ -91,25 +89,9 @@ class FactStore:
         return root
 
     def _union(self, x: SetName, y: SetName) -> None:
-        """Merge two classes.  The open questions between them now hold by
-        transitivity: they are re-queued, found from the smaller class."""
-        small, large = self._find(x), self._find(y)
-        if small.full == large.full:
-            return
-        if len(self._members.get(small, ())) > len(self._members.get(large, ())):
-            small, large = large, small
-        names = self._members.pop(small, None) or [small]
-        for u in names:
-            questions = [q for q in self.incident.pop(u, ())
-                         if self.status[q] is Status.QUESTION]
-            if questions:
-                self.incident[u] = questions
-            for q in questions:
-                other = q[1] if q[0].full == u.full else q[0]
-                if self._find(other).full == large.full:
-                    self.woken.append(q)
-        self._parent[small] = large
-        self._members.setdefault(large, [large]).extend(names)
+        rx, ry = self._find(x), self._find(y)
+        if rx.full != ry.full:
+            self._parent[rx] = ry
 
     def same_class(self, x: SetName, y: SetName) -> bool:
         return self._find(x).full == self._find(y).full
@@ -128,8 +110,9 @@ class FactStore:
             self.pending.append(key)
 
     def resolve(self, x: SetName, y: SetName, value: bool) -> bool:
-        """Record a fact and queue the questions that read it; returns True
-        if anything changed."""
+        """Record a fact and, for a No, queue the questions that read it;
+        returns True if anything changed.  A Yes wakes no reader, since only
+        a No can make a reader's negative rule fire."""
         if x.full == y.full:
             if not value:
                 raise BisimulationError("refusing x != x for %s" % x.full)
@@ -145,10 +128,10 @@ class FactStore:
         self.status[key] = new
         self.reads.pop(key, None)
         readers = self.watchers.pop(key, None)
-        if readers:
-            self.woken.extend(readers)
         if value:
             self._union(x, y)
+        elif readers:
+            self.pending.extend(readers)
         return True
 
     def decided(self, x: SetName, y: SetName) -> Optional[bool]:
@@ -166,111 +149,95 @@ class FactStore:
 
 
 # ---------------------------------------------------------------------------
-# The derivation kernel
+# The No prover
 # ---------------------------------------------------------------------------
 
 Equations = Mapping[SetName, List[Element]]
 
-# How much of its index an examined question still needs if it stays open.
-_NEW, _UNBLOCKED, _INDEXED = 0, 1, 2
-
 
 def _one_way(xs: List[Element], ys: List[Element], get,
-             reads: Optional[Set[Pair]]) -> Optional[bool]:
-    """One direction of the rules: False when some element of xs has no
-    label-matching partner in ys that is not known distinct (the negative
-    rule), True when every element has a Yes partner (half of the positive
-    rule), None otherwise.  Unresolved partner pairs go into reads."""
-    matched_all = True
+             reads: Optional[Set[Pair]]) -> bool:
+    """The negative rule in one direction: whether some element of xs has no
+    label-matching partner in ys that is not known distinct.  The open
+    partner pairs of each element without an identical or Yes partner go
+    into reads: only a No among them can make the rule fire later."""
     for lx, mx in xs:
-        distinguished, matched = True, False
+        partners = []
         for ly, my in ys:
             if lx != ly:
                 continue
             if mx.full == my.full:
-                distinguished = False
-                matched = True
-                continue
+                break
             pair = (mx, my) if mx.full < my.full else (my, mx)
             status = get(pair)
-            if status is Status.NO:
-                continue
-            distinguished = False
             if status is Status.YES:
-                matched = True
-            elif reads is not None:
-                reads.add(pair)
-        if distinguished:
-            return False
-        if not matched:
-            matched_all = False
-    return True if matched_all else None
+                break
+            if status is not Status.NO:
+                partners.append(pair)
+        else:
+            if not partners:
+                return True
+            if reads is not None:
+                reads.update(partners)
+    return False
 
 
-def _examine(facts: FactStore, key: Pair, equations: Equations, stage: int) -> bool:
-    """Apply the derivation rules to one open question; returns whether it
-    was resolved.  A question still open is indexed as far as `stage` says:
-    under its names the first time, then under the name whose equation is
-    missing or under the pairs it reads, which it asks."""
+def _examine(facts: FactStore, key: Pair, equations: Equations) -> bool:
+    """Apply the negative rule to one open question; returns whether it was
+    resolved.  A question left open waits for the equation it lacks or, the
+    first time it is looked at with both equations, asks the pairs it reads
+    and is indexed under them."""
     x, y = key
-    # transitivity and symmetry come for free from the positive classes;
-    # names outside the union-find are singleton classes
+    # a Yes by transitivity reads nothing; names outside the union-find are
+    # singleton classes
     parent = facts._parent
     if (x in parent or y in parent) and facts.same_class(x, y):
         return facts.resolve(x, y, True)
     xs, ys = equations.get(x), equations.get(y)
-    missing = x if xs is None else y if ys is None else None
-    if missing is None:
-        get = facts.status.get
-        reads: Optional[Set[Pair]] = set() if stage != _INDEXED else None
-        forth = _one_way(xs, ys, get, reads)
-        back = _one_way(ys, xs, get, None) if forth is not False else False
-        if forth is False or back is False:
-            return facts.resolve(x, y, False)
-        if forth and back:
-            return facts.resolve(x, y, True)
-    if stage == _NEW:
-        facts.incident.setdefault(x, []).append(key)
-        facts.incident.setdefault(y, []).append(key)
-    if stage != _INDEXED:
-        if missing is not None:
-            facts.blocked.setdefault(missing, []).append(key)
-        else:
-            facts.reads[key] = tuple(sorted(reads))
-            for pair in reads:
-                if pair not in facts.status:
-                    facts.status[pair] = Status.QUESTION
-                    facts.pending.append(pair)
-                facts.watchers.setdefault(pair, []).append(key)
+    if xs is None or ys is None:
+        facts.blocked.setdefault(x if xs is None else y, []).append(key)
+        return False
+    get = facts.status.get
+    # reads are taken both ways: x = {a:u} and y = {a:u, a:w} differ only if
+    # w differs from u, which just the backward direction reads
+    reads: Optional[Set[Pair]] = None if key in facts.reads else set()
+    if _one_way(xs, ys, get, reads) or _one_way(ys, xs, get, reads):
+        return facts.resolve(x, y, False)
+    if reads is not None:
+        facts.reads[key] = ordered = tuple(sorted(reads))
+        for pair in ordered:
+            if pair not in facts.status:
+                facts.status[pair] = Status.QUESTION
+                facts.pending.append(pair)
+            facts.watchers.setdefault(pair, []).append(key)
     return False
 
 
 def saturate(facts: FactStore, equations: Equations) -> bool:
-    """Apply the derivation rules until nothing changes; questions whose
-    names lack equations wait until the equations exist.  Returns whether
-    anything was resolved.
+    """Apply the negative rule until nothing changes; questions whose names
+    lack equations wait until the equations exist.  Returns whether anything
+    was resolved.
 
-    This is the one equality kernel: `bisimilar` saturates over the fetched
-    store for query-time equality and for the engine, and `approx` over one
-    document's equations (any mapping from names to element lists) for the
-    approximation files.  A question is examined only when it is new, when
-    an equation it lacked has arrived, or when a pair it reads or its two
-    names' classes have been resolved; each resolution queues just those
+    This is the on-the-fly No prover (Fernandez & Mounier, CAV 1991):
+    `bisimilar` saturates over the fetched store for query-time equality,
+    and `approx` over one document's equations (any mapping from names to
+    element lists) for the upper approximation.  Its only Yes is by
+    transitivity.  A positive rule could close only well-founded pairs,
+    never a Yes on a cycle, which is a greatest fixpoint: every other Yes
+    comes from `stable_blocks` or from the helpers.  A question is examined
+    only when it is new, when an equation it lacked has arrived, or when a
+    pair it reads has been resolved No; each resolution queues just those
     dependents (Liu & Smolka, ICALP 1998).  An open question asks the pairs
     it reads, so the fixpoint is the same as sweeping all open questions,
     each asking its reads, until no sweep changes anything."""
-    status = facts.status
-    unblocked: List[Pair] = []
+    status, pending = facts.status, facts.pending
     for name in [n for n in facts.blocked if n in equations]:
-        unblocked.extend(facts.blocked.pop(name))
+        pending.extend(facts.blocked.pop(name))
     resolved = False
-    queues = ((facts.woken, _INDEXED), (unblocked, _UNBLOCKED), (facts.pending, _NEW))
-    while facts.woken or unblocked or facts.pending:
-        for queue, stage in queues:
-            while queue:
-                key = queue.pop()
-                if status[key] is Status.QUESTION:
-                    resolved |= _examine(facts, key, equations, stage)
+    while pending:
+        key = pending.pop()
+        if status[key] is Status.QUESTION:
+            resolved |= _examine(facts, key, equations)
     if resolved:
         facts.productive_rounds += 1
     return resolved
@@ -362,12 +329,13 @@ class BisimHelpers:
 
 def _reachable(facts: FactStore, key: Pair) -> List[Pair]:
     """The open questions reachable from key through the pairs open
-    questions read, depth first in the sorted order of the reads."""
-    status, reads = facts.status, facts.reads
+    questions read, depth first in the sorted order of the reads; a question
+    whose names share a class holds by transitivity and is not open."""
+    reads = facts.reads
     seen, order, stack = {key}, [], [key]
     while stack:
         question = stack.pop()
-        if status[question] is not Status.QUESTION:
+        if facts.decided(*question) is not None:
             continue
         order.append(question)
         for pair in reversed(reads.get(question, ())):
@@ -395,15 +363,17 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
     """Decide x = y over the WDB reachable from both names.
 
     The question space is demand-driven: x ? y, and every pair that an open
-    question's rules read, transitively.  It grows in rounds.  A round asks
-    the oracle (when present) about each open question reachable from
-    x ? y, then fetches, as one concurrent batch, the documents and
+    question's negative rule reads, transitively.  It grows in rounds.  A
+    round asks the oracle (when present) about each open question reachable
+    from x ? y, then fetches, as one concurrent batch, the documents and
     approximation files of the names in those questions that lack an
-    equation or a file, and then derives facts.  Each approximation file is
-    read once per fact store.  At exhaustion, when a round finds nothing to
-    ask or fetch, the reachable open questions are postulated positive, and
-    the names in them are merged as far as refining them into stable
-    classes allows.
+    equation or a file, and then derives No facts.  Each approximation file
+    is read once per fact store.  At exhaustion, when a round finds nothing
+    to ask or fetch, the reachable open questions are postulated positive,
+    and the names in them are merged as far as refining them into stable
+    classes allows.  The oracle is not asked in a round with nothing to
+    fetch: the postulate or the derivation then decides without a fetch, so
+    an answer cannot save one.
     """
     helpers = helpers or BisimHelpers()
     known = facts.decided(x, y)
@@ -415,12 +385,19 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
     oracle, reader = helpers.oracle, helpers.approx_reader
     query = pair_key(x, y)
     facts.ask_question(x, y)
+
+    def lacking(questions: List[Pair]) -> List[SetName]:
+        return sorted({u for key in questions for u in key
+                       if u not in equations
+                       or (reader is not None and u.url not in facts.approx_loaded)})
+
     saturated = False
     while True:
         # the oracle first, about each reachable question not yet asked
         questions = _reachable(facts, query)
+        order = lacking(questions)
         progress = False
-        if oracle is not None:
+        if oracle is not None and order:
             for key in questions:
                 if key not in facts.asked_oracle and status[key] is Status.QUESTION:
                     facts.asked_oracle.add(key)
@@ -430,13 +407,11 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
                         progress = True
             if progress:
                 questions = _reachable(facts, query)
+                order = lacking(questions)
 
         # then equations and approximation files for the names in them: the
         # round's documents and files are fetched as one concurrent batch,
         # then applied in name order as if fetched one by one
-        order = sorted({u for key in questions for u in key
-                        if u not in equations
-                        or (reader is not None and u.url not in facts.approx_loaded)})
         wanted = {}
         for name in order:
             if name not in equations and store.unloaded([name.url]):
@@ -467,7 +442,6 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
                 facts.resolve(u, v, True)
             _merge_stable_classes(facts, equations,
                                   sorted({u for key in questions for u in key}))
-            saturate(facts, equations)
             return facts.decided(x, y) is True
 
         saturate(facts, equations)

@@ -283,3 +283,20 @@ def test_library_names_resolve_without_splicing():
         analyze(parse("set query call Pair({});"), library)
     assert "expects 2 parameter(s), got 1" in str(excinfo.value)
     assert excinfo.value.items[0].position == len("set query ")
+
+
+def test_library_add_lists_each_declaration_once(monkeypatch):
+    """A chain f0 ... f(n-1), each fi calling f(i-1), is analyzed with each
+    declaration's kind worked out a bounded number of times, not once per
+    identifier use."""
+    from hypersetdb import analysis
+    calls = []
+    kind = analysis._declaration_kind
+    monkeypatch.setattr(analysis, "_declaration_kind",
+                        lambda decl: calls.append(decl) or kind(decl))
+    n = 400
+    sources = ["set query f0 (set x) be { 'a':x }"] + [
+        "set query f%d (set x) be call f%d(x)" % (i, i - 1) for i in range(1, n)]
+    tree = analyze(parse(library_add(sources)))
+    assert len(Library().extended(tree.children[1], sources).declarations) == n
+    assert len(calls) <= 4 * n, len(calls)
