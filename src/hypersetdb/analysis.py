@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import grammar as g
-from .parser import ParseNode, ParseResult
+from .parser import ParseNode, ParseResult, reprint
 
 
 @dataclass(frozen=True)
@@ -142,16 +142,25 @@ _BINDING_SITES = g.BINDER_CATEGORIES | {g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL,
                                         g.LIBRARY_COMMAND}
 
 
+def declaration_header(decl: ParseNode) -> str:
+    """Brief form of one declaration: kind, name and parameters."""
+    header = " ".join(reprint(child) for child in decl.children[:3])
+    if decl.label in (g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL):
+        header += " (%s)" % reprint(decl.children[4]).replace(" , ", ",")
+    return header
+
+
 class Library:
     """A compiled session library: the declaration sources, their analyzed
-    nodes in order, and the name -> (binder, declaration, kind) scope that
-    queries are checked against.  `Library()` is empty; `extended` adds the
-    declarations of an analyzed `library add` command, which is their
-    binder.  Each declaration sees only earlier ones, and the last one of a
-    name wins."""
+    nodes in order with their brief headers, and the name -> (binder,
+    declaration, kind) scope that queries are checked against.  `Library()`
+    is empty; `extended` adds the declarations of an analyzed `library add`
+    command, which is their binder.  Each declaration sees only earlier
+    ones, and the last one of a name wins.  A library is never changed."""
 
     def __init__(self) -> None:
         self.sources: List[str] = []
+        self.headers: List[str] = []
         self.declarations: List[ParseNode] = []
         self.scope: Dict[str, Tuple[ParseNode, ParseNode, DeclKind]] = {}
 
@@ -160,6 +169,7 @@ class Library:
         found = binder_declarations(binder)
         out = Library()
         out.sources = self.sources + list(sources)
+        out.headers = self.headers + [declaration_header(decl) for decl, _, _ in found]
         out.declarations = self.declarations + [decl for decl, _, _ in found]
         out.scope = dict(self.scope)
         out.scope.update((name, (binder, decl, kind)) for decl, name, kind in found)

@@ -22,7 +22,7 @@ from .bisim import BisimHelpers, FactStore
 from .engine import OracleClient
 from .evaluator import Evaluator, postprocess
 from .names import WdbError
-from .parser import ParseError, ParseNode, parse, reprint
+from .parser import ParseError, parse, reprint
 from .store import FileFetcher, SessionStore
 
 WELL_TYPED = "Query is well-formed, well-typed and executable"
@@ -32,14 +32,6 @@ LIBRARY_OK = "Library command is well-formed and well-typed, but not executable"
 LIBRARY_WARNING = "Warning, library command successful but no query executed."
 PRECEDENCE_WARNING = ("Warning, in the case of duplicate declaration names those "
                       "declarations at the bottom of the list have precedence.")
-
-
-def _declaration_header(decl: ParseNode) -> str:
-    """Brief form of one compiled declaration: kind, name and parameters."""
-    header = " ".join(reprint(child) for child in decl.children[:3])
-    if decl.label in (g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL):
-        header += " (%s)" % reprint(decl.children[4]).replace(" , ", ",")
-    return header
 
 
 @dataclass
@@ -157,8 +149,7 @@ class Session:
         if verbose:
             body = ",\n\n".join("  %s" % source for source in library.sources)
         else:
-            body = ",\n".join("  %s" % _declaration_header(decl)
-                               for decl in library.declarations)
+            body = ",\n".join("  %s" % header for header in library.headers)
         return "\n".join(lines) + body
 
     def close(self) -> None:

@@ -241,6 +241,10 @@ class BisimulationEngine:
 # ---------------------------------------------------------------------------
 
 class _AskHandler(socketserver.StreamRequestHandler):
+    # each reply goes out at once: with Nagle's algorithm a pipelined batch
+    # of asks would wait for the client's delayed acknowledgements
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         while True:
             line = self.rfile.readline()

@@ -7,6 +7,14 @@ Equality compares interned class ids where both names have one and
 otherwise delegates to the bisimulation module; separation, collection,
 recursion, transitive closure and decoration have their own algorithms, and
 the output renderer folds generated names back into readable nested form.
+
+Hot steps are dict reads: class ids and equations are read in place, and
+only a miss interns or fetches; identifier operands of calls and of
+membership tests are read from the environment; an iteration copies its
+environment once and overwrites the bound variables for each element, since
+no step keeps a binder's environment (closures, declarations and calls copy
+what they capture).  A quantifier runs a repeat-free body (`_repeat_free`)
+once per distinct element.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import functools
 import operator
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import grammar as g
 from .analysis import Library, analyze
@@ -104,6 +112,9 @@ class Evaluator:
         self.facts = facts or FactStore()
         self.helpers = helpers or BisimHelpers()
         self.class_ids = ClassIds(store)
+        # quantified name -> positions of its distinct elements, or None when
+        # it repeats none (see `distinct_elements`)
+        self.first_positions: Dict[SetName, Optional[List[int]]] = {}
         self.atoms: Dict[str, SetName] = {}
         self.empty_name: Optional[SetName] = None
         self.in_formula = False
@@ -127,9 +138,14 @@ class Evaluator:
     def equal(self, x: SetName, y: SetName) -> bool:
         """Bisimilarity.  Names with class ids compare ids; a name with an id
         is well-founded, so it differs from any name that reaches a cycle.
-        Everything else goes to the lazy kernel."""
+        Everything else goes to the lazy kernel.  The ids are read in place
+        and interned only on a miss."""
         ids = self.class_ids
-        ix, iy = ids.of(x), ids.of(y)
+        ix, iy = ids.ids.get(x), ids.ids.get(y)
+        if ix is None:
+            ix = ids.of(x)
+        if iy is None:
+            iy = ids.of(y)
         if ix is not None and iy is not None:
             return ix == iy
         if (ix is not None and y in ids.cyclic) or (iy is not None and x in ids.cyclic):
@@ -137,7 +153,27 @@ class Evaluator:
         return bisimilar(x, y, self.store, self.facts, self.helpers)
 
     def elements(self, name: SetName) -> FlatExpr:
-        return self.store.lookup(name)
+        """The equation of name, read in place, or fetched on a miss."""
+        elements = self.store.system.equations.get(name)
+        return self.store.lookup(name) if elements is None else elements
+
+    def distinct_elements(self, name: SetName) -> Iterable[Element]:
+        """The elements of name without repeats, for a repeat-free
+        quantifier body.  Equations are write-once, so the positions of the
+        first occurrences are kept per name that has repeats.  Repeats are
+        skipped only until a document loads: a load can give a name a class
+        id and so change the call-memo keys that a repeat would run with."""
+        elements = self.elements(name)
+        positions = self.first_positions.get(name, _MISSING)
+        if positions is _MISSING:
+            first = {}
+            for index, element in enumerate(elements):
+                first.setdefault(element, index)
+            positions = list(first.values()) if len(first) < len(elements) else None
+            self.first_positions[name] = positions
+        if positions is None:
+            return elements
+        return _unrepeated(elements, positions, self.store.loaded_documents)
 
     def define_fresh(self, elements: FlatExpr, hint: str = "res") -> SetName:
         name = self.store.fresh(hint)
@@ -172,7 +208,7 @@ class Evaluator:
     # -- iteration constructs ---------------------------------------------------
 
     def eval_recursion(self, rec_var: str, pool: FlatExpr, env: Env,
-                       matches, condition: Run) -> SetName:
+                       binder: Binder, condition: Run) -> SetName:
         """The least fixpoint of a recursion: each stage binds rec_var to the
         elements kept so far and keeps every pool element whose condition
         then holds, until a stage keeps nothing new."""
@@ -180,10 +216,10 @@ class Evaluator:
         current_set: Set[Element] = set()
         while True:
             stage_name = self.define_fresh(list(current), hint=rec_var)
-            stage_env = dict(env)
-            stage_env[rec_var] = stage_name
+            bound = dict(env)
+            bound[rec_var] = stage_name
             added = False
-            for element, bound in matches(pool, stage_env):
+            for element in _bindings(binder, pool, bound):
                 if element in current_set:
                     continue
                 if condition(self, bound):
@@ -208,9 +244,12 @@ class Evaluator:
 
     def eval_membership(self, label: str, member: SetName, target: SetName) -> bool:
         ids = self.class_ids
-        target_id = ids.of(target)
+        target_id, member_id = ids.ids.get(target), ids.ids.get(member)
+        if target_id is None:
+            target_id = ids.of(target)
         if target_id is not None:
-            member_id = ids.of(member)
+            if member_id is None:
+                member_id = ids.of(member)
             if member_id is not None:
                 return (label, member_id) in ids.signatures[target_id]
             if member in ids.cyclic:
@@ -386,12 +425,13 @@ def _call(node: ParseNode) -> Run:
     A call is refused on entry, before anything is evaluated, when its body
     would take `call_depth` past `max_call_depth` (see `Evaluator`)."""
     name = node.children[1].identifier_text()
-    arguments = []  # (is a set argument, run)
+    arguments = []  # (is a set argument, is an identifier, its name or run)
     for arg in node.children[3].children:
-        if arg.label in g.TERM_CATEGORIES:
-            arguments.append((True, _term(arg)))
+        is_set = arg.label in g.TERM_CATEGORIES
+        if arg.label in _IDENTIFIERS:
+            arguments.append((is_set, True, arg.identifier_text()))
         elif arg.label != ",":
-            arguments.append((False, _label(arg)))
+            arguments.append((is_set, False, (_term if is_set else _label)(arg)))
     weight = 1 + _nesting(node)
 
     def run(ev, env):
@@ -399,15 +439,18 @@ def _call(node: ParseNode) -> Run:
             raise EvaluationError("query calls nested too deeply")
         closure = env[name]
         memoized = ev.in_formula
+        ids = ev.class_ids.ids
         values = []
         key = []
-        for is_set, argument in arguments:
-            value = argument(ev, env)
+        for is_set, by_name, argument in arguments:
+            value = env[argument] if by_name else argument(ev, env)
             values.append(value)
             if not is_set:
                 key.append(value)
             elif memoized:
-                cid = ev.class_ids.of(value)
+                cid = ids.get(value)
+                if cid is None:
+                    cid = ev.class_ids.of(value)
                 key.append(value if cid is None else cid)
         if memoized:
             key = tuple(key)
@@ -446,27 +489,68 @@ def _identifier(node: ParseNode) -> Run:
     return lambda ev, env: env[name]
 
 
-def _binder(pair: ParseNode):
-    """The variable pair l:x of an iteration, as a generator of the
-    (element, environment with l and x bound) of each element it matches."""
-    label_part, _, set_part = pair.children
-    set_var = set_part.identifier_text()
-    literal = label_var = None
-    if label_part.label == g.LABEL_VALUE:
-        literal = label_part.children[0].label.strip("'")
-    else:
-        label_var = label_part.identifier_text()
+# identifiers that a call argument or a membership operand reads in place
+_IDENTIFIERS = frozenset({g.SET_VARIABLE, g.SET_CONSTANT, g.LABEL_VARIABLE,
+                          g.LABEL_CONSTANT})
 
-    def matches(elements, env):
-        for element in elements:
-            if literal is not None and element.label != literal:
-                continue
-            bound = dict(env)
-            if label_var is not None:
-                bound[label_var] = element.label
-            bound[set_var] = element.member
-            yield element, bound
-    return matches
+# (label literal or None, label variable or None, set variable)
+Binder = Tuple[Optional[str], Optional[str], str]
+
+
+def _binder(pair: ParseNode) -> Binder:
+    """The variable pair l:x of an iteration.  The iteration copies its
+    environment once and overwrites l and x in that copy for each element
+    the pair matches (see `_bindings`)."""
+    label_part, _, set_part = pair.children
+    if label_part.label == g.LABEL_VALUE:
+        return label_part.children[0].label.strip("'"), None, set_part.identifier_text()
+    return None, label_part.identifier_text(), set_part.identifier_text()
+
+
+def _bindings(binder: Binder, elements: Iterable[Element], bound: Env
+              ) -> Iterable[Element]:
+    """Each element the pair matches, once it is bound into `bound`."""
+    literal, label_var, set_var = binder
+    for element in elements:
+        if literal is None:
+            bound[label_var] = element.label
+        elif element.label != literal:
+            continue
+        bound[set_var] = element.member
+        yield element
+
+
+def _unrepeated(elements: FlatExpr, positions: List[int],
+                loaded: Dict[str, bool]) -> Iterable[Element]:
+    """The elements at positions until a document loads, then every
+    element after the current one."""
+    count = len(loaded)
+    for index in positions:
+        yield elements[index]
+        if len(loaded) != count:
+            yield from elements[index + 1:]
+            return
+
+
+_REPEAT_FREE_TERMS = frozenset({g.SET_VARIABLE, g.SET_CONSTANT, g.SET_NAME,
+                                g.ATOMIC_VALUE, g.SET_QUERY_CALL, g.IF_ELSE_TERM})
+
+
+def _repeat_free(formula: ParseNode) -> bool:
+    """Whether every term in the formula is an identifier, a set name, an
+    atomic value, a query call or an if-else of these: no enumerate, union,
+    collect, separate, TC, recursion, decorate or `let`.  Formulas run with
+    `in_formula` set, so run again with the same bindings, and with no
+    document loaded since, such a formula hits the call memo everywhere: it
+    mints no name, fetches nothing and asks no new oracle question."""
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if node.label == g.FORMULA_WITH_DECLS or (
+                node.label in g.TERM_CATEGORIES and node.label not in _REPEAT_FREE_TERMS):
+            return False
+        stack.extend(node.children)
+    return True
 
 
 # -- terms ---------------------------------------------------------------------
@@ -523,14 +607,15 @@ def _paren_term(node: ParseNode) -> Run:
 def _collect(node: ParseNode) -> Run:
     template = node.children[2]
     label, member = _label(template.children[0]), _term(template.children[2])
-    matches = _binder(node.children[4])
+    binder = _binder(node.children[4])
     target = _term(node.children[6])
     condition = _condition(node.children[8]) if node.children[7].label == "and" \
         else None
 
     def run(ev, env):
         out: FlatExpr = []
-        for _, bound in matches(ev.elements(target(ev, env)), env):
+        bound = dict(env)
+        for _ in _bindings(binder, ev.elements(target(ev, env)), bound):
             if condition is None or condition(ev, bound):
                 out.append(Element(label(ev, bound), member(ev, bound)))
         return ev.define_fresh(out)
@@ -538,13 +623,14 @@ def _collect(node: ParseNode) -> Run:
 
 
 def _separate(node: ParseNode) -> Run:
-    matches = _binder(node.children[2])
+    binder = _binder(node.children[2])
     target = _term(node.children[4])
     condition = _condition(node.children[6])
 
     def run(ev, env):
         kept = []
-        for element, bound in matches(ev.elements(target(ev, env)), env):
+        bound = dict(env)
+        for element in _bindings(binder, ev.elements(target(ev, env)), bound):
             if condition(ev, bound):
                 kept.append(element)
         return ev.define_fresh(kept)
@@ -553,11 +639,11 @@ def _separate(node: ParseNode) -> Run:
 
 def _recursion(node: ParseNode) -> Run:
     rec_var = node.children[1].identifier_text()
-    matches = _binder(node.children[3])
+    binder = _binder(node.children[3])
     target = _term(node.children[5])
     condition = _condition(node.children[7])
     return lambda ev, env: ev.eval_recursion(rec_var, ev.elements(target(ev, env)),
-                                             env, matches, condition)
+                                             env, binder, condition)
 
 
 def _transitive_closure(node: ParseNode) -> Run:
@@ -605,9 +691,15 @@ def _set_equality(node: ParseNode) -> Run:
 
 
 def _membership(node: ParseNode) -> Run:
-    labelled = node.children[0]
-    label, member = _label(labelled.children[0]), _term(labelled.children[2])
-    target = _term(node.children[2])
+    label_node, _, member_node = node.children[0].children
+    target_node = node.children[2]
+    if label_node.label == g.LABEL_VALUE and member_node.label in _IDENTIFIERS \
+            and target_node.label in _IDENTIFIERS:
+        # 'lit':x in y reads its operands in place
+        text = label_node.children[0].label.strip("'")
+        x, y = member_node.identifier_text(), target_node.identifier_text()
+        return lambda ev, env: ev.eval_membership(text, env[x], env[y])
+    label, member, target = _label(label_node), _term(member_node), _term(target_node)
     return lambda ev, env: ev.eval_membership(label(ev, env), member(ev, env),
                                               target(ev, env))
 
@@ -696,24 +788,31 @@ def _quasi_implication(chain: ParseNode) -> Run:
 
 
 def _quantified(node: ParseNode) -> Run:
+    """exists or forall: binds each element in place, as `_bindings` does,
+    and runs a repeat-free body (see `_repeat_free`) once per distinct
+    element."""
     quantifier = node.children[0]
-    matches = _binder(quantifier.children[1])
+    literal, label_var, set_var = _binder(quantifier.children[1])
     target = _term(quantifier.children[3])
     body = _formula(node.children[1])
-    if quantifier.label == g.FORALL:
-        def forall(ev, env):
-            for _, bound in matches(ev.elements(target(ev, env)), env):
-                if not body(ev, bound):
-                    return False
-            return True
-        return forall
+    distinct = _repeat_free(node.children[1])
+    # a body with this value decides: true for exists, false for forall
+    decisive = quantifier.label == g.EXISTS
 
-    def exists(ev, env):
-        for _, bound in matches(ev.elements(target(ev, env)), env):
-            if body(ev, bound):
-                return True
-        return False
-    return exists
+    def run(ev, env):
+        name = target(ev, env)
+        elements = ev.distinct_elements(name) if distinct else ev.elements(name)
+        bound = dict(env)
+        for label, member in elements:
+            if literal is None:
+                bound[label_var] = label
+            elif label != literal:
+                continue
+            bound[set_var] = member
+            if body(ev, bound) == decisive:
+                return decisive
+        return not decisive
+    return run
 
 
 _TERMS: Dict[str, Callable[[ParseNode], Run]] = {

@@ -9,6 +9,7 @@ root uniquely (identifier forks excepted, which share one shape by design).
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -373,7 +374,18 @@ def unique_fork(children: Sequence[str]) -> Optional[str]:
     By the fork-uniqueness property, distinct forks share a child sequence
     only when all of them are identifier forks, so dropping the identifier
     candidates leaves at most one root.
+
+    The answer for two or more children is cached in a bounded cache: such
+    a sequence holds terminals and categories only.  A single child may be
+    user text (a set name, an atomic value, a label value), which is not.
     """
+    if len(children) > 1:
+        return _unique_fork(tuple(children))
+    return _unique_fork.__wrapped__(children)
+
+
+@functools.lru_cache(maxsize=1024)
+def _unique_fork(children: Sequence[str]) -> Optional[str]:
     candidates = [r for r in fork_candidates(children)
                   if r not in IDENTIFIER_CATEGORIES]
     if len(candidates) == 1:

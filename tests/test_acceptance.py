@@ -468,19 +468,30 @@ def test_criterion_09_local_approximations(bibdb):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
+def _figures(measurement) -> str:
+    """What a failed timing assertion reports about one run."""
+    return ("%s d=%g: wall %.1f ms, client_fetches %d, engine_fetches %d, "
+            "questions_resolved %d" % (
+                measurement.strategy, measurement.delay_ms, measurement.wall_ms,
+                measurement.client_fetches, measurement.engine_fetches,
+                measurement.questions_resolved))
+
+
 def test_criterion_10a_chains_delay_trend():
     scenario = build_chains(files=10, names=51)
     delays = [0, 500, 1000, 1500, 2000]
-    walls = []
+    measurements = []
     for delay in delays:
         measurement = run_experiment(scenario, "engine", delay_ms=delay,
                                      fetch_latency_ms=25)
         assert measurement.answer is True
-        walls.append(measurement.wall_ms)
+        measurements.append(measurement)
+    walls = [m.wall_ms for m in measurements]
+    figures = "; ".join(_figures(m) for m in measurements)
     slack = 150.0  # scheduling jitter allowance
     for earlier, later in zip(walls, walls[1:]):
-        assert later <= earlier + slack, "t(d) increased: %r" % walls
-    assert walls[-1] < 0.05 * walls[0], walls
+        assert later <= earlier + slack, "t(d) increased: " + figures
+    assert walls[-1] < 0.05 * walls[0], figures
 
 
 @pytest.mark.slow
@@ -505,7 +516,8 @@ def test_criterion_10c_crossover_at_zero_delay():
     engine = run_experiment(scenario, "engine", delay_ms=0, fetch_latency_ms=25)
     assert local.answer is True and engine.answer is True
     # small head start hurts: asking an ignorant engine only adds cost
-    assert engine.wall_ms > 0.8 * local.wall_ms, (engine.wall_ms, local.wall_ms)
+    assert engine.wall_ms > 0.8 * local.wall_ms, \
+        "%s; %s" % (_figures(engine), _figures(local))
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,23 @@ def test_ask_that_is_not_utf8_gets_error_and_service_continues():
         server.server_close()
 
 
+def test_pipelined_asks_are_answered_in_order():
+    server = serve(lambda x, y: OracleValue.YES if x.simple < y.simple else OracleValue.NO)
+    pairs = [("x%03d" % i, "x%03d" % ((i * 37) % 100)) for i in range(100)]
+    try:
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(b"".join(b"ASK mem://f.xml#%s mem://f.xml#%s\n"
+                                  % (x.encode(), y.encode()) for x, y in pairs))
+            replies = [stream.readline() for _ in pairs]
+        assert replies == [b"%s mem://f.xml#%s mem://f.xml#%s\n"
+                           % (b"YES" if x < y else b"NO", x.encode(), y.encode())
+                           for x, y in pairs]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_bisimilar_consults_served_oracle_first():
     engine = BisimulationEngine([F1], MemoryFetcher(bibdb_documents()))
     engine.start()

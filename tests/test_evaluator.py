@@ -599,6 +599,32 @@ def test_let_queries_made_per_element_never_share_results():
     assert postprocess(result, ev.store) == "Result = {%s}" % expected
 
 
+def test_iteration_bodies_see_every_element_and_leave_nothing_behind():
+    # an iteration binds each element in place in one environment: a query
+    # that its body declares anew for each element, and calls there, must
+    # see the current element, and nothing a body declares or binds may be
+    # seen by the next element or after the iteration
+    ev = make_evaluator()
+    members = "'a':{}, 'b':{ 'c':{} }, 'a':{}, 'd':{ 'c':{}, 'e':{} }, 'b':{ 'c':{} }"
+    scope = ("let set constant t = { %s }, set query Own (set i, label k) be { k:i } "
+             "in %%s endlet" % members)
+    other = "let set query Own (set i, label k) be { 'other':i } in %s endlet"
+    for formula, expected in (
+            ("forall l:x in ( t U t ) . (call Own(x, l) = { l:x } and %s)"
+             % other % "call Own(x, l) = { 'other':x }", True),
+            ("exists l:x in ( t U t ) . %s" % other % "not call Own(x, l) = { 'other':x }",
+             False),
+            ("forall l:x in t . forall m:y in t . "
+             "(call Own(y, m) = { m:x } <=> (x = y and l = m))", True)):
+        assert run(ev, "boolean query %s;" % scope % formula).boolean is expected, formula
+    result = run(ev, "set query %s;" % scope % (
+        "collect { l:let set query Me (set i) be i in call Me(x) endlet "
+        "where l:x in t and exists m:x in ( t U t ) . %s }"
+        % other % "call Own(x, m) = { 'other':x }"))
+    assert postprocess(result, ev.store) == (
+        "Result = {'a':{}, 'b':\"c\", 'a':{}, 'd':{'c':{}, 'e':{}}, 'b':\"c\"}")
+
+
 # ---------------------------------------------------------------------------
 # Output rendering
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ names are allocated in the same order.
 
 The corpus holds the query strings of `tests/test_evaluator.py` and
 `tests/test_cli.py` (random stores replaced by the BibDB example), the
-bib-session commands of the benchmark at seeds 101-103 and the criterion-8
-pair on p1 and on BibDB.  To record the replies again, for a change meant to
+bib-session commands of the benchmark at seeds 101-103, the criterion-8
+pair on p1 and on BibDB, and quantifiers over unions that repeat their
+elements (recorded before quantifiers skipped repeats).  To record the replies again, for a change meant to
 alter them:
 
     PYTHONPATH=src:tests:. python tests/test_golden.py --record
@@ -179,6 +180,39 @@ EVALUATOR_QUERIES = [
 ]
 
 
+# Quantifiers over unions that repeat their elements.  Each answer names the
+# generated sets s and d, so the names and the equation counts show how often
+# every body ran: a body that mints names must run once per duplicate.
+_REPEATS = ("set query let set constant e = {}, "
+            "set query Tag (label k, set v) be { k:v }, "
+            "set constant s = { 'a':{ 'p':\"v\" }, 'b':e, 'a':{ 'q':e } }, "
+            "set constant d = ( s U s U s ) in "
+            "if %s then { 'x':s, 'y':s, 'z':d } else { 'x':d, 'y':d } fi endlet;")
+# names of documents not yet loaded: the first run of an element fetches, so
+# a later run of the same element has other call-memo keys
+_REPEATS_FETCHING = ("set query let set constant e = {}, "
+                     "set constant s = { 'r':%s#b2, 'r':%s#p3 }, "
+                     "set constant d = ( s U s ) in "
+                     "if %%s then { 'x':s, 'y':s } else { 'x':d, 'y':d } fi endlet;"
+                     % (F1, F2))
+REPEATED_ELEMENTS = [
+    _REPEATS_FETCHING % "exists l:x in d . call Pair(x, x) = call Pair(x, e)",
+] + [_REPEATS % formula for formula in (
+    # (a) bodies free of anything that mints a name
+    "exists l:x in d . ('p':\"v\" in x and l = 'b')",
+    "forall l:x in d . exists m:y in d . (x = y => l = m)",
+    "forall l:x in d . if 'p':\"w\" in x then false else true fi",
+    # (b) bodies that mint names on every run
+    "forall l:x in d . not { 'k':x } = x",
+    "exists l:x in d . collect { m:y where m:y in x } = { 'zz':e }",
+    "exists l:x in d . let set query C (set i) be { 'c':i } in call C(x) = x endlet",
+    # (c) set query calls on identifier arguments
+    "exists l:x in d . call Pair(x, s) = call Pair(s, x)",
+    "forall l:x in d . call Pair(x, e) = call Pair(x, e)",
+    "exists l:x in d . 'b':x in call Tag(l, x)",
+    "forall l:x in d . not 'b':x in call Tag(l, x)")]
+
+
 def _cli_commands() -> List[str]:
     let = "set query let set constant BibDB = %s#BibDB in %%s endlet;" % F1
     graph = ("let set constant g = { 'null':call Pair(\"a\",\"b\"), "
@@ -260,6 +294,9 @@ def render_corpus() -> Dict[str, List[list]]:
         "cli": _replies(_bibdb_session(), _cli_commands()),
         "criterion-8 p1": _replies(_bibdb_session(), _criterion_8(F2 + "#p1")),
         "criterion-8 BibDB": _replies(_bibdb_session(), _criterion_8(F1 + "#BibDB")),
+        "repeated elements": _replies(_bibdb_session(), REPEATED_ELEMENTS),
+        "repeated elements, fetching": _replies(_bibdb_session(), [
+            _REPEATS_FETCHING % "forall l:x in d . not call Pair(x, x) = call Pair(x, e)"]),
     }
     for seed in (101, 102, 103):
         rng = random.Random("bib-session/%d" % seed)
@@ -284,7 +321,8 @@ def _golden() -> Dict[str, List[list]]:
 
 @pytest.mark.parametrize("name", ["evaluator", "cli", "criterion-8 p1", "criterion-8 BibDB",
                                   "bib-session 101", "bib-session 102",
-                                  "bib-session 103"])
+                                  "bib-session 103", "repeated elements",
+                                  "repeated elements, fetching"])
 def test_golden_replies(rendered, name):
     expected = _golden()[name]
     got = rendered[name]

@@ -381,11 +381,16 @@ def _random_label_sequences(rng, count):
                         for i in range(2 * n + 1))
 
 
-def test_fork_index_equals_the_linear_scan():
+def _fork_test_sequences():
     sequences = list(_expanded_fork_shapes())
     for source in PARSER_TEST_QUERIES:
         sequences.extend(node.child_labels() for node in parse(source).preorder)
     sequences.extend(_random_label_sequences(random.Random(13), 20000))
+    return sequences
+
+
+def test_fork_index_equals_the_linear_scan():
+    sequences = _fork_test_sequences()
     matched = variadic = 0
     for children in sequences:
         expected = _candidates_reference(children)
@@ -394,6 +399,19 @@ def test_fork_index_equals_the_linear_scan():
         variadic += bool(_variadic_reference(children))
     # the sample reaches the fixed forks and the repetition rules
     assert matched > len(sequences) // 8 and variadic > len(sequences) // 20
+
+
+def test_cached_unique_fork_agrees_and_stays_bounded():
+    cache = g._unique_fork
+    cache.cache_clear()
+    sequences = _fork_test_sequences()
+    for children in sequences:
+        assert g.unique_fork(children) == cache.__wrapped__(children), children
+    info = cache.cache_info()
+    # single children (user text) never enter the cache
+    assert info.hits + info.misses == sum(len(c) > 1 for c in sequences)
+    assert info.hits > 0
+    assert info.maxsize is not None and info.currsize <= info.maxsize < len(sequences)
 
 
 # ---------------------------------------------------------------------------
