@@ -50,7 +50,7 @@ class BisimulationError(WdbError):
 
 
 def pair_key(x: SetName, y: SetName) -> Pair:
-    return (x, y) if x.full <= y.full else (y, x)
+    return (x, y) if x <= y else (y, x)
 
 
 class FactStore:
@@ -90,11 +90,11 @@ class FactStore:
 
     def _union(self, x: SetName, y: SetName) -> None:
         rx, ry = self._find(x), self._find(y)
-        if rx.full != ry.full:
+        if rx != ry:
             self._parent[rx] = ry
 
     def same_class(self, x: SetName, y: SetName) -> bool:
-        return self._find(x).full == self._find(y).full
+        return self._find(x) == self._find(y)
 
     def get(self, x: SetName, y: SetName) -> Optional[Status]:
         if x == y:
@@ -102,7 +102,7 @@ class FactStore:
         return self.status.get(pair_key(x, y))
 
     def ask_question(self, x: SetName, y: SetName) -> None:
-        if x.full == y.full:
+        if x == y:
             return
         key = pair_key(x, y)
         if key not in self.status:
@@ -113,7 +113,7 @@ class FactStore:
         """Record a fact and, for a No, queue the questions that read it;
         returns True if anything changed.  A Yes wakes no reader, since only
         a No can make a reader's negative rule fire."""
-        if x.full == y.full:
+        if x == y:
             if not value:
                 raise BisimulationError("refusing x != x for %s" % x.full)
             return False
@@ -166,9 +166,9 @@ def _one_way(xs: List[Element], ys: List[Element], get,
         for ly, my in ys:
             if lx != ly:
                 continue
-            if mx.full == my.full:
+            if mx == my:
                 break
-            pair = (mx, my) if mx.full < my.full else (my, mx)
+            pair = (mx, my) if mx < my else (my, mx)
             status = get(pair)
             if status is Status.YES:
                 break

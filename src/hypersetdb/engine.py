@@ -240,6 +240,9 @@ class BisimulationEngine:
 # TCP service and client
 # ---------------------------------------------------------------------------
 
+_WORDS = {OracleValue.YES: "YES", OracleValue.NO: "NO", OracleValue.UNKNOWN: "UNKNOWN"}
+
+
 class _AskHandler(socketserver.StreamRequestHandler):
     # each reply goes out at once: with Nagle's algorithm a pipelined batch
     # of asks would wait for the client's delayed acknowledgements
@@ -263,9 +266,7 @@ class _AskHandler(socketserver.StreamRequestHandler):
                 self.wfile.write(b"ERROR malformed set name\n")
                 continue
             value = self.server.answer_fn(x, y)  # type: ignore[attr-defined]
-            word = {OracleValue.YES: "YES", OracleValue.NO: "NO",
-                    OracleValue.UNKNOWN: "UNKNOWN"}[value]
-            reply = "%s %s %s\n" % (word, x.full, y.full)
+            reply = "%s %s %s\n" % (_WORDS[value], x.full, y.full)
             self.wfile.write(reply.encode("utf-8"))
 
 
@@ -291,13 +292,12 @@ class OracleClient:
     """Blocking request/response client for the ASK protocol.
 
     The oracle is advisory: a connection that fails or closes, an ERROR
-    reply or a garbled one reads UNKNOWN, so the query derives the answer
-    itself.  The socket is then dropped and the next ask reconnects, except
-    that after a failed connect every ask reads UNKNOWN at once until
-    RECONNECT_BACKOFF_S have passed."""
+    reply, a garbled one or one that names another pair reads UNKNOWN, so
+    the query derives the answer itself.  The socket is then dropped and the
+    next ask reconnects, except that after a failed connect every ask reads
+    UNKNOWN at once until RECONNECT_BACKOFF_S have passed."""
 
-    _REPLIES = {"YES": OracleValue.YES, "NO": OracleValue.NO,
-                "UNKNOWN": OracleValue.UNKNOWN}
+    _REPLIES = {word: value for value, word in _WORDS.items()}
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self.address = (host, port)
@@ -326,7 +326,7 @@ class OracleClient:
             except OSError:
                 reply = []
             value = self._REPLIES.get(reply[0]) if reply else None
-            if value is None:
+            if value is None or reply[1:] != [x.full, y.full]:
                 self._drop()
                 return OracleValue.UNKNOWN
             return value

@@ -305,7 +305,7 @@ class Evaluator:
         Names with class ids are grouped by id; only a name without one, or
         a smaller candidate without one, is compared by `equal`."""
         ids = {name: self.class_ids.of(name) for name in names}
-        ordered = sorted(names, key=lambda n: n.full)
+        ordered = sorted(names)
         smallest: Dict[int, SetName] = {}
         for name in ordered:
             if ids[name] is not None:
@@ -315,7 +315,7 @@ class Evaluator:
         for name in names:
             best = smallest.get(ids[name])
             for candidate in unsettled if best is not None else ordered:
-                if best is not None and candidate.full >= best.full:
+                if best is not None and candidate >= best:
                     break
                 if self.equal(candidate, name):
                     best = candidate

@@ -6,6 +6,8 @@ A web-like database (WDB) is a system of flat set equations
     name = { label1:member1, ..., labelN:memberN }
 
 where every name is a *full* set name (document URL + "#" + simple name).
+A `SetName` is an immutable (full, url, simple) tuple, hashed and compared
+natively, ordered by its rendered form and never equal to a string.
 Element order and repetition are kept for I/O fidelity but carry no meaning:
 all semantic operations must be invariant under permutation and duplication.
 """
@@ -47,35 +49,32 @@ def is_identifier(text: str) -> bool:
     return bool(IDENTIFIER_RE.match(text))
 
 
-class SetName:
-    """Full set name: document URL plus simple name, rendered url#simple.
+# A NamedTuple class may not define __new__, so SetName extends one.
+class _NameFields(NamedTuple):
+    full: str
+    url: str
+    simple: str
 
-    Immutable and heavily used as a dict key, so the rendered form and hash
-    are precomputed.
+
+class SetName(_NameFields):
+    """Full set name: the immutable tuple (full, url, simple), where full is
+    the rendered form url#simple.
+
+    Every simple name the program makes is free of "#", so full alone
+    determines a name.  Names order by their rendered form and never equal
+    a string or an `Element`.
     """
 
-    __slots__ = ("url", "simple", "full", "_hash")
+    __slots__ = ()
 
-    def __init__(self, url: str, simple: str) -> None:
-        self.url = url
-        self.simple = simple
-        self.full = url + "#" + simple
-        self._hash = hash(self.full)
+    def __new__(cls, url: str, simple: str) -> "SetName":
+        return tuple.__new__(cls, (url + "#" + simple, url, simple))
+
+    def __getnewargs__(self) -> Tuple[str, str]:
+        return self.url, self.simple
 
     def is_local(self) -> bool:
         return self.url == LOCAL_URL
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SetName) and self.full == other.full
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "SetName") -> bool:
-        return self.full < other.full
-
-    def __le__(self, other: "SetName") -> bool:
-        return self.full <= other.full
 
     def __repr__(self) -> str:  # pragma: no cover - repr convenience
         return "SetName(%r, %r)" % (self.url, self.simple)

@@ -473,7 +473,8 @@ def test_after_a_failed_connect_the_client_backs_off(monkeypatch):
 
 class _StubOracle(socketserver.StreamRequestHandler):
     """On the first connection, answers the first request with a garbled
-    line or closes without a reply; answers right on later connections."""
+    line, with a reply for another pair or closes without a reply; answers
+    right on later connections."""
 
     def handle(self) -> None:
         server = self.server
@@ -484,7 +485,10 @@ class _StubOracle(socketserver.StreamRequestHandler):
             if faulty:
                 if server.fault == "closes":
                     return
-                self.wfile.write(b"YE\xffS garbled\n")
+                if server.fault == "wrong pair":
+                    self.wfile.write(("YES %s#b2 %s#p3\n" % (F1, F2)).encode("utf-8"))
+                else:
+                    self.wfile.write(b"YE\xffS garbled\n")
                 faulty = False
                 continue
             _, x, y = line.decode("utf-8").split()
@@ -493,7 +497,7 @@ class _StubOracle(socketserver.StreamRequestHandler):
             self.wfile.write(("%s %s %s\n" % (word, x, y)).encode("utf-8"))
 
 
-@pytest.mark.parametrize("fault", ["garbled", "closes"])
+@pytest.mark.parametrize("fault", ["garbled", "wrong pair", "closes"])
 def test_a_faulty_reply_reads_unknown_and_the_next_ask_reconnects(fault):
     server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _StubOracle)
     server.daemon_threads = True

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +36,47 @@ def test_parse_rejects_illegal_identifier():
         parse_set_name("a b", "http://x/")
     with pytest.raises(NameError_):
         parse_set_name("http://host/path", "http://x/")  # '/' without '#'
+
+
+# -- the name type --------------------------------------------------------------
+
+# Characters on both sides of "#" in code-point order; a URL may hold "#"
+# itself, a simple name never does.
+_urls = st.text(alphabet="!#-./:ab", min_size=1, max_size=6)
+_simples = st.text(alphabet="!-./:ab", min_size=1, max_size=4)
+_names = st.tuples(_urls, _simples).map(lambda pair: SetName(*pair))
+
+
+@given(st.lists(_names, max_size=12))
+def test_names_sort_by_their_rendered_form(names):
+    assert sorted(names) == sorted(names, key=lambda n: n.full)
+
+
+@given(_names, _names)
+def test_names_are_equal_exactly_when_their_rendered_forms_are(a, b):
+    assert (a == b) == (a.full == b.full)
+    assert (a != b) == (a.full != b.full)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(_names)
+def test_a_name_survives_copy_and_pickle(name):
+    for twin in (copy.deepcopy(name), pickle.loads(pickle.dumps(name))):
+        assert type(twin) is SetName
+        assert twin == name and hash(twin) == hash(name)
+        assert (twin.full, twin.url, twin.simple) == (name.full, name.url, name.simple)
+
+
+@given(_names)
+def test_a_name_never_equals_its_text_or_an_element(name):
+    assert name != name.full and name.full not in {name}
+    assert name != Element(name.url, name) and name != Element(name.full, name)
+
+
+def test_names_hash_and_compare_natively():
+    for method in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(SetName, method) is getattr(tuple, method), method
 
 
 def test_duplicate_definition_is_an_error():
