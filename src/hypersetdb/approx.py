@@ -136,8 +136,8 @@ def write_facts(root_tag: str, names: List[SetName],
 
 def read_facts(text: str, root_tag: str) -> List[Tuple[SetName, SetName, bool, float]]:
     """Parse a grouped facts file into (x, y, value, delay_ms) entries, the
-    delay 0 when absent; namespaced and plain element names are both
-    accepted."""
+    delay 0 when absent and otherwise a finite number of milliseconds, not
+    negative; namespaced and plain element names are both accepted."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -162,6 +162,8 @@ def read_facts(text: str, root_tag: str) -> List[Tuple[SetName, SetName, bool, f
                 if value not in ("yes", "no"):
                     raise FactsFileError("bad fact value %r" % value)
                 delay = float(fact.attrib.get("delay", "0"))
+                if not 0 <= delay < float("inf"):   # nan compares false
+                    raise FactsFileError("bad fact delay %r" % fact.attrib["delay"])
                 facts.append((first, second, value == "yes", delay))
     except (NameError_, ValueError) as exc:
         raise FactsFileError("malformed %s file: %s" % (root_tag, exc))

@@ -12,11 +12,11 @@ CAV 1991), and a question is re-examined only when something it depends on
 has changed, through a dependency index kept on the `FactStore` for the
 whole session.  `stable_blocks` computes the coarsest stable partition of a
 finite graph by partition refinement, the greatest fixpoint a Yes on a
-cycle needs; it serves the background engine, whose documents are loaded
-whole, the merge at the end of a lazy `bisimilar` call and the lower
-approximation.  Every other Yes comes from transitivity, the oracle or an
-approximation file.  A brute-force partition refinement over closed systems
-serves as the independent test oracle.
+cycle needs; it serves the class ids of cyclic components (`classids`),
+which the evaluator and the engine share, the merge at the end of a lazy
+`bisimilar` call and the lower approximation.  Every other Yes comes from
+transitivity, the oracle or an approximation file.  A brute-force partition
+refinement over closed systems serves as the independent test oracle.
 """
 
 from __future__ import annotations

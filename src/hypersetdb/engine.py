@@ -1,10 +1,11 @@
 """The Oracle: a service answering bisimulation questions Yes/No/Unknown.
 
 Two modes: a background engine that walks the served WDB documents and
-partitions the names whose closure it has loaded into bisimilarity classes
-(answering pairs with a name still open from approximation files, when it
-reads them); and a trivial imitation answering straight from an XML file of
-facts with per-fact delays.
+gives the names whose closure it has loaded class ids, with the same
+`ClassIds` partition the evaluator decides equality by (answering pairs with
+a name still open from approximation files, when it reads them); and a
+trivial imitation answering straight from an XML file of facts with
+per-fact delays.
 
 Wire protocol (newline-delimited text over TCP):
     request   ASK <full-name-x> <full-name-y>
@@ -18,14 +19,15 @@ import socketserver
 import threading
 import time
 from functools import partial
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .approx import make_approx_reader, read_facts, write_facts
 # The engine decides nothing with `bisimilar`; the name stays because the
 # benchmark's tracer wraps `engine.bisimilar` and its self-test patches it.
 from .bisim import bisimilar  # noqa: F401
 from .bisim import (BisimulationError, FactStore, OracleValue, Pair, Status,
-                    naive_bisimulation, pair_key, stable_blocks)
+                    naive_bisimulation, pair_key)
+from .classids import ClassIds
 from .names import (EquationSystem, NameError_, SetName, UndefinedNameError,
                     parse_full_name)
 from .store import Fetcher, SessionStore, fetch_concurrently, settled
@@ -89,28 +91,29 @@ class BisimulationEngine:
     The engine walks the documents reachable from its roots in batches: the
     roots, then the documents the loaded ones reference, sorted by URL.
     Each batch fetches its documents, and with use_approximations=True the
-    approximation file next to each, as one concurrent batch.  The names
-    whose closure is then fully loaded form a finite graph, on which
-    equality is the coarsest stable partition: after each batch
-    `stable_blocks` computes it, and the engine publishes the blocks with
-    the approximation facts read so far as one immutable snapshot.  `answer`
-    reads only that snapshot, so a pair with a name whose closure is still
-    open reads Unknown unless an approximation file decides it.  An
-    approximation fact that the partition contradicts, once both its names
-    are closed, stops the engine with a `BisimulationError` that `join`
-    raises.
+    approximation file next to each, as one concurrent batch.  After each
+    batch the engine's `ClassIds` interns every loaded name still without
+    an id: a name gets one once its closure is fully loaded, cycles
+    included, and two names are equal exactly when their ids are.  The
+    engine publishes a copy of the ids with the approximation facts read so
+    far as one immutable snapshot.  `answer` reads only that snapshot, so a
+    pair with a name whose closure is still open reads Unknown unless an
+    approximation file decides it.  An approximation fact that the ids
+    contradict, once both its names have one, stops the engine with a
+    `BisimulationError` that `join` raises.
     """
 
     def __init__(self, roots: List[str], fetcher: Fetcher,
                  use_approximations: bool = False) -> None:
         self.roots = list(roots)
         self.store = SessionStore(fetcher)
+        self.class_ids = ClassIds(self.store)
         # Holds the approximation facts as they are read.  Only the engine
         # thread touches it; the benchmark reads `engine.facts.status`.
         self.facts = FactStore()
         self.approx_reader = make_approx_reader(fetcher) if use_approximations else None
         self.complete = threading.Event()
-        # (block per closed name, approximation facts), replaced whole
+        # (class id per closed name, approximation facts), replaced whole
         self._snapshot: Tuple[Dict[SetName, int], Dict[Pair, bool]] = ({}, {})
         self._thread: Optional[threading.Thread] = None
         self._failure: Optional[Exception] = None
@@ -134,20 +137,19 @@ class BisimulationEngine:
     def _run(self) -> None:
         try:
             equations = self.store.system.equations
-            closed: Set[SetName] = set()
-            open_names: Set[SetName] = set()
+            ids = self.class_ids.ids
             unchecked: List[Fact] = []
             urls = self.store.unloaded(self.roots)
             while urls:
-                known = len(equations)
                 unchecked.extend(self._load(urls))
-                open_names.update(list(equations)[known:])
-                missing = self._close(open_names, closed)
-                blocks = stable_blocks(closed, equations)
-                unchecked = self._check(blocks, unchecked)
+                # intern every name; an open one names the members it lacks
+                missing = {el.member for name, elements in equations.items()
+                           if self.class_ids.of(name) is None
+                           for el in elements if el.member not in equations}
+                unchecked = self._check(ids, unchecked)
                 seeded = {key: status is Status.YES
                           for key, status in self.facts.status.items()}
-                self._snapshot = (blocks, seeded)
+                self._snapshot = (dict(ids), seeded)
                 urls = self.store.unloaded(sorted({name.url for name in missing}))
                 for name in missing:
                     if name.url not in urls:
@@ -175,41 +177,15 @@ class BisimulationEngine:
             self.facts.resolve(a, b, value)
         return read
 
-    def _close(self, open_names: Set[SetName], closed: Set[SetName]) -> Set[SetName]:
-        """Move the names of open_names whose closure is loaded to closed;
-        returns the members without an equation that keep the rest open."""
-        equations = self.store.system.equations
-        missing: Set[SetName] = set()
-        predecessors: Dict[SetName, List[SetName]] = {}
-        stack: List[SetName] = []
-        for name in open_names:
-            for el in equations[name]:
-                if el.member in closed:
-                    continue
-                if el.member in equations:
-                    predecessors.setdefault(el.member, []).append(name)
-                else:
-                    missing.add(el.member)
-                    stack.append(name)
-        still_open = set(stack)
-        while stack:
-            for name in predecessors.get(stack.pop(), ()):
-                if name not in still_open:
-                    still_open.add(name)
-                    stack.append(name)
-        closed.update(open_names - still_open)
-        open_names.intersection_update(still_open)
-        return missing
-
     @staticmethod
-    def _check(blocks: Dict[SetName, int], facts: List[Fact]) -> List[Fact]:
-        """The facts with a name that has no block yet; raises on a fact
-        that the blocks contradict."""
+    def _check(ids: Dict[SetName, int], facts: List[Fact]) -> List[Fact]:
+        """The facts with a name that has no class id yet; raises on a
+        fact that the ids contradict."""
         unchecked = []
         for a, b, value in facts:
-            if a not in blocks or b not in blocks:
+            if a not in ids or b not in ids:
                 unchecked.append((a, b, value))
-            elif (blocks[a] == blocks[b]) is not value:
+            elif (ids[a] == ids[b]) is not value:
                 raise BisimulationError(
                     "approximation fact %s %s %s contradicts the loaded documents"
                     % (a.full, "=" if value else "!=", b.full))
@@ -226,9 +202,9 @@ class BisimulationEngine:
     def answer(self, x: SetName, y: SetName) -> OracleValue:
         if x == y:
             return OracleValue.YES
-        blocks, seeded = self._snapshot
-        if x in blocks and y in blocks:
-            decided: Optional[bool] = blocks[x] == blocks[y]
+        ids, seeded = self._snapshot
+        if x in ids and y in ids:
+            decided: Optional[bool] = ids[x] == ids[y]
         else:
             decided = seeded.get(pair_key(x, y))
         if decided is None:

@@ -136,10 +136,9 @@ class Evaluator:
         self.library, self.library_env = library, env
 
     def equal(self, x: SetName, y: SetName) -> bool:
-        """Bisimilarity.  Names with class ids compare ids; a name with an id
-        is well-founded, so it differs from any name that reaches a cycle.
-        Everything else goes to the lazy kernel.  The ids are read in place
-        and interned only on a miss."""
+        """Bisimilarity.  Names whose closures are loaded, cycles included,
+        compare class ids, read in place and interned only on a miss; a pair
+        with a name whose closure is still open goes to the lazy kernel."""
         ids = self.class_ids
         ix, iy = ids.ids.get(x), ids.ids.get(y)
         if ix is None:
@@ -148,8 +147,6 @@ class Evaluator:
             iy = ids.of(y)
         if ix is not None and iy is not None:
             return ix == iy
-        if (ix is not None and y in ids.cyclic) or (iy is not None and x in ids.cyclic):
-            return False
         return bisimilar(x, y, self.store, self.facts, self.helpers)
 
     def elements(self, name: SetName) -> FlatExpr:
@@ -252,8 +249,6 @@ class Evaluator:
                 member_id = ids.of(member)
             if member_id is not None:
                 return (label, member_id) in ids.signatures[target_id]
-            if member in ids.cyclic:
-                return False
         return any(el.label == label and self.equal(el.member, member)
                    for el in self.elements(target))
 

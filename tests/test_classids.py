@@ -10,18 +10,22 @@ from pathlib import Path
 
 import pytest
 
+from hypersetdb import classids as classids_module
 from hypersetdb import evaluator as evaluator_module
 from hypersetdb.analysis import analyze
-from hypersetdb.bisim import FactStore, bisimilar, naive_bisimulation, strongly_extensional
+from hypersetdb.bisim import (FactStore, bisimilar, naive_bisimulation, stable_blocks,
+                              strongly_extensional)
 from hypersetdb.classids import ClassIds
+from hypersetdb.cli import Session, SessionConfig
 from hypersetdb.evaluator import Evaluator
 from hypersetdb.names import Element, EquationSystem, SetName
 from hypersetdb.parser import parse
-from hypersetdb.store import MemoryFetcher, SessionStore
+from hypersetdb.store import FileFetcher, MemoryFetcher, SessionStore
 
 from conftest import (bibdb_f1_text, bibdb_f2_text, duplicate_and_shuffle,
                       random_closed_system, split_documents)
 
+ROOT = Path(__file__).resolve().parent.parent
 F1 = "mem://BibDB-f1.xml"
 F2 = "mem://BibDB-f2.xml"
 LABELS = ("l0", "l1")
@@ -79,7 +83,7 @@ def assert_agrees_with_naive(ev, system, kernel_store):
 @pytest.mark.parametrize("acyclic", [True, False], ids=["acyclic", "cyclic"])
 def test_ids_equality_membership_and_grouping_agree_with_naive(acyclic):
     rng = random.Random(31 if acyclic else 32)
-    with_ids = without_ids = 0
+    on_cycles = 0
     for trial in range(40):
         system = twin_system(rng, trial, acyclic)
         ev = make_evaluator()
@@ -88,13 +92,11 @@ def test_ids_equality_membership_and_grouping_agree_with_naive(acyclic):
         kernel_store.system.merge(system)
         assert_agrees_with_naive(ev, system, kernel_store)
         for name in system.equations:
-            cid = ev.class_ids.of(name)
-            # an id exactly when the closure is acyclic
-            assert (cid is None) is reaches_cycle(system, name)
-            with_ids += cid is not None
-            without_ids += cid is None
-    assert with_ids > 0
-    assert (without_ids == 0) is acyclic
+            # the system is closed, so every closure is loaded: an id each,
+            # cycles included
+            assert ev.class_ids.of(name) is not None
+            on_cycles += reaches_cycle(system, name)
+    assert (on_cycles == 0) is acyclic
 
 
 @pytest.mark.parametrize("acyclic", [True, False], ids=["acyclic", "cyclic"])
@@ -133,11 +135,9 @@ def test_split_documents_get_ids_only_once_fetched(acyclic):
         first = sorted(documents)[0]
         ev.store.load_document(first)
         for name in system.equations:
+            # an id exactly when the closure is loaded
             loaded = all(n.url == first for n in system.reachable(name))
-            if not loaded:
-                assert ev.class_ids.of(name) is None
-            elif not reaches_cycle(system, name):
-                assert ev.class_ids.of(name) is not None
+            assert (ev.class_ids.of(name) is not None) is loaded
         assert ev.store.fetcher.fetch_count == 1
         # equality still agrees with the partition: the kernel fetches
         names = sorted(system.equations, key=lambda n: n.full)
@@ -148,12 +148,68 @@ def test_split_documents_get_ids_only_once_fetched(acyclic):
             ev.store.load_document(url)
         for x in names:
             ix = ev.class_ids.of(x)
-            assert (ix is None) is reaches_cycle(system, x)
+            assert ix is not None
             for y in names:
-                iy = ev.class_ids.of(y)
-                if ix is not None and iy is not None:
-                    assert (ix == iy) is (blocks[x] == blocks[y])
+                assert (ix == ev.class_ids.of(y)) is (blocks[x] == blocks[y])
         assert_agrees_with_naive(ev, system, SessionStore(MemoryFetcher(documents)))
+
+
+def test_documents_loaded_one_at_a_time_get_ids_that_agree_with_naive():
+    """Cyclic systems split over documents that are loaded one at a time;
+    after each load the names are interned in shuffled order.  A name has
+    an id exactly when its closure is loaded, and ids are equal exactly
+    when the names are bisimilar."""
+    rng = random.Random(61)
+    on_cycles = 0
+    for trial in range(40):
+        original = random_closed_system(rng, max_names=12, max_labels=2,
+                                        url="mem://step%d.xml" % trial)
+        documents, home = split_documents(original, rng, 4,
+                                          base="mem://step%d-" % trial)
+        system = EquationSystem()
+        for name, elements in original.equations.items():
+            system.define(home[name], [Element(el.label, home[el.member])
+                                       for el in elements])
+        blocks = naive_bisimulation(system)
+        ev = make_evaluator(documents)
+        names = sorted(system.equations)
+        loaded = set()
+        for url in rng.sample(sorted(documents), len(documents)):
+            ev.store.load_document(url)
+            loaded.add(url)
+            rng.shuffle(names)
+            ids = {name: ev.class_ids.of(name) for name in names}
+            for name in names:
+                closed = all(n.url in loaded for n in system.reachable(name))
+                assert (ids[name] is not None) is closed
+            with_ids = [name for name in names if ids[name] is not None]
+            for x in with_ids:
+                for y in with_ids:
+                    assert (ids[x] == ids[y]) is (blocks[x] == blocks[y]), (x, y)
+        assert len(with_ids) == len(names)
+        on_cycles += sum(reaches_cycle(system, name) for name in names)
+    assert on_cycles > 0
+
+
+def test_distinct_cyclic_classes_are_interned_in_linear_work(monkeypatch):
+    """k pairwise distinct cyclic classes x_i = {s: x_i, t: a_i}, interned
+    one at a time: no earlier class shares a new one's key, so each
+    refinement holds one name, not one per cyclic class so far."""
+    refined = []
+
+    def counting(names, equations, outside=None):
+        names = list(names)
+        refined.append(len(names))
+        return stable_blocks(names, equations, outside)
+    monkeypatch.setattr(classids_module, "stable_blocks", counting)
+    k = 2000
+    ev = make_evaluator()
+    loops = [SetName("mem://loops.xml", "x%d" % i) for i in range(k)]
+    for i, x in enumerate(loops):
+        ev.store.define(x, [Element("s", x), Element("t", ev.atom("a%d" % i))])
+        assert ev.class_ids.of(x) is not None
+    assert len({ev.class_ids.of(x) for x in loops}) == k
+    assert sum(refined) <= 2 * k, sum(refined)
 
 
 # -- robustness -----------------------------------------------------------------
@@ -213,8 +269,9 @@ def test_cyclic_and_incomplete_names_are_not_searched_again(monkeypatch):
     ev.store.system.merge(system)
     ev.store.load_document(F1)          # BibDB's papers live in F2, not fetched
     bibdb = SetName(F1, "BibDB")
-    assert ev.class_ids.of(above) is None and ev.class_ids.of(bibdb) is None
-    assert above in ev.class_ids.cyclic and omega in ev.class_ids.cyclic
+    # above = {l: omega} is bisimilar to omega = {l: omega}
+    assert ev.class_ids.of(above) == ev.class_ids.of(omega) is not None
+    assert ev.class_ids.of(bibdb) is None
     searches = []
     original = ClassIds._intern_closure
 
@@ -223,7 +280,7 @@ def test_cyclic_and_incomplete_names_are_not_searched_again(monkeypatch):
         return original(self, root)
     monkeypatch.setattr(ClassIds, "_intern_closure", counting)
     for _ in range(3):
-        assert ev.class_ids.of(above) is None
+        assert ev.class_ids.of(above) == ev.class_ids.of(omega)
         assert ev.class_ids.of(bibdb) is None
     assert searches == []
     ev.store.fetcher.add(F2, bibdb_f2_text(F1, F2))
@@ -247,6 +304,34 @@ def test_linear_order_query_pair_never_calls_bisimilar(monkeypatch):
             "call SuccessorPairs( call StrictLinOrder_on_TC(BibDB) ) endlet;" % F1)
     assert calls == []
     assert ev.facts.status == {}
+
+
+@pytest.mark.parametrize("seed", [101, 102])
+def test_loaded_bibdb_session_never_calls_bisimilar(seed, tmp_path, monkeypatch):
+    """The benchmark's bib-session commands, `decorate` and `Can` included,
+    with the BibDB documents loaded first: every name they compare has its
+    closure in the store, the cyclic decorations too, so class ids decide
+    every equality."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import inputs
+    calls = []
+    original = evaluator_module.bisimilar
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(evaluator_module, "bisimilar", counting)
+    rng = random.Random("bib-session/%d" % seed)
+    wdb = inputs.bibdb(rng, tmp_path)
+    commands = inputs.bib_commands(wdb, rng)
+    assert any("Can" in command.text for command in commands)
+    session = Session(SessionConfig(show_time=False, allow_network=False),
+                      fetcher=FileFetcher(allow_network=False))
+    session.store.load_documents(sorted(wdb.documents))
+    for command in commands:
+        session.run_command(command.text)
+    assert calls == []
+    assert session.evaluator.facts.status == {}
 
 
 @pytest.mark.parametrize("workload", ["bib-session", "linorder"])
@@ -280,7 +365,7 @@ import random
 from hypersetdb.analysis import analyze
 from hypersetdb.evaluator import Evaluator, postprocess
 from hypersetdb.parser import parse
-from hypersetdb.store import MemoryFetcher, SessionStore
+from hypersetdb.store import FileFetcher, MemoryFetcher, SessionStore
 from conftest import bibdb_f1_text, bibdb_f2_text, random_closed_system
 
 F1, F2 = "mem://BibDB-f1.xml", "mem://BibDB-f2.xml"

@@ -91,6 +91,10 @@ def test_trivial_oracle_delay_upgrades_answer():
     '<oracle><facts set_name="mem://f.xml#x"><fact set_name="mem://f.xml#y"/></facts></oracle>',
     '<oracle><facts set_name="mem://f.xml#x">'
     '<fact set_name="mem://f.xml#y" value="no" delay="soon"/></facts></oracle>',
+    '<oracle><facts set_name="mem://f.xml#x">'
+    '<fact set_name="mem://f.xml#y" value="no" delay="nan"/></facts></oracle>',
+    '<oracle><facts set_name="mem://f.xml#x">'
+    '<fact set_name="mem://f.xml#y" value="no" delay="-5"/></facts></oracle>',
 ])
 def test_malformed_trivial_oracle_file_raises(text):
     with pytest.raises(WdbError):
