@@ -320,10 +320,10 @@ def stable_blocks(names: Iterable[SetName], equations: Equations,
 
 @dataclass
 class BisimHelpers:
-    """Optional aids: an oracle client answering Yes/No/Unknown, and a reader
-    returning the simple-approximation facts stored next to a document."""
+    """Optional aids: an oracle answering a list of pairs Yes/No/Unknown, in
+    order, and a reader of the approximation facts stored next to a document."""
 
-    oracle: Optional[Callable[[SetName, SetName], OracleValue]] = None
+    oracle: Optional[Callable[[List[Pair]], List[OracleValue]]] = None
     approx_reader: Optional[Callable[[str], List[Tuple[SetName, SetName, bool]]]] = None
 
 
@@ -364,16 +364,16 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
 
     The question space is demand-driven: x ? y, and every pair that an open
     question's negative rule reads, transitively.  It grows in rounds.  A
-    round asks the oracle (when present) about each open question reachable
-    from x ? y, then fetches, as one concurrent batch, the documents and
-    approximation files of the names in those questions that lack an
-    equation or a file, and then derives No facts.  Each approximation file
-    is read once per fact store.  At exhaustion, when a round finds nothing
-    to ask or fetch, the reachable open questions are postulated positive,
-    and the names in them are merged as far as refining them into stable
-    classes allows.  The oracle is not asked in a round with nothing to
-    fetch: the postulate or the derivation then decides without a fetch, so
-    an answer cannot save one.
+    round asks the oracle (when present) about the open questions reachable
+    from x ? y not asked yet, in one exchange, then fetches, as one
+    concurrent batch, the documents and approximation files of the names in
+    those questions that lack an equation or a file, and derives No facts.
+    Each approximation file is read once per fact store.  At exhaustion,
+    when a round finds nothing to ask or fetch, the reachable open questions
+    are postulated positive, and the names in them are merged as far as
+    refining them into stable classes allows.  The oracle is not asked in a
+    round with nothing to fetch: the postulate or the derivation then
+    decides without a fetch, so an answer cannot save one.
     """
     helpers = helpers or BisimHelpers()
     known = facts.decided(x, y)
@@ -398,13 +398,14 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
         order = lacking(questions)
         progress = False
         if oracle is not None and order:
-            for key in questions:
-                if key not in facts.asked_oracle and status[key] is Status.QUESTION:
-                    facts.asked_oracle.add(key)
-                    answer = oracle(*key)
-                    if answer is not OracleValue.UNKNOWN:
-                        facts.resolve(key[0], key[1], answer is OracleValue.YES)
-                        progress = True
+            # one exchange: resolving a pair changes no other pair's status
+            asked = [key for key in questions
+                     if key not in facts.asked_oracle and status[key] is Status.QUESTION]
+            facts.asked_oracle.update(asked)
+            for (u, v), answer in zip(asked, oracle(asked) if asked else ()):
+                if answer is not OracleValue.UNKNOWN:
+                    facts.resolve(u, v, answer is OracleValue.YES)
+                    progress = True
             if progress:
                 questions = _reachable(facts, query)
                 order = lacking(questions)

@@ -10,16 +10,22 @@ per-fact delays.
 Wire protocol (newline-delimited text over TCP):
     request   ASK <full-name-x> <full-name-y>
     response  YES <x> <y> | NO <x> <y> | UNKNOWN <x> <y>
+              | ERROR malformed request | ERROR malformed set name
+Requests may be pipelined; replies come in request order.  A line over
+MAX_REQUEST_LINE bytes gets `ERROR malformed request`, and its connection
+is closed if no newline came within the cap.  A client reads Unknown for
+RECONNECT_BACKOFF_S after a failed connect or a reply timeout.
 """
 
 from __future__ import annotations
 
 import socket
 import socketserver
+import struct
 import threading
 import time
-from functools import partial
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .approx import make_approx_reader, read_facts, write_facts
 # The engine decides nothing with `bisimilar`; the name stays because the
@@ -35,9 +41,11 @@ from .store import Fetcher, SessionStore, fetch_concurrently, settled
 # An approximation fact: x ? y answered Yes (True) or No (False).
 Fact = Tuple[SetName, SetName, bool]
 
-# After a failed connect an OracleClient answers Unknown, without trying to
-# connect again, for this many seconds.
+# After a failed connect or a reply timeout an OracleClient answers Unknown,
+# without trying to connect again, for this many seconds.
 RECONNECT_BACKOFF_S = 5.0
+# The longest request line served; the most request bytes sent unanswered.
+MAX_REQUEST_LINE, ASK_CHUNK_BYTES = 64 * 1024, 32 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -217,33 +225,42 @@ class BisimulationEngine:
 # ---------------------------------------------------------------------------
 
 _WORDS = {OracleValue.YES: "YES", OracleValue.NO: "NO", OracleValue.UNKNOWN: "UNKNOWN"}
+_parse_name = lru_cache(maxsize=1024)(parse_full_name)   # a name asked again is parsed once
 
 
-class _AskHandler(socketserver.StreamRequestHandler):
-    # each reply goes out at once: with Nagle's algorithm a pipelined batch
-    # of asks would wait for the client's delayed acknowledgements
-    disable_nagle_algorithm = True
+def _reply(line: bytes, answer_fn: Callable[[SetName, SetName], OracleValue]) -> bytes:
+    try:
+        parts = line.decode("utf-8").split()
+    except UnicodeDecodeError:
+        parts = []
+    if len(parts) != 3 or parts[0] != "ASK" or len(line) > MAX_REQUEST_LINE:
+        return b"ERROR malformed request\n"
+    try:
+        x, y = _parse_name(parts[1]), _parse_name(parts[2])
+    except NameError_:
+        return b"ERROR malformed set name\n"
+    return ("%s %s %s\n" % (_WORDS[answer_fn(x, y)], x.full, y.full)).encode("utf-8")
+
+
+class _AskHandler(socketserver.BaseRequestHandler):
+    """Answers the complete request lines that have arrived with one
+    `sendall`, under TCP_NODELAY so that no reply waits for a delayed ACK."""
 
     def handle(self) -> None:
+        sock, answer_fn = self.request, self.server.answer_fn  # type: ignore[attr-defined]
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        pending = b""   # the first bytes of a request line
         while True:
-            line = self.rfile.readline()
-            if not line:
+            data = sock.recv(4096)
+            *lines, pending = (pending + data).split(b"\n")
+            # the last line may lack its newline; a line over the cap is refused
+            last = not data or len(pending) > MAX_REQUEST_LINE
+            if last and pending:
+                lines.append(pending)
+            if lines:
+                sock.sendall(b"".join([_reply(line, answer_fn) for line in lines]))
+            if last:
                 return
-            try:
-                parts = line.decode("utf-8").split()
-            except UnicodeDecodeError:
-                parts = []
-            if len(parts) != 3 or parts[0] != "ASK":
-                self.wfile.write(b"ERROR malformed request\n")
-                continue
-            try:
-                x, y = parse_full_name(parts[1]), parse_full_name(parts[2])
-            except NameError_:
-                self.wfile.write(b"ERROR malformed set name\n")
-                continue
-            value = self.server.answer_fn(x, y)  # type: ignore[attr-defined]
-            reply = "%s %s %s\n" % (_WORDS[value], x.full, y.full)
-            self.wfile.write(reply.encode("utf-8"))
 
 
 class OracleServer(socketserver.ThreadingTCPServer):
@@ -259,62 +276,85 @@ def serve(answer_fn, host: str = "127.0.0.1", port: int = 0) -> OracleServer:
     """Start the ASK protocol service in a background thread; returns the
     server (its address is server.server_address)."""
     server = OracleServer((host, port), answer_fn)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     return server
 
 
 class OracleClient:
-    """Blocking request/response client for the ASK protocol.
+    """Pipelining client: `ask_all` asks a batch of pairs in one round trip.
 
     The oracle is advisory: a connection that fails or closes, an ERROR
-    reply, a garbled one or one that names another pair reads UNKNOWN, so
-    the query derives the answer itself.  The socket is then dropped and the
-    next ask reconnects, except that after a failed connect every ask reads
-    UNKNOWN at once until RECONNECT_BACKOFF_S have passed."""
+    reply, a garbled one or one that names another pair reads UNKNOWN for
+    its pair and every later pair of the batch, and drops the socket; the
+    next batch reconnects, except that after a failed connect or a reply
+    timeout every ask reads UNKNOWN at once for RECONNECT_BACKOFF_S."""
 
-    _REPLIES = {word: value for value, word in _WORDS.items()}
+    _REPLIES = {word.encode("ascii"): value for value, word in _WORDS.items()}
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self.address = (host, port)
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
-        self._file = None
         self._lock = threading.Lock()
         self._retry_at = 0.0   # no connect attempt before this monotonic time
 
     def ask(self, x: SetName, y: SetName) -> OracleValue:
+        return self.ask_all([(x, y)])[0]
+
+    def ask_all(self, pairs: Sequence[Pair]) -> List[OracleValue]:
+        """One value per pair, in order."""
+        requests = [("ASK %s %s\n" % (x.full, y.full)).encode("utf-8") for x, y in pairs]
+        values: List[OracleValue] = []
         with self._lock:
-            if self._sock is None:
-                if time.monotonic() < self._retry_at:
-                    return OracleValue.UNKNOWN
-                try:
-                    self._sock = socket.create_connection(self.address,
-                                                          timeout=self.timeout)
-                except OSError:
-                    self._retry_at = time.monotonic() + RECONNECT_BACKOFF_S
-                    return OracleValue.UNKNOWN
-                self._file = self._sock.makefile("rwb")
             try:
-                self._file.write(("ASK %s %s\n" % (x.full, y.full)).encode("utf-8"))
-                self._file.flush()
-                reply = self._file.readline().decode("utf-8", "replace").split()
-            except OSError:
-                reply = []
-            value = self._REPLIES.get(reply[0]) if reply else None
-            if value is None or reply[1:] != [x.full, y.full]:
+                if requests and (self._sock is not None or time.monotonic() >= self._retry_at):
+                    self._exchange(requests, values)
+            except OSError as exc:
+                # a failed connect or a reply timeout backs off
+                if self._sock is None or isinstance(exc, BlockingIOError):
+                    self._retry_at = time.monotonic() + RECONNECT_BACKOFF_S
                 self._drop()
-                return OracleValue.UNKNOWN
-            return value
+        return values + [OracleValue.UNKNOWN] * (len(requests) - len(values))
+
+    __call__ = ask_all
+
+    def _exchange(self, requests: List[bytes], values: List[OracleValue]) -> None:
+        """Append the value of each reply; raises OSError at the first that
+        does not answer its request.  A chunk's replies are read before the
+        next chunk goes out, so neither end blocks on a full buffer for good."""
+        sock = self._sock
+        if sock is None:
+            self._sock = sock = socket.create_connection(self.address, timeout=self.timeout)
+            # kernel timeouts (EAGAIN): a Python-level timeout polls before each call
+            sock.settimeout(None)
+            timeval = struct.pack("ll", *divmod(int(self.timeout * 1e6), 1000000))
+            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                sock.setsockopt(socket.SOL_SOCKET, option, timeval)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        step = max(1, ASK_CHUNK_BYTES // max(map(len, requests)))
+        for start in range(0, len(requests), step):
+            chunk = requests[start:start + step]
+            sock.sendall(b"".join(chunk))
+            received = b""
+            while received.count(b"\n") < len(chunk):
+                data = sock.recv(4096)
+                if not data:
+                    break
+                received += data
+            # when the service closed early, the partial last line fails
+            for request, reply in zip(chunk, received.split(b"\n")):
+                word, _, pair = reply.partition(b" ")
+                value = self._REPLIES.get(word)
+                # a reply repeats its request's names: "ASK x y" -> "YES x y"
+                if value is None or pair != request[4:-1]:
+                    raise ConnectionError("reply does not answer its request")
+                values.append(value)
 
     def _drop(self) -> None:
-        sock, self._sock, self._file = self._sock, None, None
+        sock, self._sock = self._sock, None
         if sock is not None:
             sock.close()
 
     def close(self) -> None:
         with self._lock:
             self._drop()
-
-    def __call__(self, x: SetName, y: SetName) -> OracleValue:
-        return self.ask(x, y)

@@ -43,8 +43,9 @@ class XmlWdbDocument:
         return cls(source_url, root)
 
 
-def _q(local: str) -> str:
-    return "{%s}%s" % (SET_NS, local)
+# the namespace-qualified names of set:eqns, set:eqn, set:id, set:ref and set:href
+_EQNS, _EQN, _ID, _REF, _HREF = ("{%s}%s" % (SET_NS, local)
+                                 for local in ("eqns", "eqn", "id", "ref", "href"))
 
 
 @dataclass
@@ -63,12 +64,10 @@ def validate(doc: XmlWdbDocument, deep: bool = False,
     With deep=True every set:href target document is fetched and checked to
     define the referenced simple name (requires a fetcher).
     """
-    eqns_tag, eqn_tag = _q("eqns"), _q("eqn")
-    id_attr, ref_attr, href_attr = _q("id"), _q("ref"), _q("href")
     out: List[Violation] = []
 
     root = doc.root
-    if root.tag != eqns_tag:
+    if root.tag != _EQNS:
         out.append(Violation("bad-root", "root element is %s, expected set:eqns" % root.tag))
         return out
     for attr in root.attrib:
@@ -78,15 +77,15 @@ def validate(doc: XmlWdbDocument, deep: bool = False,
 
     ids: Set[str] = set()
     for child in root:
-        if child.tag != eqn_tag:
+        if child.tag != _EQN:
             out.append(Violation("bad-eqn", "child %s of set:eqns is not set:eqn" % child.tag))
             continue
-        eqn_id = child.attrib.get(id_attr)
+        eqn_id = child.attrib.get(_ID)
         if eqn_id is None:
             out.append(Violation("missing-id", "set:eqn without required set:id"))
             continue
         for attr in child.attrib:
-            if attr != id_attr:
+            if attr != _ID:
                 out.append(Violation("eqn-attribute", "set:eqn carries attribute %s" % attr))
         if not is_identifier(eqn_id):
             out.append(Violation("bad-id", "set:id %r is not a simple set name" % eqn_id))
@@ -99,19 +98,19 @@ def validate(doc: XmlWdbDocument, deep: bool = False,
 
     def scan(elem: ET.Element) -> None:
         for sub in elem:
-            if sub.tag in (eqns_tag, eqn_tag):
+            if sub.tag in (_EQNS, _EQN):
                 out.append(Violation("nested-special",
                                      "%s nested inside arbitrary content" % sub.tag))
-            if id_attr in sub.attrib:
+            if _ID in sub.attrib:
                 out.append(Violation("nested-special", "set:id on arbitrary element"))
-            if ref_attr in sub.attrib:
-                refs.append(sub.attrib[ref_attr])
-            if href_attr in sub.attrib:
-                hrefs.append(sub.attrib[href_attr])
+            if _REF in sub.attrib:
+                refs.append(sub.attrib[_REF])
+            if _HREF in sub.attrib:
+                hrefs.append(sub.attrib[_HREF])
             scan(sub)
 
     for child in root:
-        if child.tag == eqn_tag:
+        if child.tag == _EQN:
             scan(child)
 
     for ref in refs:
@@ -147,7 +146,7 @@ def validate(doc: XmlWdbDocument, deep: bool = False,
                     out.append(Violation("href-fetch", "cannot fetch %s: %s" % (url, exc)))
                     checked[url] = set()
                     continue
-                checked[url] = {e.attrib.get(id_attr, "") for e in other.root}
+                checked[url] = {e.attrib.get(_ID, "") for e in other.root}
             if checked[url] and simple not in checked[url]:
                 out.append(Violation("dangling-href",
                                      "%s does not define %r" % (url, simple)))
@@ -173,13 +172,13 @@ def _element_entries(sub: ET.Element, doc: XmlWdbDocument) -> List[Tuple[str, Ne
     become empty elements, set:ref/set:href become name references; an element
     carrying a reference contributes tag:{content} only if content remains.
     """
-    ref = sub.attrib.get(_q("ref"))
-    href = sub.attrib.get(_q("href"))
+    ref = sub.attrib.get(_REF)
+    href = sub.attrib.get(_HREF)
     tag = _local_tag(sub.tag)
 
     inner = Bracket()
     for key, value in sub.attrib.items():
-        if key in (_q("ref"), _q("href")):
+        if key == _REF or key == _HREF:
             continue
         inner.entries.append(
             (_local_tag(key), Bracket([(tok, Bracket()) for tok in _tokens(value)])))
@@ -217,7 +216,7 @@ def to_equations(doc: XmlWdbDocument) -> EquationSystem:
                           % (doc.source_url, "; ".join(str(p) for p in problems)))
     nested: Dict[SetName, NestedExpr] = {}
     for eqn in doc.root:
-        simple = eqn.attrib[_q("id")]
+        simple = eqn.attrib[_ID]
         nested[SetName(doc.source_url, simple)] = Bracket(_content_entries(eqn, doc))
     return flatten(nested)
 

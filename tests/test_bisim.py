@@ -218,8 +218,9 @@ def test_the_postulate_leaves_unreachable_questions_open():
     blocks = naive_bisimulation(closed_union(documents))
     u, v = SetName(d1, "u"), SetName(d1, "v")
 
-    def oracle(p, q):
-        return OracleValue.YES if {p, q} == {u, v} else OracleValue.UNKNOWN
+    def oracle(pairs):
+        return [OracleValue.YES if {p, q} == {u, v} else OracleValue.UNKNOWN
+                for p, q in pairs]
 
     fetcher = MemoryFetcher(documents)
     store, facts = SessionStore(fetcher), FactStore()
@@ -295,9 +296,9 @@ def test_approximation_files_are_read_once_per_fact_store():
 def test_oracle_answer_skips_downloads(bibdb_store):
     store, fetcher = bibdb_store
 
-    def oracle(x, y):
-        return OracleValue.YES if {x.simple, y.simple} == {"b2", "p3"} \
-            else OracleValue.UNKNOWN
+    def oracle(pairs):
+        return [OracleValue.YES if {x.simple, y.simple} == {"b2", "p3"}
+                else OracleValue.UNKNOWN for x, y in pairs]
 
     facts = FactStore()
     helpers = BisimHelpers(oracle=oracle)
@@ -442,11 +443,13 @@ def report(store, fetcher, facts):
 
 def recording_oracle(blocks, asks):
     # records each ask in order, and knows the answer to every third
-    def oracle(x, y):
-        asks.append((x.full, y.full))
-        if len(asks) % 3:
-            return OracleValue.UNKNOWN
-        return OracleValue.YES if blocks[x] == blocks[y] else OracleValue.NO
+    def oracle(pairs):
+        values = []
+        for x, y in pairs:
+            asks.append((x.full, y.full))
+            values.append(OracleValue.UNKNOWN if len(asks) % 3 else
+                          OracleValue.YES if blocks[x] == blocks[y] else OracleValue.NO)
+        return values
     return oracle
 
 
