@@ -244,21 +244,30 @@ def _reply(line: bytes, answer_fn: Callable[[SetName, SetName], OracleValue]) ->
 
 class _AskHandler(socketserver.BaseRequestHandler):
     """Answers the complete request lines that have arrived with one
-    `sendall`, under TCP_NODELAY so that no reply waits for a delayed ACK."""
+    `sendall`, under TCP_NODELAY so that no reply waits for a delayed ACK.
+    A client that has gone (an OSError from `recv` or `sendall`) ends its
+    connection quietly."""
 
     def handle(self) -> None:
         sock, answer_fn = self.request, self.server.answer_fn  # type: ignore[attr-defined]
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         pending = b""   # the first bytes of a request line
         while True:
-            data = sock.recv(4096)
+            try:
+                data = sock.recv(4096)
+            except OSError:
+                return
             *lines, pending = (pending + data).split(b"\n")
             # the last line may lack its newline; a line over the cap is refused
             last = not data or len(pending) > MAX_REQUEST_LINE
             if last and pending:
                 lines.append(pending)
             if lines:
-                sock.sendall(b"".join([_reply(line, answer_fn) for line in lines]))
+                replies = b"".join([_reply(line, answer_fn) for line in lines])
+                try:
+                    sock.sendall(replies)
+                except OSError:
+                    return
             if last:
                 return
 

@@ -18,9 +18,9 @@ from typing import Dict, List, Tuple
 from .approx import generate_approximation_file, approximation_url
 from .bisim import BisimHelpers, FactStore, OracleValue, bisimilar
 from .engine import BisimulationEngine, OracleClient, serve
-from .names import SetName
+from .names import Element, EquationSystem, SetName
 from .store import LatencyFetcher, MemoryFetcher, SessionStore
-from .xmlwdb import load_equations
+from .xmlwdb import from_equations, load_equations
 
 
 @dataclass
@@ -30,21 +30,18 @@ class Scenario:
     question: Tuple[SetName, SetName]
 
 
-def _wdb_file(url: str, equations: List[Tuple[str, List[Tuple[str, str]]]]) -> str:
-    """Render simple equations [(name, [(label, target)])] where target is a
-    simple name (same file) or a full name containing '#'."""
-    lines = ['<?xml version="1.0"?>',
-             '<set:eqns xmlns:set="http://www.csc.liv.ac.uk/~molyneux/XML-WDB">']
-    for name, elements in equations:
-        lines.append('  <set:eqn set:id="%s">' % name)
-        for label, target in elements:
-            if "#" in target:
-                lines.append('    <%s set:href="%s"/>' % (label, target))
-            else:
-                lines.append('    <%s set:ref="%s"/>' % (label, target))
-        lines.append('  </set:eqn>')
-    lines.append('</set:eqns>')
-    return "\n".join(lines)
+def _chain(names: List[SetName], last: List[SetName]) -> List[Tuple[SetName, List[SetName]]]:
+    """Each name's successors: the next name, and `last` for the last one."""
+    return [(name, [succ]) for name, succ in zip(names, names[1:])] + [(names[-1], last)]
+
+
+def _documents(urls: List[str], equations: List[Tuple[SetName, List[SetName]]]
+               ) -> Dict[str, str]:
+    """One XML-WDB document per URL, defining each name as {e:successor, ...}."""
+    systems = {url: EquationSystem() for url in urls}
+    for name, successors in equations:
+        systems[name.url].define(name, [Element("e", succ) for succ in successors])
+    return {url: from_equations(system, url) for url, system in systems.items()}
 
 
 def _chain_documents(base: str, files: int, names: int,
@@ -55,29 +52,9 @@ def _chain_documents(base: str, files: int, names: int,
     per_file = [names // files + (1 if i < names % files else 0)
                 for i in range(files)]
     urls = ["%s/chain-%d.xml" % (base, i) for i in range(files)]
-    owner: Dict[int, str] = {}
-    index = 1
-    for url, count in zip(urls, per_file):
-        for _ in range(count):
-            owner[index] = url
-            index += 1
-    documents: Dict[str, str] = {}
-    index = 1
-    for url, count in zip(urls, per_file):
-        equations = []
-        for _ in range(count):
-            name = "x%d" % index
-            succ = index + 1
-            if succ > names:
-                elements = [("e", "%s#x1" % owner[1])] if cyclic else []
-            elif owner[succ] == url:
-                elements = [("e", "x%d" % succ)]
-            else:
-                elements = [("e", "%s#x%d" % (owner[succ], succ))]
-            equations.append((name, elements))
-            index += 1
-        documents[url] = _wdb_file(url, equations)
-    return documents, urls
+    owners = [url for url, count in zip(urls, per_file) for _ in range(count)]
+    chain = [SetName(url, "x%d" % index) for index, url in enumerate(owners, 1)]
+    return _documents(urls, _chain(chain, chain[:1] if cyclic else [])), urls
 
 
 def build_chains(files: int = 10, names: int = 51) -> Scenario:
@@ -110,26 +87,11 @@ def build_three_file(names: int = 61) -> Scenario:
         main_url = "%s/main.xml" % base
         aux1_url = "%s/aux1.xml" % base
         aux2_url = "%s/aux2.xml" % base
-        main_count = names - 2 * (names // 3)
-        aux_count = names // 3
-        docs: Dict[str, str] = {}
-        main_eqns = []
-        for i in range(1, main_count + 1):
-            elements = []
-            if i < main_count:
-                elements.append(("e", "m%d" % (i + 1)))
-            else:
-                elements.append(("e", "%s#a1" % aux1_url))
-                elements.append(("e", "%s#b1" % aux2_url))
-            main_eqns.append(("m%d" % i, elements))
-        docs[main_url] = _wdb_file(main_url, main_eqns)
-        for url, prefix in ((aux1_url, "a"), (aux2_url, "b")):
-            eqns = []
-            for i in range(1, aux_count + 1):
-                elements = [("e", "%s%d" % (prefix, i + 1))] if i < aux_count else []
-                eqns.append(("%s%d" % (prefix, i), elements))
-            docs[url] = _wdb_file(url, eqns)
-        return docs, main_url
+        main = [SetName(main_url, "m%d" % i) for i in range(1, names - 2 * (names // 3) + 1)]
+        aux1, aux2 = ([SetName(url, "%s%d" % (prefix, i)) for i in range(1, names // 3 + 1)]
+                      for url, prefix in ((aux1_url, "a"), (aux2_url, "b")))
+        equations = _chain(main, [aux1[0], aux2[0]]) + _chain(aux1, []) + _chain(aux2, [])
+        return _documents([main_url, aux1_url, aux2_url], equations), main_url
 
     docs_a, main_a = half("mem://threeA")
     docs_b, main_b = half("mem://threeB")

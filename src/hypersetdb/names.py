@@ -1,5 +1,5 @@
-"""Core data model: set names, labelled elements, flat and nested bracket
-expressions, equation systems and fresh-name generation.
+"""Core data model: set names, labelled elements, flat bracket expressions,
+equation systems and fresh-name generation.
 
 A web-like database (WDB) is a system of flat set equations
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 # Reserved document URL for names generated during a query session.  No real
 # WDB document can live under this URL, so generated names never clash with
@@ -122,8 +122,8 @@ def parse_set_name(text: str, base_url: str) -> SetName:
 class EquationSystem:
     """A system of flat set equations, keyed by full set name.
 
-    ``generated`` marks names invented while flattening nested input (these
-    may be inlined again when writing XML).
+    ``generated`` marks names invented for the nested brackets of an XML-WDB
+    document (these may be inlined again when writing XML).
     """
 
     equations: Dict[SetName, FlatExpr] = field(default_factory=dict)
@@ -179,65 +179,6 @@ class EquationSystem:
         sys2.generated = set(self.generated)
         sys2.mentioned = set(self.mentioned)
         return sys2
-
-
-# ---------------------------------------------------------------------------
-# Nested expressions and flattening
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Bracket:
-    """A nested bracket expression: a list of (label, NestedExpr) entries."""
-
-    entries: List[Tuple[str, "NestedExpr"]] = field(default_factory=list)
-
-
-NestedExpr = Union[SetName, Bracket]
-
-
-def flatten(nested: Dict[SetName, NestedExpr],
-            name_maker: Optional[Callable[[SetName, int], SetName]] = None
-            ) -> EquationSystem:
-    """Unnest bracket expressions by introducing fresh set names.
-
-    The default name maker derives deterministic names from the defining
-    equation ("x-e1", "x-e2", ...), skipping names already taken, so the
-    result is unique for a given input.
-    """
-    system = EquationSystem()
-    taken: Set[str] = {n.simple for n in nested if n.url != LOCAL_URL}
-    taken.update(n.simple for n in nested)
-
-    def default_maker(parent: SetName, counter: int) -> SetName:
-        base = "%s-e%d" % (parent.simple, counter)
-        while base in taken:
-            counter += 1
-            base = "%s-e%d" % (parent.simple, counter)
-        taken.add(base)
-        return SetName(parent.url, base)
-
-    maker = name_maker or default_maker
-
-    def walk(parent: SetName, expr: NestedExpr, state: List[int]) -> SetName:
-        if isinstance(expr, SetName):
-            return expr
-        state[0] += 1
-        fresh = maker(parent, state[0])
-        elements = []
-        for label, sub in expr.entries:
-            elements.append(Element(label, walk(parent, sub, state)))
-        system.define(fresh, elements, generated=True)
-        return fresh
-
-    for name, expr in nested.items():
-        if isinstance(expr, SetName):
-            raise WdbError("top-level equation %s must be a bracket" % name.full)
-        state = [0]
-        elements = []
-        for label, sub in expr.entries:
-            elements.append(Element(label, walk(name, sub, state)))
-        system.define(name, elements)
-    return system
 
 
 class NameAllocator:

@@ -1,6 +1,10 @@
 """XML-WDB file format: validation, transformation to flat set equations
 (attribute / atomic-data / tag elimination rules) and the inverse writer.
 
+Validation and transformation are one iterative pass over the document,
+which checks the rules and writes the flat equations together, so a
+document nested thousands of elements deep loads like any other.
+
 An XML-WDB document has root <set:eqns> holding <set:eqn set:id="..."> children
 whose content is arbitrary XML.  Local references use set:ref="simple-name",
 cross-document ones set:href="url#simple-name".  Element order and repetition
@@ -12,11 +16,10 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .names import (
-    Bracket, EquationSystem, NestedExpr, SetName, WdbError,
-    flatten, is_identifier, parse_set_name,
+    Element, EquationSystem, FlatExpr, SetName, WdbError, is_identifier, parse_set_name,
 )
 
 SET_NS = "http://www.csc.liv.ac.uk/~molyneux/XML-WDB"
@@ -46,6 +49,8 @@ class XmlWdbDocument:
 # the namespace-qualified names of set:eqns, set:eqn, set:id, set:ref and set:href
 _EQNS, _EQN, _ID, _REF, _HREF = ("{%s}%s" % (SET_NS, local)
                                  for local in ("eqns", "eqn", "id", "ref", "href"))
+# attributes that do not become tags
+_SPECIAL_ATTRIBUTES = frozenset((_ID, _REF, _HREF))
 
 
 @dataclass
@@ -57,30 +62,56 @@ class Violation:
         return "%s: %s" % (self.code, self.message)
 
 
-def validate(doc: XmlWdbDocument, deep: bool = False,
-             fetcher: Optional[Callable[[str], str]] = None) -> List[Violation]:
-    """Check the XML-WDB structural rules; returns all violations found.
+# ---------------------------------------------------------------------------
+# XML -> set equations: one pass checks the rules and applies the attribute,
+# atomic-data and tag elimination rules
+# ---------------------------------------------------------------------------
 
-    With deep=True every set:href target document is fetched and checked to
-    define the referenced simple name (requires a fetcher).
+def _local_tag(tag: str) -> str:
+    return tag.rpartition("}")[2]
+
+
+# An entry of a bracket is (label, target).  The target is a SetName for a
+# reference, () for an empty bracket, an element for the bracket of its
+# attributes and content, or an iterator over the entries of an attribute's
+# bracket.
+Entries = Iterator[Tuple[str, Any]]
+
+
+def _walk(doc: XmlWdbDocument) -> Tuple[List[Violation], EquationSystem, List[str]]:
+    """Returns the violations (root and set:eqn checks, then nested
+    specials, dangling refs and bad hrefs, each in document order), the flat
+    system (meaningful only without violations) and the set:href values.
+
+    Attributes (other than set:ref/set:href) become nested tags, text tokens
+    become empty elements, set:ref/set:href become name references; an
+    element carrying a reference contributes tag:{content} only if content
+    remains.  The nested brackets of equation x are named x-e1, x-e2, ... in
+    preorder, a taken name being skipped without advancing the count, and
+    defined in postorder.
     """
+    url = doc.source_url
     out: List[Violation] = []
-
+    system = EquationSystem()
+    hrefs: List[str] = []
     root = doc.root
     if root.tag != _EQNS:
         out.append(Violation("bad-root", "root element is %s, expected set:eqns" % root.tag))
-        return out
+        return out, system, hrefs
     for attr in root.attrib:
         # xsi:* schema hints appear on the published example files; tolerated.
         if not attr.startswith("{%s}" % XSI_NS):
             out.append(Violation("root-attribute", "set:eqns carries attribute %s" % attr))
 
     ids: Set[str] = set()
+    eqns: List[Tuple[ET.Element, str]] = []
     for child in root:
         if child.tag != _EQN:
             out.append(Violation("bad-eqn", "child %s of set:eqns is not set:eqn" % child.tag))
             continue
         eqn_id = child.attrib.get(_ID)
+        # the content of an equation without an id is still checked
+        eqns.append((child, eqn_id or ""))
         if eqn_id is None:
             out.append(Violation("missing-id", "set:eqn without required set:id"))
             continue
@@ -93,132 +124,142 @@ def validate(doc: XmlWdbDocument, deep: bool = False,
             out.append(Violation("duplicate-id", "set:id %r defined twice" % eqn_id))
         ids.add(eqn_id)
 
-    refs: List[str] = []
-    hrefs: List[str] = []
+    nested: List[Violation] = []
+    dangling: List[Violation] = []
+    bad_hrefs: List[Violation] = []
 
-    def scan(elem: ET.Element) -> None:
-        for sub in elem:
-            if sub.tag in (_EQNS, _EQN):
-                out.append(Violation("nested-special",
-                                     "%s nested inside arbitrary content" % sub.tag))
-            if _ID in sub.attrib:
-                out.append(Violation("nested-special", "set:id on arbitrary element"))
-            if _REF in sub.attrib:
-                refs.append(sub.attrib[_REF])
-            if _HREF in sub.attrib:
-                hrefs.append(sub.attrib[_HREF])
-            scan(sub)
-
-    for child in root:
-        if child.tag == _EQN:
-            scan(child)
-
-    for ref in refs:
-        if ref not in ids:
-            out.append(Violation("dangling-ref", "set:ref %r has no local set:id" % ref))
-    for href in hrefs:
-        if "#" not in href:
-            out.append(Violation("bad-href", "set:href %r is not a full set name" % href))
-            continue
+    def href_target(href: str) -> Optional[SetName]:
+        hrefs.append(href)
         try:
-            target = parse_set_name(href, base_url=doc.source_url)
+            target = parse_set_name(href, base_url=url) if "#" in href else None
         except WdbError:
-            out.append(Violation("bad-href", "set:href %r is not a full set name" % href))
-            continue
-        if target.is_local():
-            out.append(Violation("bad-href", "set:href %r names a session-generated set"
-                                 % href))
+            target = None
+        if target is None:
+            problem = "is not a full set name"
+        elif target.is_local():
+            problem = "names a session-generated set"
+        else:
+            return target
+        bad_hrefs.append(Violation("bad-href", "set:href %r %s" % (href, problem)))
+        return None
 
+    def entries(elem: ET.Element) -> Entries:
+        """The bracket of elem: its attributes, text tokens, the entries of
+        its children and their tails.  A child is checked when it is
+        reached, so checks run in document order."""
+        for key, value in elem.attrib.items():
+            if key not in _SPECIAL_ATTRIBUTES:
+                yield _local_tag(key), ((token, ()) for token in value.split())
+        if elem.text:
+            for token in elem.text.split():
+                yield token, ()
+        for sub in elem:
+            attrib = sub.attrib
+            if sub.tag in (_EQNS, _EQN):
+                nested.append(Violation("nested-special",
+                                        "%s nested inside arbitrary content" % sub.tag))
+            if _ID in attrib:
+                nested.append(Violation("nested-special", "set:id on arbitrary element"))
+            tag = _local_tag(sub.tag)
+            ref = attrib.get(_REF)
+            href = attrib.get(_HREF)
+            if ref is None and href is None:
+                yield tag, sub
+            else:
+                if ref is not None:
+                    if ref not in ids:
+                        dangling.append(Violation(
+                            "dangling-ref", "set:ref %r has no local set:id" % ref))
+                    yield tag, SetName(url, ref)
+                if href is not None:
+                    target = href_target(href)
+                    if target is not None:
+                        yield tag, target
+                # content: children, text or attributes besides the references
+                if (len(sub) or (sub.text and not sub.text.isspace())
+                        or len(attrib) > (ref is not None) + (href is not None)):
+                    yield tag, sub
+            if sub.tail:
+                for token in sub.tail.split():
+                    yield token, ()
+
+    taken = set(ids)
+    for eqn, simple in eqns:
+        top = SetName(url, simple)
+        counter = 0
+        frames: List[Tuple[SetName, FlatExpr, Entries]] = [(top, [], entries(eqn))]
+        while frames:
+            name, elements, pending = frames[-1]
+            for label, target in pending:
+                if target.__class__ is SetName:
+                    elements.append(Element(label, target))
+                    continue
+                number = counter = counter + 1
+                while "%s-e%d" % (simple, number) in taken:
+                    number += 1
+                fresh = "%s-e%d" % (simple, number)
+                taken.add(fresh)
+                member = SetName(url, fresh)
+                elements.append(Element(label, member))
+                if target == ():
+                    system.define(member, [], generated=True)
+                    continue
+                # entries() never calls itself, so the walk leaves no
+                # reference cycle behind for the garbage collector
+                if target.__class__ is ET.Element:
+                    target = entries(target)
+                frames.append((member, [], target))
+                break
+            else:
+                frames.pop()
+                if frames:
+                    system.define(name, elements, generated=True)
+                elif name not in system:    # a repeated or missing id is a violation
+                    system.define(name, elements)
+    return out + nested + dangling + bad_hrefs, system, hrefs
+
+
+def validate(doc: XmlWdbDocument, deep: bool = False,
+             fetcher: Optional[Callable[[str], str]] = None) -> List[Violation]:
+    """Check the XML-WDB structural rules; returns all violations found.
+
+    With deep=True every set:href target document is fetched and checked to
+    define the referenced simple name (requires a fetcher).
+    """
+    if deep and fetcher is None:
+        raise XmlWdbError("deep validation requires a fetcher")
+    out, _, hrefs = _walk(doc)
     if deep:
-        if fetcher is None:
-            raise XmlWdbError("deep validation requires a fetcher")
-        checked: Dict[str, Set[str]] = {}
+        defined: Dict[str, Optional[Set[str]]] = {}   # None: the fetch failed
         for href in hrefs:
             if "#" not in href:
                 continue
             url, _, simple = href.rpartition("#")
             if url == doc.source_url:
                 continue
-            if url not in checked:
+            if url not in defined:
                 try:
                     other = XmlWdbDocument.parse(fetcher(url), url)
                 except Exception as exc:
                     out.append(Violation("href-fetch", "cannot fetch %s: %s" % (url, exc)))
-                    checked[url] = set()
+                    defined[url] = None
                     continue
-                checked[url] = {e.attrib.get(_ID, "") for e in other.root}
-            if checked[url] and simple not in checked[url]:
+                defined[url] = {e.attrib.get(_ID, "") for e in other.root}
+            names = defined[url]
+            if names is not None and simple not in names:
                 out.append(Violation("dangling-href",
                                      "%s does not define %r" % (url, simple)))
     return out
 
 
-# ---------------------------------------------------------------------------
-# XML -> set equations (attribute, atomic-data and tag elimination)
-# ---------------------------------------------------------------------------
-
-def _local_tag(tag: str) -> str:
-    return tag.rpartition("}")[2]
-
-
-def _tokens(text: Optional[str]) -> List[str]:
-    return text.split() if text else []
-
-
-def _element_entries(sub: ET.Element, doc: XmlWdbDocument) -> List[Tuple[str, NestedExpr]]:
-    """Transform one XML element into labelled bracket entries.
-
-    Attributes (other than set:ref/set:href) become nested tags, text tokens
-    become empty elements, set:ref/set:href become name references; an element
-    carrying a reference contributes tag:{content} only if content remains.
-    """
-    ref = sub.attrib.get(_REF)
-    href = sub.attrib.get(_HREF)
-    tag = _local_tag(sub.tag)
-
-    inner = Bracket()
-    for key, value in sub.attrib.items():
-        if key == _REF or key == _HREF:
-            continue
-        inner.entries.append(
-            (_local_tag(key), Bracket([(tok, Bracket()) for tok in _tokens(value)])))
-    inner.entries.extend(_content_entries(sub, doc))
-
-    if ref is None and href is None:
-        return [(tag, inner)]
-    out: List[Tuple[str, NestedExpr]] = []
-    if ref is not None:
-        out.append((tag, SetName(doc.source_url, ref)))
-    if href is not None:
-        out.append((tag, parse_set_name(href, base_url=doc.source_url)))
-    if inner.entries:
-        out.append((tag, inner))
-    return out
-
-
-def _content_entries(elem: ET.Element, doc: XmlWdbDocument) -> List[Tuple[str, NestedExpr]]:
-    entries: List[Tuple[str, NestedExpr]] = []
-    for tok in _tokens(elem.text):
-        entries.append((tok, Bracket()))
-    for sub in elem:
-        entries.extend(_element_entries(sub, doc))
-        for tok in _tokens(sub.tail):
-            entries.append((tok, Bracket()))
-    return entries
-
-
 def to_equations(doc: XmlWdbDocument) -> EquationSystem:
-    """Apply the elimination rules and flatten; simple ids become full names
-    against the document URL."""
-    problems = validate(doc)
+    """Apply the elimination rules; simple ids become full names against the
+    document URL.  Raises XmlWdbError on an invalid document."""
+    problems, system, _ = _walk(doc)
     if problems:
         raise XmlWdbError("invalid XML-WDB document %s: %s"
                           % (doc.source_url, "; ".join(str(p) for p in problems)))
-    nested: Dict[SetName, NestedExpr] = {}
-    for eqn in doc.root:
-        simple = eqn.attrib[_ID]
-        nested[SetName(doc.source_url, simple)] = Bracket(_content_entries(eqn, doc))
-    return flatten(nested)
+    return system
 
 
 def load_equations(text: str, source_url: str) -> EquationSystem:

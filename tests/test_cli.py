@@ -115,6 +115,20 @@ def test_document_naming_a_session_generated_set_is_refused():
     assert "Result" not in output
 
 
+def test_queries_over_a_document_nested_5000_deep_are_answered():
+    depth = 5000
+    document = ('<set:eqns xmlns:set="http://www.csc.liv.ac.uk/~molyneux/XML-WDB">'
+                '<set:eqn set:id="d">%s%s</set:eqn></set:eqns>'
+                % ("<n>t " * depth, "</n>u" * depth))
+    session = Session(SessionConfig(show_time=False),
+                      fetcher=MemoryFetcher({"mem://d.xml": document,
+                                             "mem://copy.xml": document}))
+    output = session.run_command("set query mem://d.xml#d;")
+    assert "Result = {'n':mem://d.xml#d-e1, 'u':mem://d.xml#d-e15000}" in output
+    output = session.run_command("boolean query mem://d.xml#d = mem://copy.xml#d;")
+    assert "Result = true" in output
+
+
 def test_library_list_contains_predefined_declarations():
     session = make_session()
     output = session.run_command("library list;")

@@ -4,6 +4,7 @@ import random
 import re
 import socket
 import socketserver
+import struct
 import subprocess
 import sys
 import threading
@@ -643,6 +644,37 @@ def test_a_request_line_over_the_cap_is_refused_and_the_service_continues():
         with socket.create_connection(server.server_address, timeout=10) as sock:
             sock.sendall(b"ASK mem://f.xml#x mem://f.xml#y\n")
             assert sock.makefile("rb").readline() == b"NO mem://f.xml#x mem://f.xml#y\n"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_client_that_resets_its_connection_is_dropped_quietly():
+    """A client that sends many asks and resets the connection unread ends
+    that connection without an error report; the service goes on."""
+    server = serve(lambda x, y: OracleValue.YES)
+    errors, closed = [], threading.Event()
+    server.handle_error = lambda request, address: errors.append(sys.exc_info()[1])
+    shutdown_request = server.shutdown_request
+
+    def shutdown_and_signal(request):
+        shutdown_request(request)
+        closed.set()
+
+    server.shutdown_request = shutdown_and_signal
+    try:
+        with socket.create_connection(server.server_address, timeout=2) as sock:
+            try:
+                sock.sendall(b"ASK mem://f.xml#x mem://f.xml#y\n" * 20000)
+            except OSError:
+                pass   # both directions are full: the service waits on its sendall
+            # linger 0: close sends a reset instead of a FIN
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        assert closed.wait(10)
+        assert errors == []
+        client = OracleClient(*server.server_address)
+        assert client.ask(SetName(F1, "b2"), SetName(F2, "p3")) is OracleValue.YES
+        client.close()
     finally:
         server.shutdown()
         server.server_close()

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hypersetdb.names import (
-    Bracket, DuplicateEquationError, Element, EquationSystem, LOCAL_URL,
-    NameAllocator, NameError_, SetName, flatten, parse_full_name,
+    DuplicateEquationError, Element, EquationSystem, LOCAL_URL,
+    NameAllocator, NameError_, SetName, parse_full_name,
     parse_set_name,
 )
 from hypersetdb.bisim import naive_equal
+from hypersetdb.xmlwdb import SET_NS, load_equations
 
 
 def test_parse_full_name_splits_at_hash():
@@ -87,12 +88,16 @@ def test_duplicate_definition_is_an_error():
         system.define(name, [])
 
 
-# -- flatten -----------------------------------------------------------------
+# -- flattening (XML-WDB loading invents a name per nested bracket) -----------
+
+def wdb_document(equations: str) -> str:
+    return '<set:eqns xmlns:set="%s">%s</set:eqns>' % (SET_NS, equations)
+
 
 def test_flatten_already_flat_is_unchanged():
-    x = SetName("http://x/f.xml", "x")
-    system = flatten({x: Bracket([])})
-    assert system.equations == {x: []}
+    url = "http://x/f.xml"
+    system = load_equations(wdb_document('<set:eqn set:id="x"/>'), url)
+    assert system.equations == {SetName(url, "x"): []}
 
 
 def test_flatten_students_example():
@@ -100,9 +105,9 @@ def test_flatten_students_example():
     # with one fresh name per inner bracket
     url = "http://u/stud.xml"
     stud = SetName(url, "Stud")
-    inner1 = Bracket([("forename", Bracket([("Jack", Bracket())]))])
-    inner2 = Bracket([("forename", Bracket([("Sarah", Bracket())]))])
-    system = flatten({stud: Bracket([("student", inner1), ("student", inner2)])})
+    system = load_equations(wdb_document(
+        '<set:eqn set:id="Stud"><student><forename>Jack</forename></student>'
+        '<student><forename>Sarah</forename></student></set:eqn>'), url)
     roots = system.equations[stud]
     assert [el.label for el in roots] == ["student", "student"]
     assert roots[0].member != roots[1].member
@@ -116,7 +121,7 @@ def test_flatten_preserves_meaning_checked_by_bisimulation_oracle():
     # bisimilar to an independently hand-flattened version of the same input
     url = "mem://f.xml"
     a = SetName(url, "a")
-    system = flatten({a: Bracket([("l", Bracket([("m", Bracket())]))])})
+    system = load_equations(wdb_document('<set:eqn set:id="a"><l><m/></l></set:eqn>'), url)
     assert len(system.equations) == 3
 
     hand = EquationSystem()

@@ -130,6 +130,14 @@ def test_deep_validate_checks_href_targets():
     fetcher = lambda url: bibdb_f2_text(F1, F2)
     assert any(v.code == "dangling-href"
                for v in validate(doc, deep=True, fetcher=fetcher))
+    # a target document that defines no names defines the target neither
+    empty = lambda url: '<set:eqns xmlns:set="%s"/>' % SET_NS
+    assert [v.code for v in validate(doc, deep=True, fetcher=empty)] == ["dangling-href"]
+
+    def unreachable(url):
+        raise OSError("unreachable")
+
+    assert [v.code for v in validate(doc, deep=True, fetcher=unreachable)] == ["href-fetch"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +229,99 @@ def test_whitespace_only_text_is_ignored():
     assert system.equations[a[0].member] == []
 
 
+def random_document(rng: random.Random) -> str:
+    """A valid document: elements with multi-token attributes, text, tails,
+    set:ref and set:href (with and without content), over ids that include
+    names of the form x-eN."""
+    ids = rng.sample(["a", "b", "a-e1", "a-e3", "b-e2"], rng.randint(1, 4))
+    words = ["w", "two words", " ", "x y z"]
+
+    def text() -> str:
+        return rng.choice(words) if rng.random() < 0.5 else ""
+
+    def element(depth: int) -> str:
+        tag = rng.choice(["p", "tag", "x-1"])
+        attrs = ['at%d="%s"' % (i, rng.choice(words)) for i in range(rng.choice([0, 0, 1, 2]))]
+        if rng.random() < 0.3:
+            attrs.append('set:ref="%s"' % rng.choice(ids))
+        if rng.random() < 0.2:
+            attrs.append('set:href="mem://other.xml#%s"' % rng.choice(["p1", "q-2"]))
+        rng.shuffle(attrs)
+        body = text()
+        for _ in range(rng.choice([0, 0, 1, 2, 3]) if depth else 0):
+            body += element(depth - 1) + text()
+        return "<%s %s>%s</%s>" % (tag, " ".join(attrs), body, tag)
+
+    eqns = "".join('<set:eqn set:id="%s">%s%s</set:eqn>'
+                   % (simple, text(), "".join(element(rng.randint(0, 3)) + text()
+                                              for _ in range(rng.randint(0, 4))))
+                   for simple in ids)
+    return '<set:eqns xmlns:set="%s">%s</set:eqns>' % (SET_NS, eqns)
+
+
 def test_rules_oracle_agreement_on_bibdb_and_random_documents():
     for text, url in ((bibdb_f1_text(F1, F2), F1), (bibdb_f2_text(F1, F2), F2)):
         assert nested_view(load_equations(text, url), url) == rules_oracle(text, url)
+    rng = random.Random(11)
+    url = "mem://random.xml"
+    for _ in range(300):
+        text = random_document(rng)
+        assert validate(XmlWdbDocument.parse(text, url)) == []
+        assert nested_view(load_equations(text, url), url) == rules_oracle(text, url)
+
+
+def test_nested_brackets_are_named_in_preorder_and_defined_in_postorder():
+    """Names x-eN count the brackets of x in preorder, skipping the ids
+    x-e1 and x-e2 (and names already given) without advancing the count."""
+    text = """<set:eqns xmlns:set="%s">
+      <set:eqn set:id="x">lead
+        <p a="one two" set:ref="x-e1" set:href="mem://o.xml#y">word<q/>tail</p>
+        end
+      </set:eqn>
+      <set:eqn set:id="x-e1"/>
+      <set:eqn set:id="x-e2"/>
+    </set:eqns>""" % SET_NS
+    url = "mem://pin.xml"
+    n = lambda simple: SetName(url, simple)
+    system = load_equations(text, url)
+    assert list(system.equations.items()) == [
+        (n("x-e3"), []),
+        (n("x-e6"), []),
+        (n("x-e7"), []),
+        (n("x-e5"), [Element("one", n("x-e6")), Element("two", n("x-e7"))]),
+        (n("x-e8"), []),
+        (n("x-e9"), []),
+        (n("x-e10"), []),
+        (n("x-e4"), [Element("a", n("x-e5")), Element("word", n("x-e8")),
+                     Element("q", n("x-e9")), Element("tail", n("x-e10"))]),
+        (n("x-e11"), []),
+        (n("x"), [Element("lead", n("x-e3")), Element("p", n("x-e1")),
+                  Element("p", SetName("mem://o.xml", "y")), Element("p", n("x-e4")),
+                  Element("end", n("x-e11"))]),
+        (n("x-e1"), []),
+        (n("x-e2"), []),
+    ]
+    assert system.generated == {n("x-e%d" % i) for i in range(3, 12)}
+    assert system.mentioned == set(system.equations) | {SetName("mem://o.xml", "y")}
+
+
+def test_a_document_nested_5000_deep_loads():
+    depth = 5000
+    text = ('<set:eqns xmlns:set="%s"><set:eqn set:id="d">%s%s</set:eqn></set:eqns>'
+            % (SET_NS, "<n>t " * depth, "</n>u" * depth))
+    url = "mem://deep.xml"
+    doc = XmlWdbDocument.parse(text, url)
+    assert validate(doc) == []
+    system = to_equations(doc)
+    # d = {n:{t:{}, n:{...}, u:{}}, u:{}}: one name per element and per token
+    assert len(system.equations) == 3 * depth + 1
+    name, levels = SetName(url, "d"), 0
+    while True:
+        nested = [el.member for el in system.equations[name] if el.label == "n"]
+        if not nested:
+            break
+        name, levels = nested[0], levels + 1
+    assert levels == depth
 
 
 # ---------------------------------------------------------------------------
