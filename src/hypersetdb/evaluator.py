@@ -1,26 +1,20 @@
 """Query evaluation by reduction: extend the store with fresh equations and
 simplify until the result is a flat bracket expression or a truth value.
-An analyzed query or declaration is compiled once into nested closures,
-which the evaluator then runs.
+An analyzed query or declaration list is generated once as Python source
+and compiled to functions, which the evaluator then runs: bound variables
+are Python locals, quantifiers are loops that exit at the deciding value,
+and class ids and equations are read in place, so only a miss interns or
+fetches.
 
 Equality compares interned class ids where both names have one and
-otherwise delegates to the bisimulation module; separation, collection,
-recursion, transitive closure and decoration have their own algorithms, and
-the output renderer folds generated names back into readable nested form.
-
-Hot steps are dict reads: class ids and equations are read in place, and
-only a miss interns or fetches; identifier operands of calls and of
-membership tests are read from the environment; an iteration copies its
-environment once and overwrites the bound variables for each element, since
-no step keeps a binder's environment (closures, declarations and calls copy
-what they capture).  A quantifier runs a repeat-free body (`_repeat_free`)
-once per distinct element.
+otherwise delegates to the bisimulation module; transitive closure and
+decoration have their own algorithms, and the output renderer folds
+generated names back into readable nested form.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -39,7 +33,7 @@ class EvaluationError(WdbError):
     pass
 
 
-# A compiled node: run(evaluator, env) -> SetName | bool | str.  An
+# A compiled body: run(evaluator, env) -> SetName | bool | str.  An
 # environment maps a name to its value: a SetName, a label (str) or a Closure.
 Env = Dict[str, object]
 Run = Callable[["Evaluator", Env], object]
@@ -49,9 +43,9 @@ Declarations = Callable[["Evaluator", Env], Env]
 @dataclass
 class Closure:
     """A declared query bound in an environment: its parameter names, its
-    compiled body and the environment it captured.  `memo` maps an argument
-    key to a result (see `_call`); closures, and so memos, belong to one
-    evaluator, since the class ids in the keys do."""
+    compiled body and the names it reads from where it was declared.  `memo`
+    maps an argument key to a result (see `_Generator._call`); closures, and
+    so memos, belong to one evaluator, since the class ids in the keys do."""
 
     parameters: Tuple[str, ...]
     body: Run
@@ -97,13 +91,13 @@ class Evaluator:
     library query, so no `library add` changes it.
 
     `in_formula` is true while a formula is evaluated; only then may a set
-    query call return a memoized result (see `_call`).  `call_depth` counts
-    the query bodies in progress, each weighted by the terms and formulas
-    around the call that entered it.  A call that would take it past
-    `max_call_depth`, a third of the interpreter's recursion limit, is
-    refused before it starts: that leaves the innermost body and the
-    equality kernel below it room on the stack, so no bisimulation or store
-    update is cut off half-way.
+    query call return a memoized result (see `_Generator._call`).
+    `call_depth` counts the query bodies in progress, each weighted by the
+    terms and formulas around the call that entered it.  A call that would
+    take it past `max_call_depth`, a third of the interpreter's recursion
+    limit, is refused before it starts: that leaves the innermost body and
+    the equality kernel below it room on the stack, so no bisimulation or
+    store update is cut off half-way.
     """
 
     def __init__(self, store: SessionStore, facts: Optional[FactStore] = None,
@@ -132,19 +126,24 @@ class Evaluator:
         use changes."""
         library = self.library.extended(command, sources)
         added = library.declarations[len(self.library.declarations):]
-        env = compile_declarations(added)(self, self.library_env)
+        env = self._run(compile_declarations(added), self.library_env)
         self.library, self.library_env = library, env
+
+    def _run(self, function: Run, env: Env) -> object:
+        """Run generated code in env.  That code restores `in_formula` and
+        `call_depth` on its normal paths only; after an exception, this
+        does."""
+        try:
+            return function(self, env)
+        finally:
+            self.in_formula = False
+            self.call_depth = 0
 
     def equal(self, x: SetName, y: SetName) -> bool:
         """Bisimilarity.  Names whose closures are loaded, cycles included,
-        compare class ids, read in place and interned only on a miss; a pair
-        with a name whose closure is still open goes to the lazy kernel."""
-        ids = self.class_ids
-        ix, iy = ids.ids.get(x), ids.ids.get(y)
-        if ix is None:
-            ix = ids.of(x)
-        if iy is None:
-            iy = ids.of(y)
+        compare class ids; a pair with a name whose closure is still open
+        goes to the lazy kernel."""
+        ix, iy = self.class_ids.of(x), self.class_ids.of(y)
         if ix is not None and iy is not None:
             return ix == iy
         return bisimilar(x, y, self.store, self.facts, self.helpers)
@@ -195,36 +194,14 @@ class Evaluator:
         query = top_level.children[0]
         if query.label != g.QUERY:
             raise EvaluationError("not a query command")
-        body = query.children[2]
-        if query.children[0].label == "boolean":
-            return QueryResult(boolean=_condition(body)(self, self.library_env))
-        root = _term(body)(self, self.library_env)
-        self.store.lookup(root)  # the result equation must be present
-        return QueryResult(root=root)
+        boolean = query.children[0].label == "boolean"
+        value = self._run(compile_query(query.children[2], boolean), self.library_env)
+        if boolean:
+            return QueryResult(boolean=value)
+        self.store.lookup(value)  # the result equation must be present
+        return QueryResult(root=value)
 
-    # -- iteration constructs ---------------------------------------------------
-
-    def eval_recursion(self, rec_var: str, pool: FlatExpr, env: Env,
-                       binder: Binder, condition: Run) -> SetName:
-        """The least fixpoint of a recursion: each stage binds rec_var to the
-        elements kept so far and keeps every pool element whose condition
-        then holds, until a stage keeps nothing new."""
-        current: List[Element] = []
-        current_set: Set[Element] = set()
-        while True:
-            stage_name = self.define_fresh(list(current), hint=rec_var)
-            bound = dict(env)
-            bound[rec_var] = stage_name
-            added = False
-            for element in _bindings(binder, pool, bound):
-                if element in current_set:
-                    continue
-                if condition(self, bound):
-                    current.append(element)
-                    current_set.add(element)
-                    added = True
-            if not added:
-                return stage_name
+    # -- evaluation steps that generated code calls ----------------------------
 
     def eval_tc(self, target: SetName) -> SetName:
         items: List[Element] = [Element(NULL_LABEL, target)]
@@ -241,12 +218,9 @@ class Evaluator:
 
     def eval_membership(self, label: str, member: SetName, target: SetName) -> bool:
         ids = self.class_ids
-        target_id, member_id = ids.ids.get(target), ids.ids.get(member)
-        if target_id is None:
-            target_id = ids.of(target)
+        target_id = ids.of(target)
         if target_id is not None:
-            if member_id is None:
-                member_id = ids.of(member)
+            member_id = ids.of(member)
             if member_id is not None:
                 return (label, member_id) in ids.signatures[target_id]
         return any(el.label == label and self.equal(el.member, member)
@@ -320,149 +294,504 @@ class Evaluator:
 
 
 # ---------------------------------------------------------------------------
-# Compiling analyzed trees to closures
+# Compiling analyzed trees to Python functions
 # ---------------------------------------------------------------------------
 #
-# Each node is compiled once into a nested closure run(evaluator, env)
-# (Feeley & Lapalme, "Using closures for code generation", Computer
-# Languages 12(1), 1987).  Everything fixed once analysis is done is worked
-# out here: the node kind, literal labels, identifier names, variable pairs,
-# connective operands and the kind of each call argument.  A node runs its
-# sub-nodes in a fixed order, so generated names are allocated in a fixed
-# order too.
+# Source is generated and run through `compile()` and `exec`, as
+# `collections.namedtuple` does: the step after closure generation (Feeley &
+# Lapalme, Computer Languages 12(1), 1987).  Bound variables, `let` constants
+# and parameters are locals, lexical addresses that CPython resolves (SICP
+# §5.5.6), named by slot (v1, ...); set names are constants (k0, ...) and
+# functions f0, ...; user text appears only in string literals.  A query body
+# is a function body(ev, env) that reads its parameters and free names from
+# env on entry.  Each node is one statement into a local, run in a fixed
+# order, so names are minted in a fixed order.  A node past CPython's nesting
+# limits (20 nested blocks, 100 indentation levels) goes into a flat helper
+# function that takes the slots in scope as arguments.
 
 _MISSING = object()
+# a node starts a helper past these depths: a node adds at most two loops
+# and five indentation levels before its sub-nodes are checked
+_MAX_BLOCKS, _MAX_INDENT = 15, 80
+# nodes whose value is a local, a literal or a constant, with no statement
+_INLINE = frozenset({g.SET_VARIABLE, g.SET_CONSTANT, g.SET_NAME, g.BOOLEAN_LITERAL})
+_RUNTIME = {"Closure": Closure, "Element": Element, "EvaluationError": EvaluationError,
+            "SetName": SetName, "_MISSING": _MISSING}
 
 
-def _term(node: ParseNode) -> Run:
-    make = _TERMS.get(node.label)
-    if make is None:
-        raise EvaluationError("cannot evaluate %s as a term" % node.label)
-    return make(node)
+@functools.lru_cache(maxsize=256)
+def _load(source: Tuple[str, ...]) -> Run:
+    """The function f0 of generated source: constants, then one function per
+    text, each compiled on its own to bound the compiler's memory.  The
+    functions' globals are constants, so the cache holds no session state."""
+    namespace = dict(_RUNTIME)
+    for part in source:
+        exec(compile(part, "<generated query>", "exec"), namespace)
+    return namespace["f0"]
 
 
-def _formula(node: ParseNode) -> Run:
-    make = _FORMULAS.get(node.label)
-    if make is None:
-        raise EvaluationError("cannot evaluate %s as a formula" % node.label)
-    return make(node)
+_SOURCES: Dict[tuple, Tuple[str, ...]] = {}  # query shape -> its source, bounded
 
 
-def _label(node: ParseNode) -> Run:
-    if node.label == g.LABEL_VALUE:
-        text = node.children[0].label.strip("'")
-        return lambda ev, env: text
-    if node.label in (g.LABEL_VARIABLE, g.LABEL_CONSTANT):
-        return _identifier(node)
-    raise EvaluationError("cannot evaluate %s as a label" % node.label)
+def compile_query(body: ParseNode, boolean: bool) -> Run:
+    """The function(ev, env) that evaluates a query's body in env.  The code
+    depends only on the labels and shape of the analyzed body, so a query
+    seen before is not generated again."""
+    key = (boolean, body.shape())
+    source = _SOURCES.get(key)
+    if source is None:
+        generator = _Generator()
+        generator.function(lambda: (generator.condition if boolean else generator.value)(body))
+        if len(_SOURCES) >= 256:
+            _SOURCES.clear()
+        source = _SOURCES[key] = generator.source()
+    return _load(source)
 
 
 def compile_declarations(declarations: Sequence[ParseNode]) -> Declarations:
-    """Compile a declaration list into a function from an environment to a
-    new one extended by the declarations in order.  A query closure
-    captures the environment before its own declaration."""
-    steps = []  # (name, run giving its value in the environment so far)
-    for decl in declarations:
-        if decl.label == g.SET_CONSTANT_DECL:
-            value = _term(decl.children[-1])
-        elif decl.label == g.LABEL_CONSTANT_DECL:
-            value = _label(decl.children[-1])
-        elif decl.label in (g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL):
-            value = _query(decl)
-        else:
-            continue
-        steps.append((decl.children[2].identifier_text(), value))
-
-    def run(ev: Evaluator, env: Env) -> Env:
-        current = dict(env)
-        for name, value in steps:
-            current[name] = value(ev, current)
-        return current
-    return run
+    """A function from an environment to a new one extended by the
+    declarations in order.  A query closure keeps the names its body reads,
+    as they stand before its own declaration."""
+    generator = _Generator()
+    generator.function(lambda: generator.declarations(declarations, generator.assign("dict(env)")))
+    return _load(generator.source())
 
 
-def _query(decl: ParseNode) -> Run:
-    parameters = tuple(variable.children[1].identifier_text()
-                       for variable in decl.children[4].children
-                       if variable.label == g.VARIABLE)
-    body = (_term if decl.label == g.SET_QUERY_DECL else _formula)(decl.children[-1])
-    return lambda ev, env: Closure(parameters, body, dict(env))
+def _indented(template: str) -> str:
+    return template.replace("\n", "\n    ")
 
 
-def _condition(node: ParseNode) -> Run:
-    """A formula met in a term or as a boolean query: it marks the
-    evaluation as inside a formula until it returns or raises."""
-    formula = _formula(node)
+# the code of a function's prologue, a call, reading elements, an equality
+# and a membership test
+_TABLES = ("ids = ev.class_ids.ids\nsigs = ev.class_ids.signatures\n"
+           "eqs = ev.store.system.equations\nfirsts = ev.first_positions")
+_REFUSE = ("if ev.call_depth + {weight} > ev.max_call_depth:\n"
+           "    raise EvaluationError('query calls nested too deeply')")
+_KEY = ("{key} = ids.get({value})\nif {key} is None:\n    {key} = ev.class_ids.of({value})\n"
+        "    if {key} is None:\n        {key} = {value}")
+_CALL = ("{env} = dict({closure}.env)\n"
+         "{env}.update(zip({closure}.parameters, ({values},)))\n"
+         "ev.call_depth += {weight}\n{result} = {closure}.body(ev, {env})\n"
+         "ev.call_depth -= {weight}")
+_MEMOIZED_CALL = ("{key} = ({keys},)\n{result} = {closure}.memo.get({key}, _MISSING)\n"
+                  "if {result} is _MISSING:\n    " + _indented(_CALL)
+                  + "\n    {closure}.memo[{key}] = {result}")
+# a set argument's key and the call, by whether the call is known to run
+# inside a formula (True) or finds out from `ev.in_formula` (None)
+_KEYS = {True: _KEY, None: "if {memoized}:\n    " + _indented(_KEY)}
+_CALLS = {True: _MEMOIZED_CALL, None: "if {memoized}:\n    " + _indented(_MEMOIZED_CALL)
+          + "\nelse:\n    " + _indented(_CALL)}
+_ELEMENTS = ("{result} = eqs.get({target})\nif {result} is None:\n"
+             "    {result} = ev.elements({target})")
+_DISTINCT = ("{result} = eqs.get({target})\n"
+             "if {result} is None or firsts.get({target}, _MISSING) is not None:\n"
+             "    {result} = ev.distinct_elements({target})")
+_EQUAL = ("{left} = ids.get({lhs})\n{right} = ids.get({rhs})\n"
+          "if {left} is not None and {right} is not None:\n    {result} = {left} == {right}\n"
+          "else:\n    {result} = ev.equal({lhs}, {rhs})")
+_MEMBER = ("{target_id} = ids.get({target})\n{member_id} = ids.get({member})\n"
+           "if {target_id} is not None and {member_id} is not None:\n"
+           "    {result} = ({label}, {member_id}) in sigs[{target_id}]\n"
+           "else:\n    {result} = ev.eval_membership({label}, {member}, {target})")
+# a label matched against a pattern, by whether the pattern has a leading
+# and a trailing star
+_MATCHES = {(True, True): "{core} in {value}", (False, True): "{value}.startswith({core})",
+            (True, False): "{value}.endswith({core})", (False, False): "{value} == {core}"}
 
-    def run(ev, env):
-        if ev.in_formula:
-            return formula(ev, env)
-        ev.in_formula = True
-        try:
-            return formula(ev, env)
-        finally:
-            ev.in_formula = False
-    return run
+
+class _Function:
+    """One generated function: its lines and its depth of indentation and
+    of loops.  It reads the free names of the body from env on entry, and a
+    helper takes the slots in scope where it is called as arguments."""
+
+    def __init__(self, name: str, arguments: Tuple[str, ...]) -> None:
+        self.name, self.arguments = name, arguments
+        self.lines: List[str] = []
+        self.indent, self.blocks = 1, 0
+        self.free: Dict[str, str] = {}  # identifier -> slot
+
+    def source(self) -> str:
+        head = ["def %s(%s):" % (self.name, ", ".join(("ev", "env") + self.arguments))]
+        head += ["    %s = env[%r]" % (slot, name) for name, slot in self.free.items()]
+        return "\n".join(head + ["    " + _indented(_TABLES)] + self.lines) + "\n"
 
 
-def _call(node: ParseNode) -> Run:
-    """Call a declared query; inside a formula, memoized on what its
-    arguments denote.
+class _Generator:
+    """Generates the source of one module.  `scope` maps each identifier in
+    scope to its slot.  `formula` is True where the node is known to run
+    inside a formula, and None where the code reads `ev.in_formula`."""
 
-    The language is extensional and equations are write-once, so a call's
-    value depends only on the classes of its set arguments and the text of
-    its label arguments.  The key holds a set argument's class id, or the
-    name itself when it has none.  Boolean calls occur only in formulas, so
-    they are always memoized.  Outside formulas a set call is evaluated
-    afresh: a result name reused in a query's answer would change the
-    printed output.  A call that raises stores nothing.
+    def __init__(self) -> None:
+        self.functions: List[_Function] = []
+        self.constants: Dict[SetName, str] = {}
+        self.slots = 0
+        self.fn: Optional[_Function] = None
+        self.scope: Dict[str, str] = {}
+        self.formula: Optional[bool] = None
+        # blocks in progress: function, loop, scope to restore, `with` value
+        self.open: List[Tuple[_Function, bool, Optional[Dict[str, str]], str]] = []
 
-    A call is refused on entry, before anything is evaluated, when its body
-    would take `call_depth` past `max_call_depth` (see `Evaluator`)."""
-    name = node.children[1].identifier_text()
-    arguments = []  # (is a set argument, is an identifier, its name or run)
-    for arg in node.children[3].children:
-        is_set = arg.label in g.TERM_CATEGORIES
-        if arg.label in _IDENTIFIERS:
-            arguments.append((is_set, True, arg.identifier_text()))
-        elif arg.label != ",":
-            arguments.append((is_set, False, (_term if is_set else _label)(arg)))
-    weight = 1 + _nesting(node)
+    def source(self) -> Tuple[str, ...]:
+        constants = "".join("%s = SetName(%r, %r)\n" % (constant, name.url, name.simple)
+                            for name, constant in self.constants.items())
+        return (constants, *(function.source() for function in self.functions))
 
-    def run(ev, env):
-        if ev.call_depth + weight > ev.max_call_depth:
-            raise EvaluationError("query calls nested too deeply")
-        closure = env[name]
-        memoized = ev.in_formula
-        ids = ev.class_ids.ids
-        values = []
-        key = []
-        for is_set, by_name, argument in arguments:
-            value = env[argument] if by_name else argument(ev, env)
-            values.append(value)
-            if not is_set:
-                key.append(value)
-            elif memoized:
-                cid = ids.get(value)
-                if cid is None:
-                    cid = ev.class_ids.of(value)
-                key.append(value if cid is None else cid)
-        if memoized:
-            key = tuple(key)
-            result = closure.memo.get(key, _MISSING)
-            if result is not _MISSING:
-                return result
-        call_env = dict(closure.env)
-        call_env.update(zip(closure.parameters, values))
-        ev.call_depth += weight
-        try:
-            result = closure.body(ev, call_env)
-        finally:
-            ev.call_depth -= weight
-        if memoized:
-            closure.memo[key] = result
+    def slot(self) -> str:
+        self.slots += 1
+        return "v%d" % self.slots
+
+    def code(self, template: str, **fields: object) -> None:
+        indent = "    " * self.fn.indent
+        text = template.format(**fields) if fields else template
+        self.fn.lines.append(indent + text.replace("\n", "\n" + indent))
+
+    def assign(self, expression: str) -> str:
+        target = self.slot()
+        self.code("%s = %s" % (target, expression))
+        return target
+
+    def result(self, template: str, **fields: object) -> str:
+        """A new local, set by the code of template, which names it result."""
+        result = self.slot()
+        self.code(template, result=result, **fields)
         return result
-    return run
+
+    def block(self, head: str, loop: bool = False, scoped: bool = False,
+              value: str = "") -> "_Generator":
+        """Open a block under head until the `with` statement ends, which
+        binds value; a scoped block binds names in a scope of its own."""
+        self.code(head)
+        self.fn.indent += 1
+        self.fn.blocks += loop
+        self.open.append((self.fn, loop, self.scope if scoped else None, value))
+        if scoped:
+            self.scope = dict(self.scope)
+        return self
+
+    def __enter__(self) -> str:
+        return self.open[-1][3]
+
+    def __exit__(self, *exc_info) -> None:
+        function, loop, scope, _ = self.open.pop()
+        function.indent -= 1
+        function.blocks -= loop
+        if scope is not None:
+            self.scope = scope
+
+    def var(self, name: str) -> str:
+        """The slot of an identifier in scope, or of a free name of the body."""
+        slot = self.scope.get(name) or self.fn.free.get(name)
+        if slot is None:
+            slot = self.fn.free[name] = self.slot()
+        return slot
+
+    def label(self, node: ParseNode) -> str:
+        if node.label == g.LABEL_VALUE:
+            return repr(node.children[0].label.strip("'"))
+        if node.label in (g.LABEL_VARIABLE, g.LABEL_CONSTANT):
+            return self.var(node.identifier_text())
+        raise EvaluationError("cannot evaluate %s as a label" % node.label)
+
+    def elements(self, node: ParseNode, distinct: bool = False) -> str:
+        """A local holding the elements of node's value, or the distinct ones."""
+        return self.result(_DISTINCT if distinct else _ELEMENTS, target=self.value(node))
+
+    def function(self, emit: Callable[[], str], arguments: Optional[Tuple[str, ...]] = None,
+                 formula: Optional[bool] = None) -> _Function:
+        """A new function that returns what emit emits: a body function with
+        an empty scope, or a helper that takes arguments, the slots in scope."""
+        saved = self.fn, self.scope, self.formula
+        function = self.fn = _Function("f%d" % len(self.functions), arguments or ())
+        self.functions.append(function)
+        if arguments is None:
+            self.scope, self.formula = {}, formula
+        function.lines.append("    return " + emit())
+        self.fn, self.scope, self.formula = saved
+        return function
+
+    def value(self, node: ParseNode) -> str:
+        """Emit node's statements; return an expression for its value that
+        can be read again: a local, a literal or a constant."""
+        emit = _EMITTERS.get(node.label)
+        if emit is None:
+            raise EvaluationError("cannot evaluate %s" % node.label)
+        if node.label in _INLINE or (self.fn.blocks <= _MAX_BLOCKS
+                                     and self.fn.indent <= _MAX_INDENT):
+            return emit(self, node)
+        arguments = tuple(dict.fromkeys(self.scope.values()))
+        helper = self.function(lambda: emit(self, node), arguments)
+        for name in helper.free:  # so that a closure's body keeps them
+            self.var(name)
+        return self.assign("%s(%s)" % (helper.name, ", ".join(("ev", "env") + arguments)))
+
+    def condition(self, node: ParseNode) -> str:
+        """A formula met in a term or as a boolean query, run marked as one."""
+        if self.formula:
+            return self.value(node)
+        saved = self.assign("ev.in_formula")
+        self.code("ev.in_formula = True")
+        self.formula = True
+        result = self.value(node)
+        self.formula = None
+        self.code("ev.in_formula = " + saved)
+        return result
+
+    def declarations(self, declarations: Sequence[ParseNode], out: str = "") -> str:
+        """Bind each declaration in scope in order, and in the dict out."""
+        for decl in declarations:
+            if decl.label == g.SET_CONSTANT_DECL:
+                value = self.assign(self.value(decl.children[-1]))
+            elif decl.label == g.LABEL_CONSTANT_DECL:
+                value = self.assign(self.label(decl.children[-1]))
+            elif decl.label in (g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL):
+                parameters = tuple(variable.children[1].identifier_text()
+                                   for variable in decl.children[4].children
+                                   if variable.label == g.VARIABLE)
+                # a boolean query is called inside formulas only
+                body = self.function(lambda: self.value(decl.children[-1]),
+                                     formula=True if decl.label == g.BOOLEAN_QUERY_DECL else None)
+                captured = ", ".join("%r: %s" % (free, self.var(free))
+                                     for free in body.free if free not in parameters)
+                value = self.assign("Closure(%r, %s, {%s})"
+                                    % (parameters, body.name, captured))
+            else:
+                continue
+            name = decl.children[2].identifier_text()
+            self.scope[name] = value
+            if out:
+                self.code("%s[%r] = %s" % (out, name, value))
+        return out
+
+    def binding(self, pair: ParseNode, elements: str) -> "_Generator":
+        """Open a loop over elements that binds the variable pair l:x to each
+        element it matches; the `with` statement binds the element's slot."""
+        label_part, _, set_part = pair.children
+        element, member = self.slot(), self.slot()
+        self.block("for %s in %s:" % (element, elements), loop=True, scoped=True, value=element)
+        if label_part.label == g.LABEL_VALUE:
+            self.code("if %s[0] != %s:\n    continue\n%s = %s[1]"
+                      % (element, self.label(label_part), member, element))
+        else:
+            label = self.slot()
+            self.code("%s, %s = %s" % (label, member, element))
+            self.scope[label_part.identifier_text()] = label
+        self.scope[set_part.identifier_text()] = member
+        return self
+
+    def _set_name(self, node: ParseNode) -> str:
+        url, _, simple = node.children[0].label.rpartition("#")
+        return self.constants.setdefault(SetName(url, simple), "k%d" % len(self.constants))
+
+    def _enumerate(self, node: ParseNode) -> str:
+        items = []  # a loop, not a comprehension: a frame less per nesting level
+        for lt in node.children[1].children:
+            if lt.label == g.LABELLED_TERM:
+                items.append("Element(%s, %s)" % (self.label(lt.children[0]),
+                                                   self.value(lt.children[2])))
+        return self.assign("ev.define_fresh([%s])" % ", ".join(items))
+
+    def _union(self, node: ParseNode) -> str:
+        """The union of a set's members or of a group of sets, or a term."""
+        if node.label == g.PAREN_TERM and node.children[1].label != g.MULTIPLE_UNION:
+            return self.value(node.children[1])
+        if node.label == g.UNION:
+            target, label, member = self.elements(node.children[1]), self.slot(), self.slot()
+            combined = self.assign("[]")
+            self.code("for %s, %s in %s:\n    %s.extend(ev.elements(%s))"
+                      % (label, member, target, combined, member))
+        else:
+            combined = self.assign("[]")
+            for child in node.children[1].children:
+                if child.label not in ("U", "union"):
+                    self.code("%s.extend(ev.elements(%s))" % (combined, self.value(child)))
+        return self.assign("ev.define_fresh(%s)" % combined)
+
+    def _selection(self, node: ParseNode) -> str:
+        """collect or separate: a loop over the target that keeps the
+        template's value, or the element, where the condition holds."""
+        collect = node.label == g.COLLECT
+        if collect:
+            pair, target = node.children[4], node.children[6]
+            condition = node.children[8] if node.children[7].label == "and" else None
+        else:
+            pair, target, condition = node.children[2], node.children[4], node.children[6]
+        elements, out = self.elements(target), self.assign("[]")
+        with self.binding(pair, elements) as element:
+            if condition is not None:
+                self.code("if not %s:\n    continue" % self.condition(condition))
+            if collect:
+                template = node.children[2]
+                label = self.label(template.children[0])
+                element = "Element(%s, %s)" % (label, self.value(template.children[2]))
+            self.code("%s.append(%s)" % (out, element))
+        return self.assign("ev.define_fresh(%s)" % out)
+
+    def _recursion(self, node: ParseNode) -> str:
+        """The least fixpoint: each stage binds the recursion variable to the
+        elements kept so far and adds those whose condition then holds."""
+        rec_var = node.children[1].identifier_text()
+        pool = self.elements(node.children[5])
+        current, kept, added, stage = (self.assign("[]"), self.assign("set()"),
+                                       self.slot(), self.slot())
+        with self.block("while True:", loop=True, scoped=True):
+            self.scope[rec_var] = stage
+            self.code("%s = ev.define_fresh(list(%s), %r)\n%s = False"
+                      % (stage, current, rec_var, added))
+            with self.binding(node.children[3], pool) as element:
+                self.code("if %s in %s:\n    continue" % (element, kept))
+                with self.block("if %s:" % self.condition(node.children[7])):
+                    self.code("%s.append(%s)\n%s.add(%s)\n%s = True"
+                              % (current, element, kept, element, added))
+            self.code("if not %s:\n    break" % added)
+        return stage
+
+    def _if_else(self, node: ParseNode) -> str:
+        result = self.slot()
+        with self.block("if %s:" % self.condition(node.children[1])):
+            self.code("%s = %s" % (result, self.value(node.children[3])))
+        with self.block("else:"):
+            self.code("%s = %s" % (result, self.value(node.children[5])))
+        return result
+
+    def _with_declarations(self, node: ParseNode) -> str:
+        saved = self.scope
+        self.scope = dict(saved)
+        self.declarations(node.children[1].children)
+        result = self.value(node.children[3])
+        self.scope = saved
+        return result
+
+    def _call(self, node: ParseNode) -> str:
+        """Call a declared query; inside a formula, memoized on what its
+        arguments denote.  Equations are write-once and the language is
+        extensional, so the key holds a set argument's class id, or the name
+        when it has none, and a label argument's text.  Outside formulas a
+        set call runs afresh: a reused result name would change the printed
+        output.  A call that raises stores nothing.  A call whose body would
+        take `call_depth` past `max_call_depth` is refused on entry."""
+        weight = 1 + _nesting(node)
+        self.code(_REFUSE, weight=weight)
+        closure = self.var(node.children[1].identifier_text())
+        known = self.formula
+        memoized = self.assign("ev.in_formula") if known is None else ""
+        values, keys = [], []
+        for argument in node.children[3].children:
+            if argument.label in g.TERM_CATEGORIES:
+                value, key = self.value(argument), self.slot()
+                self.code(_KEYS[known], key=key, value=value, memoized=memoized)
+            elif argument.label != ",":
+                value = key = self.label(argument)
+            else:
+                continue
+            values.append(value)
+            keys.append(key)
+        return self.result(_CALLS[known], closure=closure, env=self.slot(), key=self.slot(),
+                           weight=weight, memoized=memoized, values=", ".join(values),
+                           keys=", ".join(keys))
+
+    def _set_equality(self, node: ParseNode) -> str:
+        """Class ids read in place decide; else `Evaluator.equal`."""
+        lhs, rhs = self.value(node.children[0]), self.value(node.children[2])
+        return self.result(_EQUAL, lhs=lhs, rhs=rhs, left=self.slot(), right=self.slot())
+
+    def _membership(self, node: ParseNode) -> str:
+        """l:x in y reads the class-id tables in place when x and y have
+        ids; else `Evaluator.eval_membership` decides."""
+        label_node, _, member_node = node.children[0].children
+        label, member = self.label(label_node), self.value(member_node)
+        return self.result(_MEMBER, label=label, member=member, target=self.value(
+            node.children[2]), member_id=self.slot(), target_id=self.slot())
+
+    def _label_relation(self, node: ParseNode) -> str:
+        """A label compared with a label or matched against a pattern, a
+        literal such as 'Rob*' or '*base*' or a label name such as *l*."""
+        lhs, op_node, rhs = node.children
+        if g.WILDCARD_LABEL not in (lhs.label, rhs.label):
+            operator = op_node.label if node.label == g.LABEL_RELATIONSHIP else "=="
+            return self.assign("%s %s %s" % (self.label(lhs), operator, self.label(rhs)))
+        wildcard, other = (lhs, rhs) if lhs.label == g.WILDCARD_LABEL else (rhs, lhs)
+        value = self.label(other)
+        if len(wildcard.children) == 1:
+            text = wildcard.children[0].label.strip("'")
+            stars = text.startswith("*"), text.endswith("*") and len(text) > 1
+            core = repr(text.strip("*"))
+        else:
+            stars = wildcard.children[0].label == "*", wildcard.children[-1].label == "*"
+            core = self.label(wildcard.children[1] if stars[0] else wildcard.children[0])
+        return self.assign(_MATCHES[stars].format(core=core, value=value))
+
+    def _paren_formula(self, node: ParseNode) -> str:
+        """A parenthesized formula.  Each further operand of a connective
+        runs while the value so far leaves the group open: true for a
+        conjunction, false for a disjunction.  In a left-associative chain
+        of =>/implies, <= and <=>/iff, the first two evaluate their right
+        operand only when it decides the value."""
+        inner = node.children[1]
+        if inner.label not in (g.CONJUNCTION, g.DISJUNCTION, g.QUASI_IMPLICATION):
+            return self.value(inner)
+        result = self.assign(self.value(inner.children[0]))
+        for op, operand in zip(inner.children[1::2], inner.children[2::2]):
+            if op.label in ("and", "=>", "implies"):
+                with self.block("if %s:" % result):
+                    self.code("%s = %s" % (result, self.value(operand)))
+                if op.label != "and":
+                    self.code("else:\n    %s = True" % result)
+            elif op.label in ("or", "<="):
+                with self.block("if not %s:" % result):
+                    value = self.value(operand)
+                    self.code("%s = %s%s" % (result, "" if op.label == "or" else "not ", value))
+            else:  # iff / <=>
+                self.code("%s = %s == %s" % (result, result, self.value(operand)))
+        return result
+
+    def _quantified(self, node: ParseNode) -> str:
+        """exists or forall: a loop that exits at the deciding value; a
+        repeat-free body (`_repeat_free`) runs once per distinct element."""
+        quantifier, body = node.children
+        decisive = quantifier.label == g.EXISTS
+        elements = self.elements(quantifier.children[3], _repeat_free(body))
+        result = self.assign(repr(not decisive))
+        with self.binding(quantifier.children[1], elements):
+            value = self.value(body)
+            self.code("if %s%s:\n    %s = %r\n    break"
+                      % ("" if decisive else "not ", value, result, decisive))
+        return result
+
+
+def _emitting(template: str, *children: int) -> Callable[[_Generator, ParseNode], str]:
+    """The emitter of template applied to the values of the children at
+    these positions, in order."""
+    def emit(generator: _Generator, node: ParseNode) -> str:
+        values = []  # a loop, not a comprehension: a frame less per nesting level
+        for index in children:
+            values.append(generator.value(node.children[index]))
+        return generator.assign(template.format(*values))
+    return emit
+
+
+_EMITTERS: Dict[str, Callable[[_Generator, ParseNode], str]] = {
+    g.SET_VARIABLE: lambda generator, node: generator.var(node.identifier_text()),
+    g.SET_CONSTANT: lambda generator, node: generator.var(node.identifier_text()),
+    g.SET_NAME: _Generator._set_name,
+    g.ATOMIC_VALUE: lambda generator, node: generator.assign(
+        "ev.atom(%r)" % node.children[0].label.strip('"')),
+    g.ENUMERATE: _Generator._enumerate,
+    g.UNION: _Generator._union, g.PAREN_TERM: _Generator._union,
+    g.COLLECT: _Generator._selection, g.SEPARATE: _Generator._selection,
+    g.RECURSION: _Generator._recursion,
+    g.TRANSITIVE_CLOSURE: _emitting("ev.eval_tc({})", 1),
+    g.DECORATION: _emitting("ev.eval_decorate({}, {})", 2, 4),
+    g.IF_ELSE_TERM: _Generator._if_else, g.IF_ELSE_FORMULA: _Generator._if_else,
+    g.SET_QUERY_CALL: _Generator._call, g.BOOLEAN_QUERY_CALL: _Generator._call,
+    g.TERM_WITH_DECLS: _Generator._with_declarations,
+    g.FORMULA_WITH_DECLS: _Generator._with_declarations,
+    g.BOOLEAN_LITERAL: lambda generator, node: repr(node.children[0].label == "true"),
+    g.NEGATED: _emitting("not {}", 1),
+    g.LABEL_EQUALITY: _Generator._label_relation,
+    g.LABEL_RELATIONSHIP: _Generator._label_relation,
+    g.SET_EQUALITY: _Generator._set_equality, g.MEMBERSHIP: _Generator._membership,
+    g.PAREN_FORMULA: _Generator._paren_formula, g.QUANTIFIED: _Generator._quantified,
+}
 
 
 def _nesting(node: ParseNode) -> int:
@@ -477,42 +806,6 @@ def _nesting(node: ParseNode) -> int:
             depth += 1
         node = node.parent
     return depth
-
-
-def _identifier(node: ParseNode) -> Run:
-    name = node.identifier_text()
-    return lambda ev, env: env[name]
-
-
-# identifiers that a call argument or a membership operand reads in place
-_IDENTIFIERS = frozenset({g.SET_VARIABLE, g.SET_CONSTANT, g.LABEL_VARIABLE,
-                          g.LABEL_CONSTANT})
-
-# (label literal or None, label variable or None, set variable)
-Binder = Tuple[Optional[str], Optional[str], str]
-
-
-def _binder(pair: ParseNode) -> Binder:
-    """The variable pair l:x of an iteration.  The iteration copies its
-    environment once and overwrites l and x in that copy for each element
-    the pair matches (see `_bindings`)."""
-    label_part, _, set_part = pair.children
-    if label_part.label == g.LABEL_VALUE:
-        return label_part.children[0].label.strip("'"), None, set_part.identifier_text()
-    return None, label_part.identifier_text(), set_part.identifier_text()
-
-
-def _bindings(binder: Binder, elements: Iterable[Element], bound: Env
-              ) -> Iterable[Element]:
-    """Each element the pair matches, once it is bound into `bound`."""
-    literal, label_var, set_var = binder
-    for element in elements:
-        if literal is None:
-            bound[label_var] = element.label
-        elif element.label != literal:
-            continue
-        bound[set_var] = element.member
-        yield element
 
 
 def _unrepeated(elements: FlatExpr, positions: List[int],
@@ -546,301 +839,6 @@ def _repeat_free(formula: ParseNode) -> bool:
             return False
         stack.extend(node.children)
     return True
-
-
-# -- terms ---------------------------------------------------------------------
-
-def _set_name(node: ParseNode) -> Run:
-    url, _, simple = node.children[0].label.rpartition("#")
-    name = SetName(url, simple)
-    return lambda ev, env: name
-
-
-def _atomic_value(node: ParseNode) -> Run:
-    text = node.children[0].label.strip('"')
-    return lambda ev, env: ev.atom(text)
-
-
-def _enumerate(node: ParseNode) -> Run:
-    items = [(_label(lt.children[0]), _term(lt.children[2]))
-             for lt in node.children[1].children if lt.label == g.LABELLED_TERM]
-
-    def run(ev, env):
-        elements = []
-        for label, member in items:
-            elements.append(Element(label(ev, env), member(ev, env)))
-        return ev.define_fresh(elements)
-    return run
-
-
-def _union(node: ParseNode) -> Run:
-    target = _term(node.children[1])
-
-    def run(ev, env):
-        combined: FlatExpr = []
-        for _, member in ev.elements(target(ev, env)):
-            combined.extend(ev.elements(member))
-        return ev.define_fresh(combined)
-    return run
-
-
-def _paren_term(node: ParseNode) -> Run:
-    inner = node.children[1]
-    if inner.label != g.MULTIPLE_UNION:
-        return _term(inner)
-    parts = [_term(child) for child in inner.children
-             if child.label not in ("U", "union")]
-
-    def run(ev, env):
-        combined: FlatExpr = []
-        for part in parts:
-            combined.extend(ev.elements(part(ev, env)))
-        return ev.define_fresh(combined)
-    return run
-
-
-def _collect(node: ParseNode) -> Run:
-    template = node.children[2]
-    label, member = _label(template.children[0]), _term(template.children[2])
-    binder = _binder(node.children[4])
-    target = _term(node.children[6])
-    condition = _condition(node.children[8]) if node.children[7].label == "and" \
-        else None
-
-    def run(ev, env):
-        out: FlatExpr = []
-        bound = dict(env)
-        for _ in _bindings(binder, ev.elements(target(ev, env)), bound):
-            if condition is None or condition(ev, bound):
-                out.append(Element(label(ev, bound), member(ev, bound)))
-        return ev.define_fresh(out)
-    return run
-
-
-def _separate(node: ParseNode) -> Run:
-    binder = _binder(node.children[2])
-    target = _term(node.children[4])
-    condition = _condition(node.children[6])
-
-    def run(ev, env):
-        kept = []
-        bound = dict(env)
-        for element in _bindings(binder, ev.elements(target(ev, env)), bound):
-            if condition(ev, bound):
-                kept.append(element)
-        return ev.define_fresh(kept)
-    return run
-
-
-def _recursion(node: ParseNode) -> Run:
-    rec_var = node.children[1].identifier_text()
-    binder = _binder(node.children[3])
-    target = _term(node.children[5])
-    condition = _condition(node.children[7])
-    return lambda ev, env: ev.eval_recursion(rec_var, ev.elements(target(ev, env)),
-                                             env, binder, condition)
-
-
-def _transitive_closure(node: ParseNode) -> Run:
-    target = _term(node.children[1])
-    return lambda ev, env: ev.eval_tc(target(ev, env))
-
-
-def _decoration(node: ParseNode) -> Run:
-    graph, vertex = _term(node.children[2]), _term(node.children[4])
-    return lambda ev, env: ev.eval_decorate(graph(ev, env), vertex(ev, env))
-
-
-def _if_else(branch_compiler, condition_compiler):
-    def make(node: ParseNode) -> Run:
-        condition = condition_compiler(node.children[1])
-        then = branch_compiler(node.children[3])
-        otherwise = branch_compiler(node.children[5])
-        return lambda ev, env: (then if condition(ev, env) else otherwise)(ev, env)
-    return make
-
-
-def _with_declarations(body_compiler):
-    def make(node: ParseNode) -> Run:
-        declarations = compile_declarations(node.children[1].children)
-        body = body_compiler(node.children[3])
-        return lambda ev, env: body(ev, declarations(ev, env))
-    return make
-
-
-# -- formulas ------------------------------------------------------------------
-
-def _boolean_literal(node: ParseNode) -> Run:
-    value = node.children[0].label == "true"
-    return lambda ev, env: value
-
-
-def _negated(node: ParseNode) -> Run:
-    inner = _formula(node.children[1])
-    return lambda ev, env: not inner(ev, env)
-
-
-def _set_equality(node: ParseNode) -> Run:
-    lhs, rhs = _term(node.children[0]), _term(node.children[2])
-    return lambda ev, env: ev.equal(lhs(ev, env), rhs(ev, env))
-
-
-def _membership(node: ParseNode) -> Run:
-    label_node, _, member_node = node.children[0].children
-    target_node = node.children[2]
-    if label_node.label == g.LABEL_VALUE and member_node.label in _IDENTIFIERS \
-            and target_node.label in _IDENTIFIERS:
-        # 'lit':x in y reads its operands in place
-        text = label_node.children[0].label.strip("'")
-        x, y = member_node.identifier_text(), target_node.identifier_text()
-        return lambda ev, env: ev.eval_membership(text, env[x], env[y])
-    label, member, target = _label(label_node), _term(member_node), _term(target_node)
-    return lambda ev, env: ev.eval_membership(label(ev, env), member(ev, env),
-                                              target(ev, env))
-
-
-_COMPARISONS = {"<": operator.lt, ">": operator.gt, "<=": operator.le,
-                ">=": operator.ge}
-
-
-def _label_relation(node: ParseNode) -> Run:
-    lhs, op_node, rhs = node.children
-    if node.label == g.LABEL_RELATIONSHIP:
-        compare = _COMPARISONS[op_node.label]
-    elif g.WILDCARD_LABEL in (lhs.label, rhs.label):
-        wildcard, other = (lhs, rhs) if lhs.label == g.WILDCARD_LABEL else (rhs, lhs)
-        return _wildcard_match(wildcard, _label(other))
-    else:
-        compare = operator.eq
-    left, right = _label(lhs), _label(rhs)
-    return lambda ev, env: compare(left(ev, env), right(ev, env))
-
-
-def _wildcard_match(wildcard: ParseNode, value: Run) -> Run:
-    """A label against a pattern: a literal such as 'Rob*' or '*base*', or a
-    label name with stars, such as l* or *l*."""
-    if len(wildcard.children) == 1:
-        text = wildcard.children[0].label.strip("'")
-        prefix = text.startswith("*")
-        suffix = text.endswith("*") and len(text) > 1
-        core_text = text.strip("*")
-
-        def core(ev, env):
-            return core_text
-    else:
-        prefix = wildcard.children[0].label == "*"
-        suffix = wildcard.children[-1].label == "*"
-        core = _label(wildcard.children[1] if prefix else wildcard.children[0])
-    if prefix and suffix:
-        match = str.__contains__
-    elif suffix:
-        match = str.startswith
-    elif prefix:
-        match = str.endswith
-    else:
-        match = operator.eq
-    return lambda ev, env: match(value(ev, env), core(ev, env))
-
-
-def _paren_formula(node: ParseNode) -> Run:
-    inner = node.children[1]
-    if inner.label in (g.CONJUNCTION, g.DISJUNCTION):
-        # an operand with this value decides the group: false for a
-        # conjunction, true for a disjunction
-        decisive = inner.label == g.DISJUNCTION
-        operands = [_formula(child) for child in inner.children
-                    if child.label not in ("and", "or")]
-
-        def connective(ev, env):
-            for operand in operands:
-                if operand(ev, env) == decisive:
-                    return decisive
-            return not decisive
-        return connective
-    if inner.label == g.QUASI_IMPLICATION:
-        return _quasi_implication(inner)
-    return _formula(inner)
-
-
-def _quasi_implication(chain: ParseNode) -> Run:
-    """A left-associative chain of =>/implies, <= and <=>/iff; the first two
-    evaluate their right operand only when it decides the value."""
-    first = _formula(chain.children[0])
-    steps = [(op.label, _formula(operand))
-             for op, operand in zip(chain.children[1::2], chain.children[2::2])]
-
-    def run(ev, env):
-        value = first(ev, env)
-        for op, operand in steps:
-            if op in ("=>", "implies"):
-                value = (not value) or operand(ev, env)
-            elif op == "<=":
-                value = value or (not operand(ev, env))
-            else:  # iff / <=>
-                value = value == operand(ev, env)
-        return value
-    return run
-
-
-def _quantified(node: ParseNode) -> Run:
-    """exists or forall: binds each element in place, as `_bindings` does,
-    and runs a repeat-free body (see `_repeat_free`) once per distinct
-    element."""
-    quantifier = node.children[0]
-    literal, label_var, set_var = _binder(quantifier.children[1])
-    target = _term(quantifier.children[3])
-    body = _formula(node.children[1])
-    distinct = _repeat_free(node.children[1])
-    # a body with this value decides: true for exists, false for forall
-    decisive = quantifier.label == g.EXISTS
-
-    def run(ev, env):
-        name = target(ev, env)
-        elements = ev.distinct_elements(name) if distinct else ev.elements(name)
-        bound = dict(env)
-        for label, member in elements:
-            if literal is None:
-                bound[label_var] = label
-            elif label != literal:
-                continue
-            bound[set_var] = member
-            if body(ev, bound) == decisive:
-                return decisive
-        return not decisive
-    return run
-
-
-_TERMS: Dict[str, Callable[[ParseNode], Run]] = {
-    g.SET_VARIABLE: _identifier,
-    g.SET_CONSTANT: _identifier,
-    g.SET_NAME: _set_name,
-    g.ATOMIC_VALUE: _atomic_value,
-    g.ENUMERATE: _enumerate,
-    g.UNION: _union,
-    g.PAREN_TERM: _paren_term,
-    g.COLLECT: _collect,
-    g.SEPARATE: _separate,
-    g.TRANSITIVE_CLOSURE: _transitive_closure,
-    g.RECURSION: _recursion,
-    g.DECORATION: _decoration,
-    g.IF_ELSE_TERM: _if_else(_term, _condition),
-    g.SET_QUERY_CALL: _call,
-    g.TERM_WITH_DECLS: _with_declarations(_term),
-}
-
-_FORMULAS: Dict[str, Callable[[ParseNode], Run]] = {
-    g.BOOLEAN_LITERAL: _boolean_literal,
-    g.NEGATED: _negated,
-    g.LABEL_EQUALITY: _label_relation,
-    g.LABEL_RELATIONSHIP: _label_relation,
-    g.SET_EQUALITY: _set_equality,
-    g.MEMBERSHIP: _membership,
-    g.BOOLEAN_QUERY_CALL: _call,
-    g.PAREN_FORMULA: _paren_formula,
-    g.QUANTIFIED: _quantified,
-    g.IF_ELSE_FORMULA: _if_else(_formula, _formula),
-    g.FORMULA_WITH_DECLS: _with_declarations(_formula),
-}
 
 
 # ---------------------------------------------------------------------------

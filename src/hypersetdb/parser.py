@@ -55,6 +55,17 @@ class ParseNode:
     def leaves(self) -> List["ParseNode"]:
         return [n for n in self.walk() if n.is_leaf()]
 
+    def shape(self) -> Tuple[object, ...]:
+        """The subtree's labels and child counts in one fixed order: two
+        subtrees are equal exactly when their shapes are."""
+        out: List[object] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out += (node.label, len(node.children))
+            stack.extend(node.children)
+        return tuple(out)
+
     def identifier_text(self) -> str:
         """The name under an identifier node."""
         return self.children[0].label

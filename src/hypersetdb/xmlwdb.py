@@ -276,7 +276,10 @@ def from_equations(system: EquationSystem, target_url: str) -> str:
 
     Names marked as generated (invented while flattening) are folded back:
     atom-shaped equations {X:{}} print as text X, other generated single-use
-    names become nested elements.
+    names become nested elements.  The text is written directly, as
+    ElementTree would serialize the same elements, by one pass with a stack
+    of open elements, so a document nested thousands deep is written like
+    any other.
     """
     for name in system.equations:
         if name.url != target_url:
@@ -285,9 +288,13 @@ def from_equations(system: EquationSystem, target_url: str) -> str:
             raise XmlWdbError("name not serializable as identifier: %r" % name.simple)
 
     ref_count: Dict[SetName, int] = {}
-    for expr in system.equations.values():
+    referrer: Dict[SetName, SetName] = {}  # the name whose equation holds it
+    for name, expr in system.equations.items():
         for el in expr:
+            if not LABEL_TAG_RE.match(el.label):
+                raise XmlWdbError("label not serializable as a tag: %r" % el.label)
             ref_count[el.member] = ref_count.get(el.member, 0) + 1
+            referrer[el.member] = name
 
     def inlinable(name: SetName) -> bool:
         return (name in system.generated and name in system.equations
@@ -302,50 +309,65 @@ def from_equations(system: EquationSystem, target_url: str) -> str:
             return label
         return None
 
+    # the names printed inside the one equation that holds them, and so
+    # given no <set:eqn> of their own: an atom whose empty member is
+    # inlinable too, and any other inlinable name not its own member
     inlined: Set[SetName] = set()
-    expanding: Set[SetName] = set()
+    for name in system.equations:
+        if inlinable(name):
+            if atom_label(name) is None:
+                if referrer[name] != name:
+                    inlined.add(name)
+            elif inlinable(system.equations[name][0].member):
+                inlined.add(name)
 
-    def emit_element(parent: ET.Element, label: str, member: SetName) -> None:
-        if not LABEL_TAG_RE.match(label):
-            raise XmlWdbError("label not serializable as a tag: %r" % label)
-        if inlinable(member) and member not in expanding:
-            atom = atom_label(member)
-            if atom is not None:
-                inner = system.equations[member][0].member
-                inlined.add(member)
-                if inlinable(inner):
-                    inlined.add(inner)
-                    node = ET.SubElement(parent, label)
-                    node.text = atom
-                    return
-                inlined.discard(member)
+    def write_eqn(name: SetName, expr: FlatExpr) -> str:
+        """The <set:eqn> element of name.  An inlined member is printed in
+        place unless it is open already, on a cycle through name."""
+        head = '<set:eqn set:id="%s"' % _escape_attribute(name.simple)
+        if not expr:
+            return head + " />"
+        out = [head + ">"]
+        expanding = {name}  # the names of the open elements
+        stack = [(name, "set:eqn", iter(expr))]
+        while stack:
+            opened, tag, elements = stack[-1]
+            for label, member in elements:
+                if member in inlined and member not in expanding:
+                    atom = atom_label(member)
+                    if atom is not None:
+                        out.append("<%s>%s</%s>" % (label, _escape_text(atom), label))
+                    elif not system.equations[member]:
+                        out.append("<%s />" % label)
+                    else:
+                        out.append("<%s>" % label)
+                        expanding.add(member)
+                        stack.append((member, label, iter(system.equations[member])))
+                        break
+                    continue
+                attribute = ('set:ref="%s"' % _escape_attribute(member.simple)
+                             if member.url == target_url
+                             else 'set:href="%s"' % _escape_attribute(member.full))
+                out.append("<%s %s />" % (label, attribute))
             else:
-                inlined.add(member)
-                node = ET.SubElement(parent, label)
-                expanding.add(member)
-                for el in system.equations[member]:
-                    emit_element(node, el.label, el.member)
-                expanding.discard(member)
-                return
-        node = ET.SubElement(parent, label)
-        if member.url == target_url:
-            node.set("set:ref", member.simple)
-        else:
-            node.set("set:href", member.full)
+                stack.pop()
+                expanding.discard(opened)
+                out.append("</%s>" % tag)
+        return "".join(out)
 
-    root = ET.Element("set:eqns")
-    root.set("xmlns:set", SET_NS)
-    eqn_elements: List[Tuple[SetName, ET.Element]] = []
-    for name, expr in system.equations.items():
-        eqn = ET.Element("set:eqn")
-        eqn.set("set:id", name.simple)
-        expanding.add(name)
-        for el in expr:
-            emit_element(eqn, el.label, el.member)
-        expanding.discard(name)
-        eqn_elements.append((name, eqn))
-    for name, eqn in eqn_elements:
-        if name not in inlined:
-            root.append(eqn)
+    body = "".join(write_eqn(name, expr) for name, expr in system.equations.items()
+                   if name not in inlined)
+    root = '<set:eqns xmlns:set="%s"' % _escape_attribute(SET_NS)
+    return '<?xml version="1.0"?>\n' + (root + ">" + body + "</set:eqns>" if body
+                                         else root + " />")
 
-    return '<?xml version="1.0"?>\n' + ET.tostring(root, encoding="unicode")
+
+def _escape_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _escape_attribute(text: str) -> str:
+    """An attribute value escaped as ElementTree escapes it.  (The escape of
+    `xml.sax.saxutils` would do, but importing it imports `urllib.request`.)"""
+    return (_escape_text(text).replace('"', "&quot;").replace("\r", "&#13;")
+            .replace("\n", "&#10;").replace("\t", "&#09;"))

@@ -4,6 +4,7 @@ of the run (see conftest)."""
 
 import itertools
 import random
+import statistics
 import time
 
 import pytest
@@ -486,7 +487,15 @@ def test_criterion_10a_chains_delay_trend():
                                      fetch_latency_ms=25)
         assert measurement.answer is True
         measurements.append(measurement)
-    walls = [m.wall_ms for m in measurements]
+    # the last delay's query takes a few ms, so one pause of the process
+    # (a collection, a descheduling) could cross the bound: it is timed
+    # three times and the median compared
+    repeats = [run_experiment(scenario, "engine", delay_ms=delays[-1], fetch_latency_ms=25)
+               for _ in range(2)]
+    assert all(repeat.answer is True for repeat in repeats)
+    measurements.extend(repeats)
+    walls = [m.wall_ms for m in measurements[:len(delays) - 1]]
+    walls.append(statistics.median(m.wall_ms for m in measurements[len(delays) - 1:]))
     figures = "; ".join(_figures(m) for m in measurements)
     slack = 150.0  # scheduling jitter allowance
     for earlier, later in zip(walls, walls[1:]):

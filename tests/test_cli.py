@@ -433,6 +433,97 @@ def test_deep_query_calls_are_refused_and_the_session_goes_on():
         WELL_TYPED + "\n\nResult = {'a':{'b':{'c':{'a':")
 
 
+# identifiers that are Python keywords, builtins, names the generated code
+# uses, or no Python identifier at all; the replies are those of the closure
+# evaluator that generated code replaced
+COLLIDING_IDENTIFIERS = [
+    ("set query let set constant def = { 'a':{}, 'b':{ 'c':{} }, 'b':\"ev\" }, "
+     "label constant lambda = 'b', "
+     "set query None (set ev, label env) be separate { x-1:1x in ev where x-1 = env } "
+     "in call None(def, lambda) endlet;",
+     WELL_TYPED + "\n\nResult = {'b':\"c\", 'b':\"ev\"}"),
+    ("boolean query let set constant v0 = { 'p':{ 'q':{} }, 'r':{} } in "
+     "exists def:lambda in v0 . ( def = 'p' and "
+     "forall None:ev in lambda . ( None = 'q' and ev = {} ) ) endlet;",
+     WELL_TYPED + "\n\nResult = true"),
+    ("set query let set constant env = { 'k':{ 'a':{} }, 'm':{} } in "
+     "collect { ev:{ 'in':x-1 } where ev:x-1 in env and exists 1x:v0 in x-1 . 1x = 'a' } "
+     "endlet;",
+     WELL_TYPED + "\n\nResult = {'k':{'in':\"a\"}}"),
+    ("set query let set constant 1x = { 'a':{ 'b':{} }, 'c':{} } in "
+     "recursion ev { None:def in TC(1x) where "
+     "( None = 'null' or exists lambda:env in ev . 'b':def in env ) } endlet;",
+     WELL_TYPED + "\n\nResult = {'null':{'a':\"b\", 'c':{}}}"),
+    ("library add set query def (set lambda) be { 'wrapped':lambda }, "
+     "boolean query ev (set env, set v0) be env = v0, "
+     "set constant None = { 'n':{} }, label constant x-1 = 'n', "
+     "set query 1x (set def, label x-1) be separate { x-1:v0 in def where true };",
+     LIBRARY_OK + "\n\nWarning, library command successful but no query executed."),
+    ("set query call def(call def(None));",
+     WELL_TYPED + "\n\nResult = {'wrapped':{'wrapped':\"n\"}}"),
+    ("boolean query call ev(call def(None), { 'wrapped':{ 'n':{} } });",
+     WELL_TYPED + "\n\nResult = true"),
+    ("set query call 1x(None, x-1);", WELL_TYPED + "\n\nResult = {'n':{}}"),
+    ("set query let set constant v0 = { 'z':{} } in call def(v0) endlet;",
+     WELL_TYPED + "\n\nResult = {'wrapped':\"z\"}"),
+    ("boolean query let set query ev (set env) be { 'e':env } in "
+     "call ev({}) = { 'e':{} } endlet;",
+     WELL_TYPED + "\n\nResult = true"),
+]
+
+
+def test_identifiers_that_collide_with_python_or_generated_code():
+    session = make_session(show_time=False)
+    for command, expected in COLLIDING_IDENTIFIERS:
+        assert session.run_command(command) == expected, command
+
+
+def _declared_chain(depth: int) -> str:
+    """A boolean query whose body nests depth quantifiers, each over the
+    previous variable, and then calls a library query."""
+    binders = "".join("exists l%d:x%d in %s . " % (i, i + 1, "x%d" % i if i else "s")
+                      for i in range(depth))
+    return "boolean query Chain (set s) be %s(%s and call isPair(x%d))" % (
+        binders, " and ".join("l%d = l%d" % (i, i) for i in range(depth)), depth)
+
+
+def _wrapped(term: str, depth: int) -> str:
+    for _ in range(depth):
+        term = "{ 'a':%s, 'b':{} }" % term
+    return term
+
+
+def test_deep_shapes_are_answered():
+    # past CPython's 20 statically nested blocks, its 100 indentation levels
+    # and its 200 nested parentheses; replies as the closure evaluator gave
+    chain = "".join("exists l:x%d in x%d . " % (i + 1, i) for i in range(400))
+    cases = [
+        ("boolean query let set constant x0 = { 'a':{ 'b':{} } } in %s true endlet;"
+         % chain, "Result = false"),
+        ("boolean query let set constant x0 = { 'a':{ 'a':{} } } in "
+         + "".join("exists l:x%d in x0 . " % (i + 1) for i in range(400))
+         + "true endlet;", "Result = true"),
+        ("boolean query " + "not " * 400 + "true;", "Result = true"),
+        ("boolean query " + "not " * 399 + "true;", "Result = false"),
+        ("set query " + "{'a': " * 300 + "{}" + "}" * 300 + ";",
+         "Result = " + "{'a':" * 299 + '"a"' + "}" * 299),
+        ("library add %s;" % _declared_chain(25), None),
+        ("boolean query call Chain(%s);" % _wrapped("{ 'fst':{}, 'snd':{} }", 25),
+         "Result = true"),
+        ("boolean query call Chain(%s);" % _wrapped("{ 'fst':{}, 'x':{} }", 25),
+         "Result = false"),
+        ("boolean query call Chain(%s);" % _wrapped("{ 'fst':{}, 'snd':{} }", 24),
+         "Result = false"),
+    ]
+    session = make_session(show_time=False)
+    for command, expected in cases:
+        output = session.run_command(command)
+        if expected is None:
+            assert output.startswith(LIBRARY_OK), output
+        else:
+            assert output == WELL_TYPED + "\n\n" + expected, command[:80]
+
+
 def test_flags_parsing():
     config = build_flags(["--oracle", "127.0.0.1:9999", "--use-approximations",
                           "--no-network", "--script", "cmds.txt", "--no-time"])

@@ -371,6 +371,21 @@ def test_round_trip_preserves_bisimulation_class_of_every_defined_name():
         assert reloaded.equations == system.equations
 
 
+def test_a_document_nested_5000_deep_survives_a_round_trip():
+    depth = 5000
+    url = "mem://deep.xml"
+    text = ('<set:eqns xmlns:set="%s"><set:eqn set:id="d">%s%s</set:eqn></set:eqns>'
+            % (SET_NS, "<n>t " * depth, "</n>u" * depth))
+    system = load_equations(text, url)
+    written = from_equations(system, url)
+    reloaded = to_equations(XmlWdbDocument.parse(written, url))
+    # the generated names fold back into one nested <set:eqn>, and loading
+    # that mints the same names again, so the round trip is literal
+    assert written.count("<set:eqn ") == 1
+    assert reloaded.equations == system.equations
+    assert reloaded.generated == system.generated
+
+
 def test_round_trip_of_loaded_document_is_bisimulation_equivalent(bibdb):
     from hypersetdb.store import FileFetcher
     fetcher = FileFetcher()
