@@ -5,6 +5,10 @@ walking up the parse tree, rightmost declaration first), occurrences are then
 relabelled from their declarations, the rest of the tree is relabelled
 bottom-up against the grammar forks, and binding constructs are checked to be
 properly bounded (no variable may sneak into the very term that bounds it).
+
+The analysis makes no traversal of the tree: it reads the identifier uses,
+the postorder and the binders that the parser recorded during its descent,
+and relabelling is one pass of fork lookups over the postorder.
 """
 
 from __future__ import annotations
@@ -232,35 +236,42 @@ def ids_search(tree: ParseNode, occurrence: ParseNode,
 # Syntactic category renaming
 # ---------------------------------------------------------------------------
 
-def scr_relabel(postorder: Sequence[ParseNode], errors: List[AnalysisItem]) -> bool:
-    """Bottom-up relabelling of unmarked nodes by unique grammar forks, over
-    the tree's nodes in left-to-right postorder, so the leftmost error is the
-    one reported.
+# identifiers (relabelled from their declarations) and variable pairs stay
+_KEPT = g.IDENTIFIER_CATEGORIES | {g.VARIABLE_PAIR}
 
-    Pre-marked-correct nodes must already carry the fork's root; a missing
-    fork or a mismatch is a typing error.  Returns success.
+
+def scr_relabel(postorder: Sequence[ParseNode], errors: List[AnalysisItem]) -> bool:
+    """Bottom-up relabelling by unique grammar forks of every node but the
+    leaves, identifiers and variable pairs.  Over the tree's nodes in
+    left-to-right postorder every child of a node is final when the node is
+    reached, and the first error, the leftmost, ends the pass.
+
+    A set name and a node marked correct (a query parameter) must already
+    carry the fork's root; a missing fork or a mismatch is a typing error.
+    Returns success.
     """
+    # fork roots by child labels, for this call only: a single child's label
+    # may be user text, which stays out of the process-wide fork cache
+    roots: Dict[Tuple[str, ...], Optional[str]] = {}
     for node in postorder:
-        if node.is_leaf() or node.seen:
+        if not node.children or node.label in _KEPT:
             continue
-        if not all(c.seen and c.correct for c in node.children):
-            # an error was recorded below; stop quietly
-            return False
-        root = g.unique_fork(node.child_labels())
+        labels = tuple([c.label for c in node.children])
+        if labels not in roots:
+            roots[labels] = g.unique_fork(labels)
+        root = roots[labels]
         if root is None:
             errors.append(AnalysisItem(
                 node.start,
                 "the statement %r cannot be properly typed" % _snippet(node)))
             return False
-        if node.correct and root != node.label:
+        if root != node.label and (node.correct or node.label == g.SET_NAME):
             errors.append(AnalysisItem(
                 node.start,
                 "%r conflicts with the expected syntax (%s vs %s)"
                 % (_snippet(node), node.label, root)))
             return False
         node.label = root
-        node.seen = True
-        node.correct = True
     return True
 
 
@@ -338,18 +349,11 @@ def analyze(result: ParseResult, library: Optional[Library] = None) -> ParseNode
     if errors:
         raise AnalysisError(errors)
 
-    # step 3/4: mark structure, then rename remaining categories bottom-up
-    for node in result.preorder:
-        if node.is_leaf():
-            node.seen = node.correct = True
-        elif node.label in g.IDENTIFIER_CATEGORIES or node.label == g.VARIABLE_PAIR:
-            node.seen = node.correct = True
-        elif node.label == g.SET_NAME:
-            node.correct = True
+    # step 3: rename the remaining categories bottom-up
     if not scr_relabel(result.postorder, errors):
         raise AnalysisError(errors)
 
-    # step 5: boundedness of binding constructs
+    # step 4: boundedness of binding constructs
     _check_bounded(result, triples, errors)
     if errors:
         raise AnalysisError(errors)
@@ -365,10 +369,9 @@ def _check_bounded(result: ParseResult, triples: Dict[int, DeclTriple],
             node = node.parent
         return False
 
-    for node in result.preorder:
+    for node, btflvn, uses in result.binders:
         # (a) binder-bounded variables must not occur free in the bounding term
         if node.label in (g.COLLECT, g.SEPARATE, g.RECURSION, g.QUANTIFIED):
-            btflvn, uses = result.btflvn_sublists[id(node)]
             bounded = {name for _, name, _ in binder_declarations(node)}
             for use in uses:
                 if use.identifier_text() in bounded:
@@ -378,32 +381,20 @@ def _check_bounded(result: ParseResult, triples: Dict[int, DeclTriple],
                             use.start,
                             "variable %s occurs in the term bounding it"
                             % use.identifier_text(), use.identifier_text()))
-        # (b) set constant definitions must have no free variables
-        elif node.label == g.SET_CONSTANT_DECL:
-            body, uses = result.btflvn_sublists[id(node)]
+        # (b) set constant definitions must have no free variables, and (c)
+        # query bodies may use only their parameters as free variables
+        elif node.label in g.DECLARATION_CATEGORIES:
             for use in uses:
                 if use.label in (g.SET_VARIABLE, g.LABEL_VARIABLE):
                     bn = triples[id(use)].binder
-                    if not within(bn, body):
-                        errors.append(AnalysisItem(
-                            use.start,
-                            "free variable %s in a set constant definition"
-                            % use.identifier_text(), use.identifier_text()))
-        # (c) query bodies may use only their parameters as free variables
-        elif node.label in (g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL):
-            body, uses = result.btflvn_sublists[id(node)]
-            for use in uses:
-                if use.label in (g.SET_VARIABLE, g.LABEL_VARIABLE):
-                    bn = triples[id(use)].binder
-                    if bn is node:
-                        continue  # bound by a parameter
-                    if not within(bn, body):
-                        errors.append(AnalysisItem(
-                            use.start,
-                            "variable %s is free in the body of %s"
-                            % (use.identifier_text(),
-                               node.children[2].identifier_text()),
-                            use.identifier_text()))
+                    if bn is node or within(bn, btflvn):
+                        continue  # bound by a parameter or inside the body
+                    name = use.identifier_text()
+                    errors.append(AnalysisItem(use.start, (
+                        "free variable %s in a set constant definition" % name
+                        if node.label == g.SET_CONSTANT_DECL else
+                        "variable %s is free in the body of %s"
+                        % (name, node.children[2].identifier_text())), name))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,18 @@ The parser builds fork-based parse trees.  Identifier occurrences get
 provisional categories (variable over constant, set over label where the
 context leaves a choice); the contextual analysis later corrects them from
 the declarations in scope and relabels the affected ancestors.
+
+The descent records what the analysis reads while it builds the tree, with
+no later walk: each node's parent, the nodes in the order it finishes them
+(left-to-right postorder), the identifier nodes that use a name (a call site
+knows whether its identifier declares a name or uses one) and the binder
+nodes.  Both places that backtrack, `try_parse` and the set-equality attempt,
+cut every record back to where their attempt began.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -23,10 +31,10 @@ class ParseError(Exception):
 
 
 class ParseNode:
-    """A parse-tree node: category label, children, source span and the
-    seen/correct marks used by contextual analysis."""
+    """A parse-tree node: category label, children, source span, parent and
+    the mark of a node whose label the contextual analysis must confirm."""
 
-    __slots__ = ("label", "children", "start", "end", "parent", "seen", "correct")
+    __slots__ = ("label", "children", "start", "end", "parent", "correct")
 
     def __init__(self, label: str, children: Optional[List["ParseNode"]] = None,
                  start: int = 0, end: int = 0) -> None:
@@ -35,7 +43,6 @@ class ParseNode:
         self.start = start
         self.end = end
         self.parent: Optional[ParseNode] = None
-        self.seen = False
         self.correct = False
 
     def is_leaf(self) -> bool:
@@ -84,15 +91,16 @@ def reprint(node: ParseNode) -> str:
 
 @dataclass
 class ParseResult:
-    """A parsed command: its tree, the tree's nodes in preorder and in
-    left-to-right postorder, the identifier uses in preorder, and for each
-    binder (keyed by id) its bounding node with the uses inside that node."""
+    """A parsed command and what the descent recorded while building it: the
+    tree's nodes in left-to-right postorder, the identifier nodes that use a
+    name in source order, and each binder or declaration node in source
+    order (of two that start together, the outer first) with its
+    `bounding_node` and the uses inside that node."""
 
     tree: ParseNode
-    preorder: List[ParseNode]
     postorder: List[ParseNode]
     identifier_nodes: List[ParseNode]
-    btflvn_sublists: Dict[int, Tuple[ParseNode, List[ParseNode]]]
+    binders: List[Tuple[ParseNode, ParseNode, List[ParseNode]]]
 
 
 class _Parser:
@@ -107,6 +115,9 @@ class _Parser:
         # start of a parenthesised term that failed -> what its attempt
         # found as the furthest error: (position, expected)
         self.failed_parens: Dict[int, Tuple[int, str]] = {}
+        self.postorder: List[ParseNode] = []
+        self.uses: List[ParseNode] = []
+        self.binders: List[ParseNode] = []  # in the order they finish
 
     # -- token helpers ------------------------------------------------------
 
@@ -132,8 +143,10 @@ class _Parser:
         return token
 
     def leaf(self, token: Token) -> ParseNode:
-        return ParseNode(token.text, start=token.position,
+        leaf = ParseNode(token.text, start=token.position,
                          end=token.position + len(token.text))
+        self.postorder.append(leaf)
+        return leaf
 
     def expect(self, text: str, expected: Optional[str] = None) -> ParseNode:
         token = self.peek()
@@ -152,14 +165,46 @@ class _Parser:
     def node(self, label: str, children: List[ParseNode]) -> ParseNode:
         start = children[0].start if children else self.peek().position
         end = children[-1].end if children else start
-        return ParseNode(label, children, start, end)
+        node = ParseNode(label, children, start, end)
+        for child in children:
+            child.parent = node
+        self.postorder.append(node)
+        if label in _BOUNDED:
+            self.binders.append(node)
+        return node
 
-    def identifier_node(self, category: str) -> ParseNode:
+    def declared(self, category: str) -> ParseNode:
+        """An identifier node that declares a name."""
         token = self.peek()
         if token.kind != "WORD" or token.text in g.KEYWORDS:
             raise self.fail("identifier")
-        leaf = self.leaf(self.take())
-        return self.node(category, [leaf])
+        return self.node(category, [self.leaf(self.take())])
+
+    def identifier_node(self, category: str) -> ParseNode:
+        """An identifier node that uses a name."""
+        node = self.declared(category)
+        self.uses.append(node)
+        return node
+
+    # -- backtracking --------------------------------------------------------
+
+    def save(self) -> Tuple[int, int, int, int]:
+        return self.pos, len(self.postorder), len(self.uses), len(self.binders)
+
+    def restore(self, saved: Tuple[int, int, int, int]) -> None:
+        """Back to a saved position, dropping what was recorded since."""
+        self.pos, nodes, uses, binders = saved
+        del self.postorder[nodes:]
+        del self.uses[uses:]
+        del self.binders[binders:]
+
+    def try_parse(self, production) -> Optional[ParseNode]:
+        saved = self.save()
+        try:
+            return production()
+        except ParseError:
+            self.restore(saved)
+            return None
 
     # -- top level ----------------------------------------------------------
 
@@ -213,13 +258,13 @@ class _Parser:
     def parse_declaration(self) -> ParseNode:
         if self.at_word("set") and self.peek(1).text == "constant":
             kw1, kw2 = self.leaf(self.take()), self.leaf(self.take())
-            name = self.identifier_node(g.SET_CONSTANT)
+            name = self.declared(g.SET_CONSTANT)
             eq = self.parse_be_or_eq()
             body = self.parse_term()
             return self.node(g.SET_CONSTANT_DECL, [kw1, kw2, name, eq, body])
         if self.at_word("label") and self.peek(1).text == "constant":
             kw1, kw2 = self.leaf(self.take()), self.leaf(self.take())
-            name = self.identifier_node(g.LABEL_CONSTANT)
+            name = self.declared(g.LABEL_CONSTANT)
             eq = self.parse_be_or_eq()
             if self.peek().kind != "LABELVALUE":
                 raise self.fail("a label value")
@@ -229,25 +274,16 @@ class _Parser:
                                  token.position)
             value = self.node(g.LABEL_VALUE, [self.leaf(token)])
             return self.node(g.LABEL_CONSTANT_DECL, [kw1, kw2, name, eq, value])
-        if self.at_word("set") and self.peek(1).text == "query":
+        if self.at_word("set", "boolean") and self.peek(1).text == "query":
             kw1, kw2 = self.leaf(self.take()), self.leaf(self.take())
-            name = self.identifier_node(g.SET_QUERY_NAME)
+            boolean = kw1.label == "boolean"
+            name = self.declared(g.BOOLEAN_QUERY_NAME if boolean else g.SET_QUERY_NAME)
             lp = self.expect("(")
             variables = self.parse_variables()
             rp = self.expect(")")
             eq = self.parse_be_or_eq()
-            body = self.parse_term()
-            return self.node(g.SET_QUERY_DECL,
-                             [kw1, kw2, name, lp, variables, rp, eq, body])
-        if self.at_word("boolean") and self.peek(1).text == "query":
-            kw1, kw2 = self.leaf(self.take()), self.leaf(self.take())
-            name = self.identifier_node(g.BOOLEAN_QUERY_NAME)
-            lp = self.expect("(")
-            variables = self.parse_variables()
-            rp = self.expect(")")
-            eq = self.parse_be_or_eq()
-            body = self.parse_formula()
-            return self.node(g.BOOLEAN_QUERY_DECL,
+            body = self.parse_formula() if boolean else self.parse_term()
+            return self.node(g.BOOLEAN_QUERY_DECL if boolean else g.SET_QUERY_DECL,
                              [kw1, kw2, name, lp, variables, rp, eq, body])
         raise self.fail("a declaration")
 
@@ -266,10 +302,10 @@ class _Parser:
     def parse_variable(self) -> ParseNode:
         if self.at_word("set"):
             kw = self.leaf(self.take())
-            return self.node(g.VARIABLE, [kw, self.identifier_node(g.SET_VARIABLE)])
+            return self.node(g.VARIABLE, [kw, self.declared(g.SET_VARIABLE)])
         if self.at_word("label"):
             kw = self.leaf(self.take())
-            return self.node(g.VARIABLE, [kw, self.identifier_node(g.LABEL_VARIABLE)])
+            return self.node(g.VARIABLE, [kw, self.declared(g.LABEL_VARIABLE)])
         raise self.fail("'set <variable>' or 'label <variable>'")
 
     # -- terms ---------------------------------------------------------------
@@ -412,9 +448,9 @@ class _Parser:
                                  token.position)
             label = self.node(g.LABEL_VALUE, [self.leaf(self.take())])
         else:
-            label = self.identifier_node(g.LABEL_VARIABLE)
+            label = self.declared(g.LABEL_VARIABLE)
         colon = self.expect(":")
-        var = self.identifier_node(g.SET_VARIABLE)
+        var = self.declared(g.SET_VARIABLE)
         return self.node(g.VARIABLE_PAIR, [label, colon, var])
 
     def parse_collect(self) -> ParseNode:
@@ -445,7 +481,7 @@ class _Parser:
 
     def parse_recursion(self) -> ParseNode:
         kw = self.expect("recursion")
-        var = self.identifier_node(g.SET_VARIABLE)
+        var = self.declared(g.SET_VARIABLE)
         lb = self.expect("{")
         pair = self.parse_variable_pair()
         inkw = self.parse_in_kw()
@@ -515,14 +551,6 @@ class _Parser:
             return self.parse_call(g.BOOLEAN_QUERY_CALL, g.BOOLEAN_QUERY_NAME)
         raise self.fail("a formula")
 
-    def try_parse(self, production) -> Optional[ParseNode]:
-        saved = self.pos
-        try:
-            return production()
-        except ParseError:
-            self.pos = saved
-            return None
-
     def parse_if_else_formula(self) -> ParseNode:
         kw = self.expect("if")
         cond = self.parse_formula()
@@ -547,15 +575,15 @@ class _Parser:
         membership = self.try_parse(self.parse_membership)
         if membership is not None:
             return membership
-        # set equality: term = term
-        saved = self.pos
+        # set equality: term = term, in place (try_parse costs 2 frames a level)
+        saved = self.save()
         try:
             lhs = self.parse_term()
             eq = self.expect("=")
             rhs = self.parse_term()
             return self.node(g.SET_EQUALITY, [lhs, eq, rhs])
         except ParseError:
-            self.pos = saved
+            self.restore(saved)
         # label equality / relationship
         lhs = self.parse_wildcard_or_label()
         token = self.peek()
@@ -620,24 +648,14 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Identifier and bounding-node bookkeeping
+# Bounding nodes
 # ---------------------------------------------------------------------------
-
-def _declares(parent: ParseNode, identifier: ParseNode) -> bool:
-    """Whether an identifier node declares (rather than uses) a name: a
-    declared constant/query name, a query parameter, a variable-pair
-    component or a recursion variable."""
-    if parent.label in g.DECLARATION_CATEGORIES:
-        return parent.children[2] is identifier
-    if parent.label in (g.VARIABLE, g.RECURSION):
-        return parent.children[1] is identifier
-    return parent.label == g.VARIABLE_PAIR
-
 
 # the child that bounds a binder or declaration node, by the node's label
 _BOUNDING_CHILD = dict.fromkeys(g.DECLARATION_CATEGORIES, -1)
 _BOUNDING_CHILD.update({g.COLLECT: 6, g.SEPARATE: 4, g.RECURSION: 5,
                         g.FORALL: 3, g.EXISTS: 3})
+_BOUNDED = frozenset(_BOUNDING_CHILD) | {g.QUANTIFIED}
 
 
 def bounding_node(bn: ParseNode) -> Optional[ParseNode]:
@@ -649,38 +667,6 @@ def bounding_node(bn: ParseNode) -> Optional[ParseNode]:
         bn = bn.children[0]
     index = _BOUNDING_CHILD.get(bn.label)
     return None if index is None else bn.children[index]
-
-
-def _one_pass(tree: ParseNode) -> ParseResult:
-    """Link parents, list the nodes in preorder and left-to-right postorder,
-    and collect the identifier uses and each binder's share of them, in one
-    walk.  A node comes off the stack on entry and again on exit, when the
-    uses found since its entry are exactly those inside it."""
-    preorder: List[ParseNode] = []
-    postorder: List[ParseNode] = []
-    uses: List[ParseNode] = []
-    sublists: Dict[int, Tuple[ParseNode, List[ParseNode]]] = {}
-    binders: Dict[int, List[ParseNode]] = {}  # id(bounding node) -> binders
-    stack: List[Tuple[ParseNode, int]] = [(tree, -1)]
-    while stack:
-        node, entered = stack.pop()
-        if entered >= 0:
-            postorder.append(node)
-            for binder in binders.pop(id(node), ()):
-                sublists[id(binder)] = (node, uses[entered:])
-            continue
-        preorder.append(node)
-        stack.append((node, len(uses)))
-        if node.label in g.IDENTIFIER_CATEGORIES and not _declares(node.parent, node):
-            uses.append(node)
-        btflvn = bounding_node(node)
-        if btflvn is not None:
-            sublists[id(node)] = (btflvn, [])  # keeps the binders in preorder
-            binders.setdefault(id(btflvn), []).append(node)
-        for child in reversed(node.children):
-            child.parent = node
-            stack.append((child, -1))
-    return ParseResult(tree, preorder, postorder, uses, sublists)
 
 
 def parse(source: str) -> ParseResult:
@@ -696,4 +682,13 @@ def parse(source: str) -> ParseResult:
     trailing = parser.peek()
     if trailing.kind != "EOF":
         raise ParseError("unexpected input after command", trailing.position)
-    return _one_pass(tree)
+    # binders finish inner first; in source order, of two that start together
+    # (a quantified formula and its quantifier) the outer one ends later
+    uses = parser.uses
+    starts = [use.start for use in uses]
+    binders = []
+    for binder in sorted(parser.binders, key=lambda b: (b.start, -b.end)):
+        btflvn = bounding_node(binder)
+        binders.append((binder, btflvn, uses[bisect_left(starts, btflvn.start):
+                                             bisect_left(starts, btflvn.end)]))
+    return ParseResult(tree, parser.postorder, uses, binders)

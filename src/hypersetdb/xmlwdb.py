@@ -311,15 +311,26 @@ def from_equations(system: EquationSystem, target_url: str) -> str:
 
     # the names printed inside the one equation that holds them, and so
     # given no <set:eqn> of their own: an atom whose empty member is
-    # inlinable too, and any other inlinable name not its own member
-    inlined: Set[SetName] = set()
-    for name in system.equations:
-        if inlinable(name):
-            if atom_label(name) is None:
-                if referrer[name] != name:
-                    inlined.add(name)
-            elif inlinable(system.equations[name][0].member):
-                inlined.add(name)
+    # inlinable too, and any other inlinable name
+    inlined = {name for name in system.equations if inlinable(name) and (
+        atom_label(name) is None or inlinable(system.equations[name][0].member))}
+    # an inlined name is printed where a written equation reaches it; going up
+    # from one that none reaches ends on a cycle, written from its entry name
+    # (a name that is its own only member is written as itself)
+    reached: Set[SetName] = set()
+    for name in sorted(system.equations, key=lambda n: n in inlined):
+        if name not in reached:
+            chain: Set[SetName] = set()
+            while name in inlined and name not in chain:
+                chain.add(name)
+                name = referrer[name]
+            inlined.discard(name)
+            stack = [name]
+            while stack:
+                for _, member in system.equations[stack.pop()]:
+                    if member in inlined and member not in reached:
+                        reached.add(member)
+                        stack.append(member)
 
     def write_eqn(name: SetName, expr: FlatExpr) -> str:
         """The <set:eqn> element of name.  An inlined member is printed in

@@ -233,7 +233,18 @@ GOLDEN_DIAGNOSTICS = [
 ]
 
 
-@pytest.mark.parametrize("command,expected", GOLDEN_DIAGNOSTICS)
+# Nested binders report the outer binder's errors first, binder by binder in
+# preorder, also where the inner binder lies in the outer's bounding term.
+# Kept apart from GOLDEN_DIAGNOSTICS, whose commands the golden replies replay.
+NESTED_BINDER_DIAGNOSTICS = [
+    ('boolean query exists l:x in x . exists m:y in y . true;',
+     'Query is well-formed, but not well-typed\n\nError at character 29, variable x occurs in the term bounding it:\n  ...boolean query exists l:x in x . exists m <-------\nError at character 47, variable y occurs in the term bounding it:\n  ...ists l:x in x . exists m:y in y . true; <-------'),
+    ('boolean query exists l:x in separate { m:y in y where x = x } . true;',
+     'Query is well-formed, but not well-typed\n\nError at character 55, variable x occurs in the term bounding it:\n  ... in separate { m:y in y where x = x } . tr <-------\nError at character 59, variable x occurs in the term bounding it:\n  ...separate { m:y in y where x = x } . true; <-------\nError at character 47, variable y occurs in the term bounding it:\n  ...ists l:x in separate { m:y in y where x =  <-------'),
+]
+
+
+@pytest.mark.parametrize("command,expected", GOLDEN_DIAGNOSTICS + NESTED_BINDER_DIAGNOSTICS)
 def test_golden_diagnostics(command, expected):
     assert make_session(show_time=False).run_command(command) == expected
 

@@ -239,7 +239,7 @@ def test_btflvn_sublists_cover_binder_terms():
     result = parse(source)
     separates = [n for n in result.tree.walk() if n.label == g.SEPARATE]
     assert len(separates) == 1
-    btflvn, uses = result.btflvn_sublists[id(separates[0])]
+    [(_, btflvn, uses)] = [b for b in result.binders if b[0] is separates[0]]
     assert btflvn is bounding_node(separates[0])
     assert [u.identifier_text() for u in uses] == ["c"]
 
@@ -384,7 +384,7 @@ def _random_label_sequences(rng, count):
 def _fork_test_sequences():
     sequences = list(_expanded_fork_shapes())
     for source in PARSER_TEST_QUERIES:
-        sequences.extend(node.child_labels() for node in parse(source).preorder)
+        sequences.extend(node.child_labels() for node in parse(source).postorder)
     sequences.extend(_random_label_sequences(random.Random(13), 20000))
     return sequences
 
@@ -415,7 +415,7 @@ def test_cached_unique_fork_agrees_and_stays_bounded():
 
 
 # ---------------------------------------------------------------------------
-# The one-pass bookkeeping against its walk-based definition
+# The bookkeeping recorded by the descent against its walk-based definition
 # ---------------------------------------------------------------------------
 
 def _reference_walk(node):
@@ -447,14 +447,14 @@ def _reference_identifier_uses(tree):
             if node.label in g.IDENTIFIER_CATEGORIES and id(node) not in declared]
 
 
-def _reference_btflvn_sublists(tree, uses):
-    sublists = {}
+def _reference_binders(tree, uses):
+    binders = []
     for node in _reference_walk(tree):
         btflvn = bounding_node(node)
         if btflvn is not None:
             inside = set(id(n) for n in _reference_walk(btflvn))
-            sublists[id(node)] = (btflvn, [u for u in uses if id(u) in inside])
-    return sublists
+            binders.append((node, btflvn, [u for u in uses if id(u) in inside]))
+    return binders
 
 
 def _bib_session_commands(directory, monkeypatch):
@@ -468,6 +468,29 @@ def _same_nodes(left, right):
     return len(left) == len(right) and all(a is b for a, b in zip(left, right))
 
 
+# each of these backtracks after recording nodes, uses or binders: a
+# formula group whose "(" first fails as a term (once with a binder and uses
+# inside the failed term), a label equality after a failed membership and a
+# failed set equality, a set equality whose first "(" is a term, and deep
+# nests whose inner failures are replayed from the failed-term table
+BACKTRACKING_QUERIES = [
+    "boolean query let set constant x = {}, set constant y = {} in "
+    "(x = y and 'a':x in y) endlet;",
+    "boolean query let set constant x = {}, set constant y = {} in "
+    "((x U y) = y and exists l:z in y . z = x) endlet;",
+    "boolean query let set constant y = {} in "
+    "(separate { l:z in y where z = y } = y and (y = y or true)) endlet;",
+    "boolean query let label constant l = 'b' in l = 'a' endlet;",
+    "boolean query let set constant c = {} in ((c U c) = c) endlet;",
+    "boolean query let set constant c = {} in " + "(" * 300 + "c = c" + ")" * 300
+    + " endlet;",
+    "boolean query let set constant c = {} in " + "(" * 300
+    + "exists l:x in c . (x = c and 'a':x in c)" + ")" * 300 + " endlet;",
+    "boolean query let set constant c = {} in "
+    + "(exists l:x in c . " * 100 + "true" + ")" * 100 + " endlet;",
+]
+
+
 def test_one_pass_bookkeeping_equals_the_walks(tmp_path, monkeypatch):
     deep_parens = ("set query let set constant c = {} in " + "(c U " * 300 + "c"
                    + ")" * 300 + " endlet;")
@@ -477,26 +500,26 @@ def test_one_pass_bookkeeping_equals_the_walks(tmp_path, monkeypatch):
                     + "true endlet;")
     sources = (["library add " + ",\n".join(PREDEFINED_DECLARATIONS) + ";",
                 deep_parens, deep_binders]
-               + _bib_session_commands(tmp_path, monkeypatch) + PARSER_TEST_QUERIES)
+               + _bib_session_commands(tmp_path, monkeypatch) + PARSER_TEST_QUERIES
+               + BACKTRACKING_QUERIES)
     for source in sources:
         result = parse(source)
         tree = result.tree
         assert tree.parent is None
         for node in _reference_walk(tree):
             assert all(child.parent is node for child in node.children)
-        assert _same_nodes(result.preorder, list(_reference_walk(tree)))
+        # every record holds exactly nodes of the final tree
         assert _same_nodes(result.postorder, list(_reference_postorder(tree)))
-        assert _same_nodes(list(tree.walk()), result.preorder)
+        assert _same_nodes(list(tree.walk()), list(_reference_walk(tree)))
         uses = _reference_identifier_uses(tree)
         assert _same_nodes(result.identifier_nodes, uses)
-        expected = _reference_btflvn_sublists(tree, uses)
-        assert list(result.btflvn_sublists) == list(expected)
-        for key, (btflvn, inside) in expected.items():
-            got_btflvn, got_inside = result.btflvn_sublists[key]
-            assert got_btflvn is btflvn
-            assert _same_nodes(got_inside, inside)
+        expected = _reference_binders(tree, uses)
+        assert len(result.binders) == len(expected)
+        for (binder, btflvn, inside), got in zip(expected, result.binders):
+            assert got[0] is binder and got[1] is btflvn
+            assert _same_nodes(got[2], inside)
     # each quantifier and its head, and the declaration of x0
-    assert len(parse(deep_binders).btflvn_sublists) == 601
+    assert len(parse(deep_binders).binders) == 601
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,49 @@ def test_round_trip_preserves_bisimulation_class_of_every_defined_name():
         assert reloaded.equations == system.equations
 
 
+def _aliased(system, suffix):
+    """The system with every local name moved to the url plus suffix."""
+    out = EquationSystem()
+    for name, expr in system.equations.items():
+        out.define(SetName(name.url + suffix, name.simple),
+                   [Element(l, SetName(m.url + suffix, m.simple)) for l, m in expr])
+    return out
+
+
+def test_written_generated_names_load_back_bisimilar():
+    """A written system loads back bisimilar, a cycle of generated names
+    that only each other hold included, and a name written under its own id
+    keeps its class."""
+    url = "mem://written.xml"
+    cycle = EquationSystem()
+    cycle.define(SetName(url, "a"), [Element("p", SetName(url, "b"))], generated=True)
+    cycle.define(SetName(url, "b"), [Element("q", SetName(url, "a"))], generated=True)
+    cycle.define(SetName(url, "r"), [Element("x", SetName(url, "e"))])
+    cycle.define(SetName(url, "e"), [])
+    systems = [cycle]
+    rng = random.Random(22)
+    for _ in range(200):
+        system = random_closed_system(rng, max_names=8, url=url)
+        system.generated = {n for n in system.equations if rng.random() < 0.6}
+        systems.append(system)
+    for system in systems:
+        written = from_equations(system, url)
+        loaded = load_equations(written, url)
+        # every name is written, as a <set:eqn> or nested in one
+        assert len(loaded.equations) == len(system.equations), written
+        merged = _aliased(system, "?a")
+        merged.merge(_aliased(loaded, "?b"))
+        blocks = naive_bisimulation(merged)
+        before = {blocks[n] for n in merged.equations if n.url == url + "?a"}
+        after = {blocks[n] for n in merged.equations if n.url == url + "?b"}
+        assert before == after, written
+        for name in loaded.equations:
+            if name not in loaded.generated:
+                assert (blocks[SetName(url + "?a", name.simple)]
+                        == blocks[SetName(url + "?b", name.simple)])
+    assert '<set:eqn set:id="a">' in from_equations(cycle, url)
+
+
 def test_a_document_nested_5000_deep_survives_a_round_trip():
     depth = 5000
     url = "mem://deep.xml"
