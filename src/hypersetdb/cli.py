@@ -182,10 +182,20 @@ def repl(session: Session, stream_in: TextIO, stream_out: TextIO) -> None:
             stream_out.flush()
 
 
+def _address(text: str) -> str:
+    """An --oracle value: HOST:PORT with a port in 0-65535 (HOST may be
+    empty, for 127.0.0.1)."""
+    _, colon, port = text.rpartition(":")
+    if not (colon and port.isdecimal() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError("expected HOST:PORT with a port from 0 to "
+                                         "65535, got %r" % text)
+    return text
+
+
 def build_flags(argv: List[str]) -> SessionConfig:
     parser = argparse.ArgumentParser(prog="hypersetdb",
                                      description="Hyperset query session")
-    parser.add_argument("--oracle", metavar="HOST:PORT",
+    parser.add_argument("--oracle", metavar="HOST:PORT", type=_address,
                         help="consult a bisimulation engine for equality")
     parser.add_argument("--use-approximations", action="store_true",
                         help="load approximation files next to WDB documents")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import grammar as g
 from .analysis import Library, analyze
@@ -106,9 +106,6 @@ class Evaluator:
         self.facts = facts or FactStore()
         self.helpers = helpers or BisimHelpers()
         self.class_ids = ClassIds(store)
-        # quantified name -> positions of its distinct elements, or None when
-        # it repeats none (see `distinct_elements`)
-        self.first_positions: Dict[SetName, Optional[List[int]]] = {}
         self.atoms: Dict[str, SetName] = {}
         self.empty_name: Optional[SetName] = None
         self.in_formula = False
@@ -152,24 +149,6 @@ class Evaluator:
         """The equation of name, read in place, or fetched on a miss."""
         elements = self.store.system.equations.get(name)
         return self.store.lookup(name) if elements is None else elements
-
-    def distinct_elements(self, name: SetName) -> Iterable[Element]:
-        """The elements of name without repeats, for a repeat-free
-        quantifier body.  Equations are write-once, so the positions of the
-        first occurrences are kept per name that has repeats.  Repeats are
-        skipped only until a document loads: a load can give a name a class
-        id and so change the call-memo keys that a repeat would run with."""
-        elements = self.elements(name)
-        positions = self.first_positions.get(name, _MISSING)
-        if positions is _MISSING:
-            first = {}
-            for index, element in enumerate(elements):
-                first.setdefault(element, index)
-            positions = list(first.values()) if len(first) < len(elements) else None
-            self.first_positions[name] = positions
-        if positions is None:
-            return elements
-        return _unrepeated(elements, positions, self.store.loaded_documents)
 
     def define_fresh(self, elements: FlatExpr, hint: str = "res") -> SetName:
         name = self.store.fresh(hint)
@@ -340,11 +319,11 @@ def compile_query(body: ParseNode, boolean: bool) -> Run:
     key = (boolean, body.shape())
     source = _SOURCES.get(key)
     if source is None:
-        generator = _Generator()
-        generator.function(lambda: (generator.condition if boolean else generator.value)(body))
+        source = _generated(lambda generator: (
+            generator.condition if boolean else generator.value)(body))
         if len(_SOURCES) >= 256:
             _SOURCES.clear()
-        source = _SOURCES[key] = generator.source()
+        _SOURCES[key] = source
     return _load(source)
 
 
@@ -352,9 +331,20 @@ def compile_declarations(declarations: Sequence[ParseNode]) -> Declarations:
     """A function from an environment to a new one extended by the
     declarations in order.  A query closure keeps the names its body reads,
     as they stand before its own declaration."""
+    return _load(_generated(lambda generator: generator.declarations(
+        declarations, generator.assign("dict(env)"))))
+
+
+def _generated(emit: Callable[["_Generator"], str]) -> Tuple[str, ...]:
+    """The source of a module whose f0 returns what emit emits.  Generation
+    takes about three frames per nesting level, the parser about two, so a
+    nest the parser accepts can still be refused here."""
     generator = _Generator()
-    generator.function(lambda: generator.declarations(declarations, generator.assign("dict(env)")))
-    return _load(generator.source())
+    try:
+        generator.function(lambda: emit(generator))
+    except RecursionError:
+        raise EvaluationError("query nested too deeply to compile") from None
+    return generator.source()
 
 
 def _indented(template: str) -> str:
@@ -364,7 +354,7 @@ def _indented(template: str) -> str:
 # the code of a function's prologue, a call, reading elements, an equality
 # and a membership test
 _TABLES = ("ids = ev.class_ids.ids\nsigs = ev.class_ids.signatures\n"
-           "eqs = ev.store.system.equations\nfirsts = ev.first_positions")
+           "eqs = ev.store.system.equations")
 _REFUSE = ("if ev.call_depth + {weight} > ev.max_call_depth:\n"
            "    raise EvaluationError('query calls nested too deeply')")
 _KEY = ("{key} = ids.get({value})\nif {key} is None:\n    {key} = ev.class_ids.of({value})\n"
@@ -383,9 +373,6 @@ _CALLS = {True: _MEMOIZED_CALL, None: "if {memoized}:\n    " + _indented(_MEMOIZ
           + "\nelse:\n    " + _indented(_CALL)}
 _ELEMENTS = ("{result} = eqs.get({target})\nif {result} is None:\n"
              "    {result} = ev.elements({target})")
-_DISTINCT = ("{result} = eqs.get({target})\n"
-             "if {result} is None or firsts.get({target}, _MISSING) is not None:\n"
-             "    {result} = ev.distinct_elements({target})")
 _EQUAL = ("{left} = ids.get({lhs})\n{right} = ids.get({rhs})\n"
           "if {left} is not None and {right} is not None:\n    {result} = {left} == {right}\n"
           "else:\n    {result} = ev.equal({lhs}, {rhs})")
@@ -492,9 +479,9 @@ class _Generator:
             return self.var(node.identifier_text())
         raise EvaluationError("cannot evaluate %s as a label" % node.label)
 
-    def elements(self, node: ParseNode, distinct: bool = False) -> str:
-        """A local holding the elements of node's value, or the distinct ones."""
-        return self.result(_DISTINCT if distinct else _ELEMENTS, target=self.value(node))
+    def elements(self, node: ParseNode) -> str:
+        """A local holding the elements of node's value."""
+        return self.result(_ELEMENTS, target=self.value(node))
 
     def function(self, emit: Callable[[], str], arguments: Optional[Tuple[str, ...]] = None,
                  formula: Optional[bool] = None) -> _Function:
@@ -745,11 +732,11 @@ class _Generator:
         return result
 
     def _quantified(self, node: ParseNode) -> str:
-        """exists or forall: a loop that exits at the deciding value; a
-        repeat-free body (`_repeat_free`) runs once per distinct element."""
+        """exists or forall: a loop over the elements, repeats included, that
+        exits at the deciding value."""
         quantifier, body = node.children
         decisive = quantifier.label == g.EXISTS
-        elements = self.elements(quantifier.children[3], _repeat_free(body))
+        elements = self.elements(quantifier.children[3])
         result = self.assign(repr(not decisive))
         with self.binding(quantifier.children[1], elements):
             value = self.value(body)
@@ -806,39 +793,6 @@ def _nesting(node: ParseNode) -> int:
             depth += 1
         node = node.parent
     return depth
-
-
-def _unrepeated(elements: FlatExpr, positions: List[int],
-                loaded: Dict[str, bool]) -> Iterable[Element]:
-    """The elements at positions until a document loads, then every
-    element after the current one."""
-    count = len(loaded)
-    for index in positions:
-        yield elements[index]
-        if len(loaded) != count:
-            yield from elements[index + 1:]
-            return
-
-
-_REPEAT_FREE_TERMS = frozenset({g.SET_VARIABLE, g.SET_CONSTANT, g.SET_NAME,
-                                g.ATOMIC_VALUE, g.SET_QUERY_CALL, g.IF_ELSE_TERM})
-
-
-def _repeat_free(formula: ParseNode) -> bool:
-    """Whether every term in the formula is an identifier, a set name, an
-    atomic value, a query call or an if-else of these: no enumerate, union,
-    collect, separate, TC, recursion, decorate or `let`.  Formulas run with
-    `in_formula` set, so run again with the same bindings, and with no
-    document loaded since, such a formula hits the call memo everywhere: it
-    mints no name, fetches nothing and asks no new oracle question."""
-    stack = [formula]
-    while stack:
-        node = stack.pop()
-        if node.label == g.FORMULA_WITH_DECLS or (
-                node.label in g.TERM_CATEGORIES and node.label not in _REPEAT_FREE_TERMS):
-            return False
-        stack.extend(node.children)
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -535,6 +535,29 @@ def test_deep_shapes_are_answered():
             assert output == WELL_TYPED + "\n\n" + expected, command[:80]
 
 
+@pytest.mark.parametrize("make", [
+    lambda depth: "set query " + "U " * depth + "{};",
+    lambda depth: "set query " + "tc " * depth + "{};",
+    lambda depth: "boolean query " + "not " * depth + "true;",
+    lambda depth: "set query " + "if true then " * depth + "{}" + " else {} fi" * depth + ";",
+    lambda depth: "library add set constant c = " + "U " * depth + "{};",
+], ids=["union", "tc", "not", "if", "library-add"])
+def test_nests_too_deep_to_compile_are_refused(make):
+    # the parser takes about two frames per level and the code generator
+    # about three, so some of these parse but cannot be compiled
+    session = make_session(show_time=False)
+    for depth in (300, 350, 400, 500, 650):
+        sources, library = set(evaluator._SOURCES), session.evaluator.library
+        output = session.run_command(make(depth))
+        if output.startswith(("Query failed: ", "Library command failed: ")):
+            assert output.endswith(": query nested too deeply to compile"), output
+            assert set(evaluator._SOURCES) == sources
+            assert session.evaluator.library is library
+        else:
+            assert output.startswith((WELL_TYPED, LIBRARY_OK, NOT_WELL_FORMED)), output[:200]
+        assert session.run_command("set query {};") == WELL_TYPED + "\n\nResult = {}"
+
+
 def test_flags_parsing():
     config = build_flags(["--oracle", "127.0.0.1:9999", "--use-approximations",
                           "--no-network", "--script", "cmds.txt", "--no-time"])
@@ -546,9 +569,11 @@ def test_flags_parsing():
 
 
 def test_unknown_flag_rejected():
-    for flag in ("--bogus", "--time"):
-        with pytest.raises(SystemExit):
-            build_flags([flag])
+    for flags in (["--bogus"], ["--time"], ["--oracle", "localhost"],
+                  ["--oracle", "h:abc"], ["--oracle", "h:70000"]):
+        with pytest.raises(SystemExit) as exit_info:
+            build_flags(flags)
+        assert exit_info.value.code == 2
 
 
 def test_no_network_blocks_http(tmp_path):

@@ -7,8 +7,9 @@ The corpus holds the query strings of `tests/test_evaluator.py` and
 `tests/test_cli.py` (random stores replaced by the BibDB example), the
 bib-session commands of the benchmark at seeds 101-103, the criterion-8
 pair on p1 and on BibDB, and quantifiers over unions that repeat their
-elements (recorded before quantifiers skipped repeats).  To record the replies again, for a change meant to
-alter them:
+elements (recorded while quantifiers visited every element, repeats
+included, as they do again).  To record the replies again, for a change
+meant to alter them:
 
     PYTHONPATH=src:tests:. python tests/test_golden.py --record
 """
