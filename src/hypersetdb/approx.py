@@ -200,7 +200,9 @@ def generate_approximation_file(document_url: str, system: EquationSystem) -> st
 
 def make_approx_reader(fetcher: Fetcher):
     """An approximation reader for bisimilar(): fetches the approximation file
-    sitting next to a document, silently empty when absent."""
+    sitting next to a document, silently empty when absent.  Only facts
+    about two of that document's own names are kept: a file's facts about
+    another document's names are not derived from its equations."""
 
     def reader(document_url: str) -> List[Tuple[SetName, SetName, bool]]:
         if document_url.startswith("local://"):
@@ -210,8 +212,10 @@ def make_approx_reader(fetcher: Fetcher):
         except Exception:
             return []
         try:
-            return read_approx_file(text)
+            facts = read_approx_file(text)
         except FactsFileError:
             return []
+        return [(x, y, value) for x, y, value in facts
+                if x.url == document_url and y.url == document_url]
 
     return reader

@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional, TextIO
+from typing import List, Optional, TextIO, Tuple
 
 from . import grammar as g
 # expand_library is not called here; perfbench/tracing.py wraps cli.expand_library
@@ -60,8 +60,7 @@ class Session:
         helpers = BisimHelpers()
         self.oracle_client: Optional[OracleClient] = None
         if self.config.oracle:
-            host, _, port = self.config.oracle.rpartition(":")
-            self.oracle_client = OracleClient(host or "127.0.0.1", int(port))
+            self.oracle_client = OracleClient(*oracle_address(self.config.oracle))
             helpers.oracle = self.oracle_client
         if self.config.use_approximations:
             helpers.approx_reader = make_approx_reader(self.fetcher)
@@ -182,20 +181,19 @@ def repl(session: Session, stream_in: TextIO, stream_out: TextIO) -> None:
             stream_out.flush()
 
 
-def _address(text: str) -> str:
-    """An --oracle value: HOST:PORT with a port in 0-65535 (HOST may be
-    empty, for 127.0.0.1)."""
-    _, colon, port = text.rpartition(":")
+def oracle_address(text: str) -> Tuple[str, int]:
+    """The host and port of an oracle given as HOST:PORT, with a port in
+    0-65535 (HOST may be empty, for 127.0.0.1); raises ValueError."""
+    host, colon, port = text.rpartition(":")
     if not (colon and port.isdecimal() and int(port) <= 65535):
-        raise argparse.ArgumentTypeError("expected HOST:PORT with a port from 0 to "
-                                         "65535, got %r" % text)
-    return text
+        raise ValueError("expected HOST:PORT with a port from 0 to 65535, got %r" % text)
+    return host or "127.0.0.1", int(port)
 
 
 def build_flags(argv: List[str]) -> SessionConfig:
     parser = argparse.ArgumentParser(prog="hypersetdb",
                                      description="Hyperset query session")
-    parser.add_argument("--oracle", metavar="HOST:PORT", type=_address,
+    parser.add_argument("--oracle", metavar="HOST:PORT",
                         help="consult a bisimulation engine for equality")
     parser.add_argument("--use-approximations", action="store_true",
                         help="load approximation files next to WDB documents")
@@ -206,6 +204,11 @@ def build_flags(argv: List[str]) -> SessionConfig:
     parser.add_argument("--no-time", dest="show_time", action="store_false",
                         help="do not print timing")
     options = parser.parse_args(argv)
+    if options.oracle is not None:
+        try:
+            oracle_address(options.oracle)
+        except ValueError as exc:
+            parser.error("argument --oracle: %s" % exc)
     return SessionConfig(oracle=options.oracle,
                          use_approximations=options.use_approximations,
                          allow_network=not options.no_network,
@@ -215,15 +218,19 @@ def build_flags(argv: List[str]) -> SessionConfig:
 
 def main(argv: Optional[List[str]] = None) -> int:
     config = build_flags(sys.argv[1:] if argv is None else argv)
+    try:
+        stream = open(config.script, "r", encoding="utf-8") if config.script else sys.stdin
+    except OSError as exc:  # a usage error, with argparse's exit status
+        sys.stderr.write("hypersetdb: error: cannot read --script %s: %s\n"
+                         % (config.script, exc.strerror or exc))
+        return 2
     session = Session(config)
     try:
-        if config.script:
-            with open(config.script, "r", encoding="utf-8") as handle:
-                repl(session, handle, sys.stdout)
-        else:
-            repl(session, sys.stdin, sys.stdout)
+        repl(session, stream, sys.stdout)
     finally:
         session.close()
+        if stream is not sys.stdin:
+            stream.close()
     return 0
 
 

@@ -24,7 +24,8 @@ from .analysis import Library, analyze
 from .bisim import BisimHelpers, FactStore, bisimilar
 from .classids import ClassIds
 from .library import PREDEFINED_DECLARATIONS
-from .names import Element, EquationSystem, FlatExpr, NULL_LABEL, SetName, WdbError
+from .names import (Element, EquationSystem, FlatExpr, LOCAL_URL, NULL_LABEL, SetName,
+                    WdbError)
 from .parser import ParseNode, parse
 from .store import SessionStore
 
@@ -292,7 +293,7 @@ _MISSING = object()
 # a node starts a helper past these depths: a node adds at most two loops
 # and five indentation levels before its sub-nodes are checked
 _MAX_BLOCKS, _MAX_INDENT = 15, 80
-# nodes whose value is a local, a literal or a constant, with no statement
+# nodes whose value is a local, a literal or a constant, with at most one statement
 _INLINE = frozenset({g.SET_VARIABLE, g.SET_CONSTANT, g.SET_NAME, g.BOOLEAN_LITERAL})
 _RUNTIME = {"Closure": Closure, "Element": Element, "EvaluationError": EvaluationError,
             "SetName": SetName, "_MISSING": _MISSING}
@@ -567,7 +568,10 @@ class _Generator:
 
     def _set_name(self, node: ParseNode) -> str:
         url, _, simple = node.children[0].label.rpartition("#")
-        return self.constants.setdefault(SetName(url, simple), "k%d" % len(self.constants))
+        constant = self.constants.setdefault(SetName(url, simple), "k%d" % len(self.constants))
+        if url == LOCAL_URL:  # a session set must have an equation already
+            self.code("ev.elements(%s)" % constant)
+        return constant
 
     def _enumerate(self, node: ParseNode) -> str:
         items = []  # a loop, not a comprehension: a frame less per nesting level

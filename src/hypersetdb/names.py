@@ -128,14 +128,11 @@ class EquationSystem:
 
     equations: Dict[SetName, FlatExpr] = field(default_factory=dict)
     generated: Set[SetName] = field(default_factory=set)
-    mentioned: Set[SetName] = field(default_factory=set)
 
     def define(self, name: SetName, elements: FlatExpr, generated: bool = False) -> None:
         if name in self.equations:
             raise DuplicateEquationError("duplicate equation for %s" % name.full)
         self.equations[name] = list(elements)
-        self.mentioned.add(name)
-        self.mentioned.update(el.member for el in elements)
         if generated:
             self.generated.add(name)
 
@@ -150,9 +147,6 @@ class EquationSystem:
             return self.equations[name]
         except KeyError:
             raise UndefinedNameError("referenced set name undefined: %s" % name.full)
-
-    def mentions(self, name: SetName) -> bool:
-        return name in self.mentioned
 
     def merge(self, other: "EquationSystem") -> None:
         for name, expr in other.equations.items():
@@ -177,7 +171,6 @@ class EquationSystem:
         sys2 = EquationSystem()
         sys2.equations = {n: list(e) for n, e in self.equations.items()}
         sys2.generated = set(self.generated)
-        sys2.mentioned = set(self.mentioned)
         return sys2
 
 
@@ -185,7 +178,9 @@ class NameAllocator:
     """Session-wide fresh-name source under the reserved local URL.
 
     Names for a hint h are drawn in the order h, h0, h1, h2, ... and are
-    never reused within one allocator, even if the store forgets them.
+    never reused within one allocator, even if the store forgets them.  A
+    candidate with an equation is skipped: documents may not name session
+    sets, and a query may name only one that has an equation.
     """
 
     def __init__(self) -> None:
@@ -200,5 +195,5 @@ class NameAllocator:
             else:
                 self._counters[hint] = count + 1
                 candidate = SetName(LOCAL_URL, "%s%d" % (hint, count))
-            if not store.mentions(candidate):
+            if candidate not in store:
                 return candidate

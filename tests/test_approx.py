@@ -144,7 +144,8 @@ def test_lower_approx_is_exact_when_foreign_names_are_distinct():
     for trial in range(300):
         fragment, system = random_two_file_fragment(rng, trial)
         closed = system.copy()
-        for name in sorted(system.mentioned):
+        members = {el.member for expr in system.equations.values() for el in expr}
+        for name in sorted(members):
             if name not in closed:
                 closed.define(name, [Element("foreign:" + name.full, name)])
         blocks = naive_bisimulation(closed)

@@ -21,7 +21,7 @@ from hypersetdb.experiments import build_chains
 from hypersetdb.names import Element, EquationSystem, SetName
 from hypersetdb.store import (MAX_FETCHES_IN_FLIGHT, FetchError, LatencyFetcher,
                               MemoryFetcher, SessionStore)
-from hypersetdb.xmlwdb import from_equations, load_equations
+from hypersetdb.xmlwdb import SET_NS, from_equations, load_equations
 
 from conftest import (bibdb_f1_text, bibdb_f2_text, random_closed_system,
                       split_documents)
@@ -289,6 +289,28 @@ def test_approximation_files_are_read_once_per_fact_store():
     assert bisimilar(SetName(F1, "b2"), SetName(F2, "p3"), store, facts, helpers)
     assert fetcher.fetched.count(approximation_url(F1)) == 1
     assert fetcher.fetched.count(approximation_url(F2)) == 1
+
+
+def foreign_fact_documents():
+    """a#r = {p: b#x} and a#s = {p: b#y}, where b#x = {k: {}} and b#y = {},
+    with an approximation file next to a.xml that states b#x = b#y."""
+    wdb = '<set:eqns xmlns:set="%s">%%s</set:eqns>' % SET_NS
+    return {
+        "mem://a.xml": wdb % ('<set:eqn set:id="r"><p set:href="mem://b.xml#x"/></set:eqn>'
+                              '<set:eqn set:id="s"><p set:href="mem://b.xml#y"/></set:eqn>'),
+        "mem://b.xml": wdb % ('<set:eqn set:id="x"><k/></set:eqn>'
+                              '<set:eqn set:id="y"/>'),
+        "mem://a.approximation.xml": (
+            '<simple-approximation><facts set_name="mem://b.xml#x">'
+            '<fact set_name="mem://b.xml#y" value="yes"/></facts></simple-approximation>'),
+    }
+
+
+def test_approximation_facts_about_another_documents_names_are_ignored():
+    fetcher = MemoryFetcher(foreign_fact_documents())
+    for helpers in (None, BisimHelpers(approx_reader=make_approx_reader(fetcher))):
+        assert not bisimilar(SetName("mem://a.xml", "r"), SetName("mem://a.xml", "s"),
+                             SessionStore(fetcher), FactStore(), helpers)
 
 
 # -- oracle integration -----------------------------------------------------------

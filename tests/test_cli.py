@@ -115,6 +115,34 @@ def test_document_naming_a_session_generated_set_is_refused():
     assert "Result" not in output
 
 
+@pytest.mark.parametrize("query", [
+    "set query {'a': local://session#res3};",
+    "set query {'x': local://session#zz, 'y': local://session#zz};",
+])
+def test_query_naming_an_undefined_session_set_is_refused(query):
+    session = make_session(show_time=False)
+    name = re.search(r"local://session#\w+", query).group()
+    assert session.run_command(query) == "Query failed: undefined local name " + name
+    assert session.run_command("set query {};") == WELL_TYPED + "\n\nResult = {}"
+
+
+def test_library_constant_naming_an_undefined_session_set_is_refused():
+    session = make_session(show_time=False)
+    listing = session.run_command("library list;")
+    output = session.run_command("library add set constant c = {'a': local://session#zz};")
+    assert output == "Library command failed: undefined local name local://session#zz"
+    assert session.run_command("library list;") == listing
+    assert session.run_command("set query {};") == WELL_TYPED + "\n\nResult = {}"
+
+
+def test_query_naming_a_defined_session_set_is_answered():
+    session = make_session(show_time=False)
+    session.run_command("set query {'b':{}, 'c':{'d':{}}};")
+    output = session.run_command("set query {'z': local://session#res};")
+    assert output == WELL_TYPED + "\n\nResult = {'z':{}}"
+    assert session.run_command("set query {};") == WELL_TYPED + "\n\nResult = {}"
+
+
 def test_queries_over_a_document_nested_5000_deep_are_answered():
     depth = 5000
     document = ('<set:eqns xmlns:set="http://www.csc.liv.ac.uk/~molyneux/XML-WDB">'
@@ -574,6 +602,20 @@ def test_unknown_flag_rejected():
         with pytest.raises(SystemExit) as exit_info:
             build_flags(flags)
         assert exit_info.value.code == 2
+
+
+def test_session_config_with_a_bad_oracle_address_is_refused():
+    with pytest.raises(ValueError, match="HOST:PORT"):
+        Session(SessionConfig(oracle="localhost"))
+
+
+def test_unreadable_script_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cli"
+    assert cli.main(["--script", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "hypersetdb: error: cannot read --script %s: No such file or directory" % missing]
 
 
 def test_no_network_blocks_http(tmp_path):

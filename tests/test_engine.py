@@ -31,7 +31,7 @@ from hypersetdb.xmlwdb import load_equations
 
 from conftest import (BibDb, bibdb_f1_text, bibdb_f2_text, duplicate_and_shuffle,
                       random_closed_system, split_documents)
-from test_bisim import with_approximation_files
+from test_bisim import foreign_fact_documents, with_approximation_files
 
 F1 = "mem://BibDB-f1.xml"
 F2 = "mem://BibDB-f2.xml"
@@ -277,6 +277,16 @@ def test_engine_with_a_contradicting_approximation_file_fails():
     assert engine.complete.wait(30)
     with pytest.raises(BisimulationError, match="contradicts"):
         engine.join(timeout=30)
+
+
+def test_engine_ignores_approximation_facts_about_another_documents_names():
+    engine = BisimulationEngine(["mem://a.xml"], MemoryFetcher(foreign_fact_documents()),
+                                use_approximations=True)
+    engine.start()
+    engine.join(timeout=30)
+    assert engine.complete.is_set()
+    assert engine.answer(SetName("mem://a.xml", "r"),
+                         SetName("mem://a.xml", "s")) is OracleValue.NO
 
 
 def test_engine_decides_without_bisimilar(monkeypatch):

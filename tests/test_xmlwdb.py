@@ -302,7 +302,8 @@ def test_nested_brackets_are_named_in_preorder_and_defined_in_postorder():
         (n("x-e2"), []),
     ]
     assert system.generated == {n("x-e%d" % i) for i in range(3, 12)}
-    assert system.mentioned == set(system.equations) | {SetName("mem://o.xml", "y")}
+    members = {el.member for expr in system.equations.values() for el in expr}
+    assert members - set(system.equations) == {SetName("mem://o.xml", "y")}
 
 
 def test_a_document_nested_5000_deep_loads():
