@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping,
                     Optional, Set, Tuple)
 
 from .names import Element, EquationSystem, SetName, WdbError
-from .store import SessionStore, fetch_concurrently, settled
+from .store import ApproxReader, SessionStore
 
 Pair = Tuple[SetName, SetName]
 
@@ -60,8 +59,10 @@ class FactStore:
     conflicting update is a hard internal error.  Positive facts additionally
     feed a union-find so transitivity closes cheaply.
 
-    The store also holds the dependency index of `saturate`, so the index
-    lasts as long as the facts: the questions still to examine, the pairs
+    It pairs with one `SessionStore`, which fetches the documents and
+    approximation files the facts come from, each once.  The store also
+    holds the dependency index of `saturate`, so the index lasts as long
+    as the facts: the questions still to examine, the pairs
     each open question reads and the open questions reading each pair, and
     the questions waiting for a name's equation.  Equations are write-once,
     so what a question reads never changes once both its equations exist.
@@ -70,7 +71,6 @@ class FactStore:
     def __init__(self) -> None:
         self.status: Dict[Pair, Status] = {}
         self.asked_oracle: Set[Pair] = set()
-        self.approx_loaded: Set[str] = set()   # documents whose file was read
         self.productive_rounds = 0
         self.pending: List[Pair] = []                  # to examine
         self.reads: Dict[Pair, Tuple[Pair, ...]] = {}  # open question -> pairs it reads
@@ -324,7 +324,7 @@ class BisimHelpers:
     order, and a reader of the approximation facts stored next to a document."""
 
     oracle: Optional[Callable[[List[Pair]], List[OracleValue]]] = None
-    approx_reader: Optional[Callable[[str], List[Tuple[SetName, SetName, bool]]]] = None
+    approx_reader: Optional[ApproxReader] = None
 
 
 def _reachable(facts: FactStore, key: Pair) -> List[Pair]:
@@ -365,15 +365,16 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
     The question space is demand-driven: x ? y, and every pair that an open
     question's negative rule reads, transitively.  It grows in rounds.  A
     round asks the oracle (when present) about the open questions reachable
-    from x ? y not asked yet, in one exchange, then fetches, as one
-    concurrent batch, the documents and approximation files of the names in
-    those questions that lack an equation or a file, and derives No facts.
-    Each approximation file is read once per fact store.  At exhaustion,
-    when a round finds nothing to ask or fetch, the reachable open questions
-    are postulated positive, and the names in them are merged as far as
-    refining them into stable classes allows.  The oracle is not asked in a
-    round with nothing to fetch: the postulate or the derivation then
-    decides without a fetch, so an answer cannot save one.
+    from x ? y not asked yet, in one exchange, then fetches with
+    `SessionStore.load_documents`, as one concurrent batch, the documents
+    and approximation files of the names in those questions that lack an
+    equation or a file, and derives No facts.  Each approximation file is
+    read once per session store, so a store serves one fact store.  At
+    exhaustion, when a round finds nothing to ask or fetch, the reachable
+    open questions are postulated positive, and the names in them are
+    merged as far as refining them into stable classes allows.  The oracle
+    is not asked in a round with nothing to fetch: the postulate or the
+    derivation then decides without a fetch, so an answer cannot save one.
     """
     helpers = helpers or BisimHelpers()
     known = facts.decided(x, y)
@@ -389,7 +390,7 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
     def lacking(questions: List[Pair]) -> List[SetName]:
         return sorted({u for key in questions for u in key
                        if u not in equations
-                       or (reader is not None and u.url not in facts.approx_loaded)})
+                       or (reader is not None and u.url not in store.approximations_read)})
 
     saturated = False
     while True:
@@ -410,30 +411,14 @@ def bisimilar(x: SetName, y: SetName, store: SessionStore, facts: FactStore,
                 questions = _reachable(facts, query)
                 order = lacking(questions)
 
-        # then equations and approximation files for the names in them: the
-        # round's documents and files are fetched as one concurrent batch,
-        # then applied in name order as if fetched one by one
-        wanted = {}
+        # then the documents and approximation files the names in them
+        # lack, fetched as one concurrent batch
+        for a, b, value in store.load_documents([name.url for name in order], reader):
+            facts.ask_question(a, b)
+            facts.resolve(a, b, value)
         for name in order:
-            if name not in equations and store.unloaded([name.url]):
-                wanted.setdefault(("document", name.url), partial(store.fetcher, name.url))
-            if reader is not None and name.url not in facts.approx_loaded:
-                wanted.setdefault(("approximation", name.url), partial(reader, name.url))
-        fetched = dict(zip(wanted, fetch_concurrently(list(wanted.values()))))
-        for name in order:
-            if name not in equations:
-                key = ("document", name.url)
-                if key in fetched:
-                    store.merge_document(name.url, settled(fetched.pop(key)))
-                store.lookup(name)
-                progress = True
-            if reader is not None and name.url not in facts.approx_loaded:
-                seeded = settled(fetched.pop(("approximation", name.url)))
-                facts.approx_loaded.add(name.url)
-                for (a, b, value) in seeded:
-                    facts.ask_question(a, b)
-                    facts.resolve(a, b, value)
-                progress = True
+            store.lookup(name)  # raises for a name its document does not define
+        progress = progress or bool(order)
 
         if saturated and not progress:
             # nothing left to ask or fetch: every reachable open question

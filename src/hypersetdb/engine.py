@@ -24,7 +24,7 @@ import socketserver
 import struct
 import threading
 import time
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .approx import make_approx_reader, read_facts, write_facts
@@ -36,7 +36,7 @@ from .bisim import (BisimulationError, FactStore, OracleValue, Pair, Status,
 from .classids import ClassIds
 from .names import (EquationSystem, NameError_, SetName, UndefinedNameError,
                     parse_full_name)
-from .store import Fetcher, SessionStore, fetch_concurrently, settled
+from .store import Fetcher, SessionStore
 
 # An approximation fact: x ? y answered Yes (True) or No (False).
 Fact = Tuple[SetName, SetName, bool]
@@ -149,7 +149,10 @@ class BisimulationEngine:
             unchecked: List[Fact] = []
             urls = self.store.unloaded(self.roots)
             while urls:
-                unchecked.extend(self._load(urls))
+                read = self.store.load_documents(urls, self.approx_reader)
+                for a, b, value in read:
+                    self.facts.resolve(a, b, value)
+                unchecked.extend(read)
                 # intern every name; an open one names the members it lacks
                 missing = {el.member for name, elements in equations.items()
                            if self.class_ids.of(name) is None
@@ -167,23 +170,6 @@ class BisimulationEngine:
             self._failure = exc
         finally:
             self.complete.set()
-
-    def _load(self, urls: List[str]) -> List[Fact]:
-        """Fetch the documents and their approximation files as one batch,
-        merge the documents in the order given and seed the facts; returns
-        the facts read."""
-        calls = [partial(self.store.fetcher, url) for url in urls]
-        if self.approx_reader is not None:
-            calls += [partial(self.approx_reader, url) for url in urls]
-        outcomes = fetch_concurrently(calls)
-        for url, outcome in zip(urls, outcomes):
-            self.store.merge_document(url, settled(outcome))
-        read: List[Fact] = []
-        for outcome in outcomes[len(urls):]:
-            read.extend(settled(outcome))
-        for a, b, value in read:
-            self.facts.resolve(a, b, value)
-        return read
 
     @staticmethod
     def _check(ids: Dict[SetName, int], facts: List[Fact]) -> List[Fact]:

@@ -34,21 +34,22 @@ class EvaluationError(WdbError):
     pass
 
 
-# A compiled body: run(evaluator, env) -> SetName | bool | str.  An
-# environment maps a name to its value: a SetName, a label (str) or a Closure.
+# A compiled function: run(evaluator, env, formula, depth, *arguments) ->
+# SetName | bool | str.  An environment maps a name to its value: a SetName,
+# a label (str) or a Closure.
 Env = Dict[str, object]
-Run = Callable[["Evaluator", Env], object]
-Declarations = Callable[["Evaluator", Env], Env]
+Run = Callable[..., object]
+Declarations = Callable[["Evaluator", Env, bool, int], Env]
 
 
 @dataclass
 class Closure:
-    """A declared query bound in an environment: its parameter names, its
-    compiled body and the names it reads from where it was declared.  `memo`
-    maps an argument key to a result (see `_Generator._call`); closures, and
-    so memos, belong to one evaluator, since the class ids in the keys do."""
+    """A declared query bound in an environment: its compiled body, which
+    takes the arguments of a call as Python arguments, and the names it reads
+    from where it was declared.  `memo` maps an argument key to a result (see
+    `_Generator._call`); closures, and so memos, belong to one evaluator,
+    since the class ids in the keys do."""
 
-    parameters: Tuple[str, ...]
     body: Run
     env: Env
     memo: Dict[tuple, object] = field(default_factory=dict, compare=False,
@@ -91,9 +92,11 @@ class Evaluator:
     memos are its own.  `decorate` groups the graph itself and calls no
     library query, so no `library add` changes it.
 
-    `in_formula` is true while a formula is evaluated; only then may a set
-    query call return a memoized result (see `_Generator._call`).
-    `call_depth` counts the query bodies in progress, each weighted by the
+    Compiled code keeps no run state here: whether it runs inside a formula
+    and its call depth are Python arguments of each generated function, so
+    a query that fails leaves nothing to reset.  Only inside a formula may a
+    set query call return a memoized result (see `_Generator._call`).  The
+    call depth counts the query bodies in progress, each weighted by the
     terms and formulas around the call that entered it.  A call that would
     take it past `max_call_depth`, a third of the interpreter's recursion
     limit, is refused before it starts: that leaves the innermost body and
@@ -109,11 +112,9 @@ class Evaluator:
         self.class_ids = ClassIds(store)
         self.atoms: Dict[str, SetName] = {}
         self.empty_name: Optional[SetName] = None
-        self.in_formula = False
-        self.call_depth = 0
         self.max_call_depth = sys.getrecursionlimit() // 3
         self.library, declarations = _predefined()
-        self.library_env = declarations(self, {})
+        self.library_env = declarations(self, {}, False, 0)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -124,18 +125,8 @@ class Evaluator:
         use changes."""
         library = self.library.extended(command, sources)
         added = library.declarations[len(self.library.declarations):]
-        env = self._run(compile_declarations(added), self.library_env)
+        env = compile_declarations(added)(self, self.library_env, False, 0)
         self.library, self.library_env = library, env
-
-    def _run(self, function: Run, env: Env) -> object:
-        """Run generated code in env.  That code restores `in_formula` and
-        `call_depth` on its normal paths only; after an exception, this
-        does."""
-        try:
-            return function(self, env)
-        finally:
-            self.in_formula = False
-            self.call_depth = 0
 
     def equal(self, x: SetName, y: SetName) -> bool:
         """Bisimilarity.  Names whose closures are loaded, cycles included,
@@ -175,7 +166,7 @@ class Evaluator:
         if query.label != g.QUERY:
             raise EvaluationError("not a query command")
         boolean = query.children[0].label == "boolean"
-        value = self._run(compile_query(query.children[2], boolean), self.library_env)
+        value = compile_query(query.children[2], boolean)(self, self.library_env, False, 0)
         if boolean:
             return QueryResult(boolean=value)
         self.store.lookup(value)  # the result equation must be present
@@ -282,12 +273,14 @@ class Evaluator:
 # Lapalme, Computer Languages 12(1), 1987).  Bound variables, `let` constants
 # and parameters are locals, lexical addresses that CPython resolves (SICP
 # §5.5.6), named by slot (v1, ...); set names are constants (k0, ...) and
-# functions f0, ...; user text appears only in string literals.  A query body
-# is a function body(ev, env) that reads its parameters and free names from
-# env on entry.  Each node is one statement into a local, run in a fixed
-# order, so names are minted in a fixed order.  A node past CPython's nesting
-# limits (20 nested blocks, 100 indentation levels) goes into a flat helper
-# function that takes the slots in scope as arguments.
+# functions f0, ...; user text appears only in string literals.  A function
+# f(ev, env, formula, depth, *arguments) is told whether it runs inside a
+# formula and at what call depth; a query body takes its parameters as
+# arguments and reads its free names from env, its closure's, on entry.
+# Each node is one statement into a local, run in a fixed order, so names
+# are minted in a fixed order.  A node past CPython's nesting limits (20
+# nested blocks, 100 indentation levels) goes into a flat helper function
+# that takes the slots in scope as arguments.
 
 _MISSING = object()
 # a node starts a helper past these depths: a node adds at most two loops
@@ -314,9 +307,9 @@ _SOURCES: Dict[tuple, Tuple[str, ...]] = {}  # query shape -> its source, bounde
 
 
 def compile_query(body: ParseNode, boolean: bool) -> Run:
-    """The function(ev, env) that evaluates a query's body in env.  The code
-    depends only on the labels and shape of the analyzed body, so a query
-    seen before is not generated again."""
+    """The function(ev, env, formula, depth) that evaluates a query's body
+    in env.  The code depends only on the labels and shape of the analyzed
+    body, so a query seen before is not generated again."""
     key = (boolean, body.shape())
     source = _SOURCES.get(key)
     if source is None:
@@ -342,7 +335,7 @@ def _generated(emit: Callable[["_Generator"], str]) -> Tuple[str, ...]:
     nest the parser accepts can still be refused here."""
     generator = _Generator()
     try:
-        generator.function(lambda: emit(generator))
+        generator.function(lambda: emit(generator), ())
     except RecursionError:
         raise EvaluationError("query nested too deeply to compile") from None
     return generator.source()
@@ -356,21 +349,18 @@ def _indented(template: str) -> str:
 # and a membership test
 _TABLES = ("ids = ev.class_ids.ids\nsigs = ev.class_ids.signatures\n"
            "eqs = ev.store.system.equations")
-_REFUSE = ("if ev.call_depth + {weight} > ev.max_call_depth:\n"
+_REFUSE = ("if depth + {weight} > ev.max_call_depth:\n"
            "    raise EvaluationError('query calls nested too deeply')")
 _KEY = ("{key} = ids.get({value})\nif {key} is None:\n    {key} = ev.class_ids.of({value})\n"
         "    if {key} is None:\n        {key} = {value}")
-_CALL = ("{env} = dict({closure}.env)\n"
-         "{env}.update(zip({closure}.parameters, ({values},)))\n"
-         "ev.call_depth += {weight}\n{result} = {closure}.body(ev, {env})\n"
-         "ev.call_depth -= {weight}")
+_CALL = "{result} = {closure}.body(ev, {closure}.env, {formula}, depth + {weight}, {values})"
 _MEMOIZED_CALL = ("{key} = ({keys},)\n{result} = {closure}.memo.get({key}, _MISSING)\n"
                   "if {result} is _MISSING:\n    " + _indented(_CALL)
                   + "\n    {closure}.memo[{key}] = {result}")
 # a set argument's key and the call, by whether the call is known to run
-# inside a formula (True) or finds out from `ev.in_formula` (None)
-_KEYS = {True: _KEY, None: "if {memoized}:\n    " + _indented(_KEY)}
-_CALLS = {True: _MEMOIZED_CALL, None: "if {memoized}:\n    " + _indented(_MEMOIZED_CALL)
+# inside a formula (True) or finds out from the argument `formula` (None)
+_KEYS = {True: _KEY, None: "if formula:\n    " + _indented(_KEY)}
+_CALLS = {True: _MEMOIZED_CALL, None: "if formula:\n    " + _indented(_MEMOIZED_CALL)
           + "\nelse:\n    " + _indented(_CALL)}
 _ELEMENTS = ("{result} = eqs.get({target})\nif {result} is None:\n"
              "    {result} = ev.elements({target})")
@@ -389,8 +379,9 @@ _MATCHES = {(True, True): "{core} in {value}", (False, True): "{value}.startswit
 
 class _Function:
     """One generated function: its lines and its depth of indentation and
-    of loops.  It reads the free names of the body from env on entry, and a
-    helper takes the slots in scope where it is called as arguments."""
+    of loops.  It takes ev, env, formula, depth and its arguments: a query
+    body's parameters, or the slots in scope where a helper is called.  It
+    reads the free names of the body from env on entry."""
 
     def __init__(self, name: str, arguments: Tuple[str, ...]) -> None:
         self.name, self.arguments = name, arguments
@@ -399,7 +390,8 @@ class _Function:
         self.free: Dict[str, str] = {}  # identifier -> slot
 
     def source(self) -> str:
-        head = ["def %s(%s):" % (self.name, ", ".join(("ev", "env") + self.arguments))]
+        head = ["def %s(%s):" % (self.name, ", ".join(
+            ("ev", "env", "formula", "depth") + self.arguments))]
         head += ["    %s = env[%r]" % (slot, name) for name, slot in self.free.items()]
         return "\n".join(head + ["    " + _indented(_TABLES)] + self.lines) + "\n"
 
@@ -407,7 +399,7 @@ class _Function:
 class _Generator:
     """Generates the source of one module.  `scope` maps each identifier in
     scope to its slot.  `formula` is True where the node is known to run
-    inside a formula, and None where the code reads `ev.in_formula`."""
+    inside a formula, and None where the code reads the argument `formula`."""
 
     def __init__(self) -> None:
         self.functions: List[_Function] = []
@@ -484,15 +476,19 @@ class _Generator:
         """A local holding the elements of node's value."""
         return self.result(_ELEMENTS, target=self.value(node))
 
-    def function(self, emit: Callable[[], str], arguments: Optional[Tuple[str, ...]] = None,
+    def function(self, emit: Callable[[], str], parameters: Optional[Sequence[str]] = None,
                  formula: Optional[bool] = None) -> _Function:
-        """A new function that returns what emit emits: a body function with
-        an empty scope, or a helper that takes arguments, the slots in scope."""
+        """A new function that returns what emit emits: a body whose scope
+        is its parameters, or, without parameters, a helper that takes the
+        slots in scope."""
         saved = self.fn, self.scope, self.formula
-        function = self.fn = _Function("f%d" % len(self.functions), arguments or ())
+        if parameters is None:
+            arguments = tuple(dict.fromkeys(self.scope.values()))
+        else:
+            arguments = tuple(self.slot() for _ in parameters)
+            self.scope, self.formula = dict(zip(parameters, arguments)), formula
+        function = self.fn = _Function("f%d" % len(self.functions), arguments)
         self.functions.append(function)
-        if arguments is None:
-            self.scope, self.formula = {}, formula
         function.lines.append("    return " + emit())
         self.fn, self.scope, self.formula = saved
         return function
@@ -506,22 +502,22 @@ class _Generator:
         if node.label in _INLINE or (self.fn.blocks <= _MAX_BLOCKS
                                      and self.fn.indent <= _MAX_INDENT):
             return emit(self, node)
-        arguments = tuple(dict.fromkeys(self.scope.values()))
-        helper = self.function(lambda: emit(self, node), arguments)
+        helper = self.function(lambda: emit(self, node))
         for name in helper.free:  # so that a closure's body keeps them
             self.var(name)
-        return self.assign("%s(%s)" % (helper.name, ", ".join(("ev", "env") + arguments)))
+        return self.assign("%s(%s)" % (helper.name, ", ".join(
+            ("ev", "env", self.formula_argument(), "depth") + helper.arguments)))
+
+    def formula_argument(self) -> str:
+        """The value of `formula` for code called from here."""
+        return "True" if self.formula else "formula"
 
     def condition(self, node: ParseNode) -> str:
-        """A formula met in a term or as a boolean query, run marked as one."""
-        if self.formula:
-            return self.value(node)
-        saved = self.assign("ev.in_formula")
-        self.code("ev.in_formula = True")
-        self.formula = True
+        """A formula met in a term or as a boolean query: the code under it
+        is known to run inside a formula."""
+        saved, self.formula = self.formula, True
         result = self.value(node)
-        self.formula = None
-        self.code("ev.in_formula = " + saved)
+        self.formula = saved
         return result
 
     def declarations(self, declarations: Sequence[ParseNode], out: str = "") -> str:
@@ -536,12 +532,10 @@ class _Generator:
                                    for variable in decl.children[4].children
                                    if variable.label == g.VARIABLE)
                 # a boolean query is called inside formulas only
-                body = self.function(lambda: self.value(decl.children[-1]),
-                                     formula=True if decl.label == g.BOOLEAN_QUERY_DECL else None)
-                captured = ", ".join("%r: %s" % (free, self.var(free))
-                                     for free in body.free if free not in parameters)
-                value = self.assign("Closure(%r, %s, {%s})"
-                                    % (parameters, body.name, captured))
+                body = self.function(lambda: self.value(decl.children[-1]), parameters,
+                                     True if decl.label == g.BOOLEAN_QUERY_DECL else None)
+                captured = ", ".join("%r: %s" % (free, self.var(free)) for free in body.free)
+                value = self.assign("Closure(%s, {%s})" % (body.name, captured))
             else:
                 continue
             name = decl.children[2].identifier_text()
@@ -659,25 +653,24 @@ class _Generator:
         when it has none, and a label argument's text.  Outside formulas a
         set call runs afresh: a reused result name would change the printed
         output.  A call that raises stores nothing.  A call whose body would
-        take `call_depth` past `max_call_depth` is refused on entry."""
+        take the call depth past `max_call_depth` is refused on entry."""
         weight = 1 + _nesting(node)
         self.code(_REFUSE, weight=weight)
         closure = self.var(node.children[1].identifier_text())
         known = self.formula
-        memoized = self.assign("ev.in_formula") if known is None else ""
         values, keys = [], []
         for argument in node.children[3].children:
             if argument.label in g.TERM_CATEGORIES:
                 value, key = self.value(argument), self.slot()
-                self.code(_KEYS[known], key=key, value=value, memoized=memoized)
+                self.code(_KEYS[known], key=key, value=value)
             elif argument.label != ",":
                 value = key = self.label(argument)
             else:
                 continue
             values.append(value)
             keys.append(key)
-        return self.result(_CALLS[known], closure=closure, env=self.slot(), key=self.slot(),
-                           weight=weight, memoized=memoized, values=", ".join(values),
+        return self.result(_CALLS[known], closure=closure, key=self.slot(), weight=weight,
+                           formula=self.formula_argument(), values=", ".join(values),
                            keys=", ".join(keys))
 
     def _set_equality(self, node: ParseNode) -> str:

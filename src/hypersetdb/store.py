@@ -13,7 +13,7 @@ import functools
 import threading
 import time
 import urllib.parse
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import xmlwdb
 from .names import (
@@ -22,6 +22,8 @@ from .names import (
 )
 
 Fetcher = Callable[[str], str]
+# document URL -> the approximation facts x ? y answered Yes (True) or No (False)
+ApproxReader = Callable[[str], List[Tuple[SetName, SetName, bool]]]
 
 # Fetches of one batch in flight at once, the caller's own included.
 MAX_FETCHES_IN_FLIGHT = 8
@@ -164,13 +166,15 @@ class SessionStore:
 
     Equations are write-once: fetched and generated names alike are defined
     once and never rewritten, which the equality kernel's dependency index
-    relies on.
+    relies on.  Documents and the approximation files next to them are
+    fetched through `load_documents` only, and each at most once per store.
     """
 
     def __init__(self, fetcher: Optional[Fetcher] = None) -> None:
         self.system = EquationSystem()
         self.fetcher = fetcher or FileFetcher()
         self.loaded_documents: Dict[str, bool] = {}
+        self.approximations_read: Set[str] = set()  # documents whose file was read
         self.allocator = NameAllocator()
 
     # -- fresh local names -------------------------------------------------
@@ -194,17 +198,26 @@ class SessionStore:
         self.system.merge(system)
         self.loaded_documents[url] = True
 
-    def load_documents(self, urls: Iterable[str]) -> None:
-        """Fetch the documents not yet loaded concurrently and merge them in
-        the order given; the first failure in that order is raised after the
-        documents before it are merged."""
-        urls = self.unloaded(urls)
-        fetched = fetch_concurrently([functools.partial(self.fetcher, url) for url in urls])
-        for url, outcome in zip(urls, fetched):
+    def load_documents(self, urls: Iterable[str], reader: Optional[ApproxReader] = None
+                       ) -> List[Tuple[SetName, SetName, bool]]:
+        """Fetch as one concurrent batch the documents of urls not yet
+        loaded and, with a reader, the approximation file of each URL not
+        yet read.  Merge the documents in the order given, then return the
+        files' facts in that order and mark the files read.  The first
+        failure, documents before files, is raised after everything before
+        it is merged."""
+        urls = list(dict.fromkeys(urls))
+        documents = self.unloaded(urls)
+        files = [url for url in urls if url not in self.approximations_read] if reader else []
+        outcomes = fetch_concurrently([functools.partial(self.fetcher, url) for url in documents]
+                                      + [functools.partial(reader, url) for url in files])
+        for url, outcome in zip(documents, outcomes):
             self.merge_document(url, settled(outcome))
-
-    def load_document(self, url: str) -> None:
-        self.load_documents([url])
+        facts: List[Tuple[SetName, SetName, bool]] = []
+        for outcome in outcomes[len(documents):]:
+            facts.extend(settled(outcome))
+        self.approximations_read.update(files)
+        return facts
 
     def lookup(self, name: SetName) -> FlatExpr:
         """The equation for a full set name, fetching its document once if
@@ -214,5 +227,5 @@ class SessionStore:
             return self.system[name]
         if name.is_local():
             raise UndefinedNameError("undefined local name %s" % name.full)
-        self.load_document(name.url)
+        self.load_documents([name.url])
         return self.system[name]

@@ -133,7 +133,7 @@ def test_split_documents_get_ids_only_once_fetched(acyclic):
         blocks = naive_bisimulation(system)
         ev = make_evaluator(documents)
         first = sorted(documents)[0]
-        ev.store.load_document(first)
+        ev.store.load_documents([first])
         for name in system.equations:
             # an id exactly when the closure is loaded
             loaded = all(n.url == first for n in system.reachable(name))
@@ -145,7 +145,7 @@ def test_split_documents_get_ids_only_once_fetched(acyclic):
             for y in names:
                 assert ev.equal(x, y) is (blocks[x] == blocks[y])
         for url in sorted(documents):
-            ev.store.load_document(url)
+            ev.store.load_documents([url])
         for x in names:
             ix = ev.class_ids.of(x)
             assert ix is not None
@@ -175,7 +175,7 @@ def test_documents_loaded_one_at_a_time_get_ids_that_agree_with_naive():
         names = sorted(system.equations)
         loaded = set()
         for url in rng.sample(sorted(documents), len(documents)):
-            ev.store.load_document(url)
+            ev.store.load_documents([url])
             loaded.add(url)
             rng.shuffle(names)
             ids = {name: ev.class_ids.of(name) for name in names}
@@ -267,7 +267,7 @@ def test_cyclic_and_incomplete_names_are_not_searched_again(monkeypatch):
     system.define(omega, [Element("l", omega)])
     system.define(above, [Element("l", omega)])
     ev.store.system.merge(system)
-    ev.store.load_document(F1)          # BibDB's papers live in F2, not fetched
+    ev.store.load_documents([F1])          # BibDB's papers live in F2, not fetched
     bibdb = SetName(F1, "BibDB")
     # above = {l: omega} is bisimilar to omega = {l: omega}
     assert ev.class_ids.of(above) == ev.class_ids.of(omega) is not None
@@ -284,7 +284,7 @@ def test_cyclic_and_incomplete_names_are_not_searched_again(monkeypatch):
         assert ev.class_ids.of(bibdb) is None
     assert searches == []
     ev.store.fetcher.add(F2, bibdb_f2_text(F1, F2))
-    ev.store.load_document(F2)
+    ev.store.load_documents([F2])
     assert ev.class_ids.of(bibdb) is not None
     assert searches == [bibdb]
 

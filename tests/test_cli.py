@@ -472,6 +472,44 @@ def test_deep_query_calls_are_refused_and_the_session_goes_on():
         WELL_TYPED + "\n\nResult = {'a':{'b':{'c':{'a':")
 
 
+def test_a_query_failing_inside_a_formula_leaves_nothing_behind():
+    # the failing equality runs inside the `where` formula, where set calls
+    # are memoized; the next query's calls lie in a term and run afresh
+    session = make_session(show_time=False)
+    assert session.run_command(
+        "set query separate { l:x in {'a':{}} where "
+        "(call Pair(x, {}) = {} or mem://missing.xml#y = {}) };") == \
+        "Query failed: no such document: mem://missing.xml"
+    pairs = "set query { 'p':call Pair({}, {}), 'q':call Pair({}, {}) };"
+    assert session.run_command(pairs) == make_session(show_time=False).run_command(pairs) == \
+        WELL_TYPED + "\n\nResult = {'p':{'fst':{}, 'snd':{}}, 'q':{'fst':{}, 'snd':{}}}"
+
+
+def _collected(term: str, depth: int) -> str:
+    for i in range(depth):
+        term = "collect { 'a':%s where l%d:y%d in {'k':{}} }" % (term, i, i)
+    return term
+
+
+def test_calls_in_helper_functions_keep_the_memo_rule_and_the_depth_budget():
+    # 17 nested loops put the calls past _MAX_BLOCKS, in a helper function
+    session = make_session(show_time=False)
+    deep = "set query Deep (set x) be %s" % _collected(
+        "{ 'p':call Pair(x, x), 'q':call Pair(x, x) }", 17)
+    assert LIBRARY_OK in session.run_command("library add %s;" % deep)
+    assert session.run_command("set query call Deep({});") == \
+        WELL_TYPED + "\n\nResult = " + "{'a':" * 17 + \
+        "{'p':{'fst':{}, 'snd':{}}, 'q':{'fst':{}, 'snd':{}}}" + "}" * 17
+    chain = ["set query h0 (set x) be x"] + [
+        "set query h%d (set x) be %s" % (i, _collected("call h%d(x)" % (i - 1), 17))
+        for i in range(1, 31)]
+    assert LIBRARY_OK in session.run_command("library add " + ",\n".join(chain) + ";")
+    assert session.run_command("set query call h10({});").startswith(
+        WELL_TYPED + "\n\nResult = {'a':")
+    assert session.run_command("set query call h30({});") == \
+        "Query failed: query calls nested too deeply"
+
+
 # identifiers that are Python keywords, builtins, names the generated code
 # uses, or no Python identifier at all; the replies are those of the closure
 # evaluator that generated code replaced

@@ -500,9 +500,9 @@ def counting_bodies(monkeypatch, closure) -> list:
     seen = []
     body = closure.body
 
-    def counting(ev, env):
-        seen.append(env)
-        return body(ev, env)
+    def counting(*arguments):
+        seen.append(arguments)
+        return body(*arguments)
     monkeypatch.setattr(closure, "body", counting)
     return seen
 

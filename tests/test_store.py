@@ -6,11 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from hypersetdb.approx import (approximation_url, generate_approximation_file,
+                               make_approx_reader)
 from hypersetdb.names import (DuplicateEquationError, Element, SetName,
                               UndefinedNameError)
 from hypersetdb.store import (MAX_FETCHES_IN_FLIGHT, FetchError, FileFetcher,
                               MemoryFetcher, SessionStore, fetch_concurrently,
                               settled)
+
+from hypersetdb.xmlwdb import load_equations
 
 from conftest import bibdb_f1_text, bibdb_f2_text
 
@@ -162,3 +166,46 @@ def test_load_documents_merges_in_order_up_to_the_first_failure(fetcher):
     store.load_documents([F1, F2, F1])
     assert list(store.loaded_documents) == [F2, F1]
     assert fetcher.fetched.count(F2) == 1
+
+
+def approximation_reader(fetcher):
+    """A reader of the approximation files that fetcher now also serves."""
+    for url in (F1, F2):
+        fetcher.add(approximation_url(url), generate_approximation_file(
+            url, load_equations(fetcher.documents[url], url)))
+    return make_approx_reader(fetcher)
+
+
+def test_load_documents_returns_approximation_facts_in_url_order(fetcher):
+    reader = approximation_reader(fetcher)
+    expected = reader(F2) + reader(F1)
+    assert {a.url for a, _, _ in reader(F1)} == {F1}
+    assert {a.url for a, _, _ in reader(F2)} == {F2}
+    store = SessionStore(fetcher)
+    assert store.load_documents([F2, F1, F2], reader) == expected
+    assert list(store.loaded_documents) == [F2, F1]
+    assert store.approximations_read == {F1, F2}
+
+
+def test_load_documents_reads_each_approximation_file_once(fetcher):
+    reader = approximation_reader(fetcher)
+    first, second = reader(F1), reader(F2)
+    fetcher.fetched.clear()
+    store = SessionStore(fetcher)
+    assert store.load_documents([F1], reader) == first
+    assert store.load_documents([F1, F2], reader) == second
+    assert store.load_documents([F2, F1], reader) == []
+    assert sorted(fetcher.fetched) == sorted(
+        [F1, F2, approximation_url(F1), approximation_url(F2)])
+
+
+def test_load_documents_with_a_reader_fails_before_marking_files_read(fetcher):
+    reader = approximation_reader(fetcher)
+    store = SessionStore(fetcher)
+    missing = "mem://missing.xml"
+    with pytest.raises(FetchError, match="missing"):
+        store.load_documents([F2, missing, F1], reader)
+    assert list(store.loaded_documents) == [F2]
+    assert store.approximations_read == set()
+    assert store.load_documents([F2, F1], reader) == reader(F2) + reader(F1)
+    assert store.approximations_read == {F1, F2}
