@@ -13,9 +13,8 @@ and relabelling is one pass of fork lookups over the postorder.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import grammar as g
 from .parser import ParseNode, ParseResult, reprint
@@ -182,19 +181,21 @@ class Library:
 
 def ids_search(tree: ParseNode, occurrence: ParseNode,
                library: Optional[Library] = None,
-               declarations: Callable[[ParseNode], List[Tuple[ParseNode, str, DeclKind]]]
-               = binder_declarations) -> DeclTriple:
+               listed: Optional[Dict[int, List[Tuple[ParseNode, str, DeclKind]]]] = None
+               ) -> DeclTriple:
     """Walk ancestors of an identifier occurrence looking for the nearest
     declaration of its name; rightmost declaration of a binder wins.  A name
     the query does not declare is looked up in the compiled library.
-    `declarations` lists a binding site's declarations, as
-    `binder_declarations` does.
+    `listed` keeps each binding site's `binder_declarations` by the site's
+    id, for the searches of one analysis to share.
 
     Inside the body of a let/library declaration d_i only declarations to its
     left are visible, so a name occurring in its own defining body resolves to
     an earlier declaration or fails.
     """
     name = occurrence.identifier_text()
+    if listed is None:
+        listed = {}
     current: Optional[ParseNode] = occurrence
     skipped_own = False
     while current is not None:
@@ -204,7 +205,9 @@ def ids_search(tree: ParseNode, occurrence: ParseNode,
             break
         if current.label not in _BINDING_SITES:
             continue
-        decls = declarations(current)
+        decls = listed.get(id(current))
+        if decls is None:
+            decls = listed[id(current)] = binder_declarations(current)
         if current.label in _DECLARATION_LISTS:
             if previous.label == g.DECLARATIONS:
                 # ascent came from inside some declaration d_i: restrict the
@@ -293,10 +296,10 @@ def analyze(result: ParseResult, library: Optional[Library] = None) -> ParseNode
 
     # step 1: find a declaration for every identifier occurrence; each
     # binding site's declarations are listed once, not once per use
-    declarations = functools.cache(binder_declarations)
+    listed: Dict[int, List[Tuple[ParseNode, str, DeclKind]]] = {}
     triples: Dict[int, DeclTriple] = {}
     for occurrence in result.identifier_nodes:
-        triple = ids_search(tree, occurrence, library, declarations)
+        triple = ids_search(tree, occurrence, library, listed)
         triples[id(occurrence)] = triple
         if not triple.declared:
             name = occurrence.identifier_text()

@@ -345,10 +345,10 @@ def _indented(template: str) -> str:
     return template.replace("\n", "\n    ")
 
 
-# the code of a function's prologue, a call, reading elements, an equality
-# and a membership test
-_TABLES = ("ids = ev.class_ids.ids\nsigs = ev.class_ids.signatures\n"
-           "eqs = ev.store.system.equations")
+# the tables a function's prologue loads, each only if the function reads
+# it; the code of a call, reading elements, an equality and a membership test
+_TABLES = {"ids": "ev.class_ids.ids", "sigs": "ev.class_ids.signatures",
+           "eqs": "ev.store.system.equations"}
 _REFUSE = ("if depth + {weight} > ev.max_call_depth:\n"
            "    raise EvaluationError('query calls nested too deeply')")
 _KEY = ("{key} = ids.get({value})\nif {key} is None:\n    {key} = ev.class_ids.of({value})\n"
@@ -381,19 +381,23 @@ class _Function:
     """One generated function: its lines and its depth of indentation and
     of loops.  It takes ev, env, formula, depth and its arguments: a query
     body's parameters, or the slots in scope where a helper is called.  It
-    reads the free names of the body from env on entry."""
+    reads the free names of the body from env on entry, and loads the
+    `_TABLES` its lines read."""
 
     def __init__(self, name: str, arguments: Tuple[str, ...]) -> None:
         self.name, self.arguments = name, arguments
         self.lines: List[str] = []
         self.indent, self.blocks = 1, 0
         self.free: Dict[str, str] = {}  # identifier -> slot
+        self.tables: Set[str] = set()
 
     def source(self) -> str:
         head = ["def %s(%s):" % (self.name, ", ".join(
             ("ev", "env", "formula", "depth") + self.arguments))]
         head += ["    %s = env[%r]" % (slot, name) for name, slot in self.free.items()]
-        return "\n".join(head + ["    " + _indented(_TABLES)] + self.lines) + "\n"
+        head += ["    %s = %s" % (table, load) for table, load in _TABLES.items()
+                 if table in self.tables]
+        return "\n".join(head + self.lines) + "\n"
 
 
 class _Generator:
@@ -474,7 +478,9 @@ class _Generator:
 
     def elements(self, node: ParseNode) -> str:
         """A local holding the elements of node's value."""
-        return self.result(_ELEMENTS, target=self.value(node))
+        target = self.value(node)
+        self.fn.tables.add("eqs")
+        return self.result(_ELEMENTS, target=target)
 
     def function(self, emit: Callable[[], str], parameters: Optional[Sequence[str]] = None,
                  formula: Optional[bool] = None) -> _Function:
@@ -663,6 +669,7 @@ class _Generator:
             if argument.label in g.TERM_CATEGORIES:
                 value, key = self.value(argument), self.slot()
                 self.code(_KEYS[known], key=key, value=value)
+                self.fn.tables.add("ids")
             elif argument.label != ",":
                 value = key = self.label(argument)
             else:
@@ -676,6 +683,7 @@ class _Generator:
     def _set_equality(self, node: ParseNode) -> str:
         """Class ids read in place decide; else `Evaluator.equal`."""
         lhs, rhs = self.value(node.children[0]), self.value(node.children[2])
+        self.fn.tables.add("ids")
         return self.result(_EQUAL, lhs=lhs, rhs=rhs, left=self.slot(), right=self.slot())
 
     def _membership(self, node: ParseNode) -> str:
@@ -683,8 +691,10 @@ class _Generator:
         ids; else `Evaluator.eval_membership` decides."""
         label_node, _, member_node = node.children[0].children
         label, member = self.label(label_node), self.value(member_node)
-        return self.result(_MEMBER, label=label, member=member, target=self.value(
-            node.children[2]), member_id=self.slot(), target_id=self.slot())
+        target = self.value(node.children[2])
+        self.fn.tables.update(("ids", "sigs"))
+        return self.result(_MEMBER, label=label, member=member, target=target,
+                           member_id=self.slot(), target_id=self.slot())
 
     def _label_relation(self, node: ParseNode) -> str:
         """A label compared with a label or matched against a pattern, a

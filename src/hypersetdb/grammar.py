@@ -1,5 +1,9 @@
 """Query-language grammar data: tokens, syntactic categories and BNF forks.
 
+Tokens are plain `(kind, text, position)` tuples, and the token list ends
+with two EOF tokens, so the parser may look one token past the last real one
+by a bare index.
+
 The grammar is held as a set of forks: a root category plus the sequence of
 child labels (terminals or categories) it derives in one step.  Parse trees
 are built from forks, and the contextual analysis relabels tree nodes by
@@ -42,11 +46,9 @@ class TokenError(Exception):
         self.position = position
 
 
-@dataclass
-class Token:
-    kind: str  # WORD | SETNAME | LABELVALUE | ATOM | PUNCT | EOF
-    text: str
-    position: int  # 0-based character offset
+# (kind, text, position): kind is WORD, SETNAME, LABELVALUE, ATOM, PUNCT or
+# EOF, position the 0-based character offset of text
+Token = Tuple[str, str, int]
 
 
 # one scanner: the first alternative that matches wins, so punctuation is
@@ -63,6 +65,7 @@ _TOKEN_RE = re.compile("|".join("(?P<%s>%s)" % alternative for alternative in (
 
 
 def tokenize(source: str) -> List[Token]:
+    """The tokens of source, then two EOF tokens."""
     tokens: List[Token] = []
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
@@ -70,8 +73,9 @@ def tokenize(source: str) -> List[Token]:
             continue
         if kind == "UNEXPECTED":
             raise TokenError("unexpected character %r" % m.group(), m.start())
-        tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("EOF", "", len(source)))
+        tokens.append((kind, m.group(), m.start()))
+    eof = ("EOF", "", len(source))
+    tokens += (eof, eof)
     return tokens
 
 
@@ -317,13 +321,15 @@ _VARIADIC_RULES = (
     (QUASI_IMPLICATION, FORMULA_CATEGORIES, QUASI_CONNECTIVES, 2),
 )
 _SEPARATORS = frozenset(s for _, _, separators, _ in _VARIADIC_RULES for s in separators)
+_MEMBERS = frozenset().union(*(members for _, members, _, _ in _VARIADIC_RULES))
 
 
 def _variadic_match(children: Sequence[str]) -> List[str]:
     """Match the Kleene-repetition rules, which generate forks of unbounded
     arity; returns the matching roots."""
     n = len(children)
-    if n % 2 == 0 or (n > 1 and children[1] not in _SEPARATORS):
+    if (n % 2 == 0 or children[0] not in _MEMBERS
+            or (n > 1 and children[1] not in _SEPARATORS)):
         return []
     members, separators = children[0::2], children[1::2]
     return [root for root, member_class, allowed, minimum in _VARIADIC_RULES

@@ -36,10 +36,10 @@ class ParseNode:
 
     __slots__ = ("label", "children", "start", "end", "parent", "correct")
 
-    def __init__(self, label: str, children: Optional[List["ParseNode"]] = None,
-                 start: int = 0, end: int = 0) -> None:
+    def __init__(self, label: str, children: List["ParseNode"], start: int,
+                 end: int) -> None:
         self.label = label
-        self.children = children or []
+        self.children = children
         self.start = start
         self.end = end
         self.parent: Optional[ParseNode] = None
@@ -122,50 +122,43 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + offset]
 
     def fail(self, expected: str) -> "ParseError":
-        token = self.peek()
-        self.note_furthest(token.position, expected)
-        shown = token.text if token.kind != "EOF" else "end of input"
-        return ParseError("expected %s but found %r" % (expected, shown),
-                          token.position)
+        kind, text, position = self.tokens[self.pos]
+        self.note_furthest(position, expected)
+        shown = text if kind != "EOF" else "end of input"
+        return ParseError("expected %s but found %r" % (expected, shown), position)
 
     def note_furthest(self, position: int, expected: str) -> None:
         if position >= self.furthest:
             self.furthest = position
             self.furthest_expected = expected
 
-    def take(self) -> Token:
-        token = self.tokens[self.pos]
+    def leaf(self) -> ParseNode:
+        """A leaf of the current token, which it consumes."""
+        _, text, position = self.tokens[self.pos]
         self.pos += 1
-        return token
-
-    def leaf(self, token: Token) -> ParseNode:
-        leaf = ParseNode(token.text, start=token.position,
-                         end=token.position + len(token.text))
+        leaf = ParseNode(text, [], position, position + len(text))
         self.postorder.append(leaf)
         return leaf
 
     def expect(self, text: str, expected: Optional[str] = None) -> ParseNode:
-        token = self.peek()
-        if token.text != text or token.kind == "EOF":
+        # EOF's text is empty, so it never matches
+        if self.tokens[self.pos][1] != text:
             raise self.fail(expected or repr(text))
-        return self.leaf(self.take())
+        return self.leaf()
 
     def at_word(self, *texts: str) -> bool:
-        token = self.peek()
-        return token.kind == "WORD" and token.text in texts
+        kind, text, _ = self.tokens[self.pos]
+        return kind == "WORD" and text in texts
 
     def at_punct(self, *texts: str) -> bool:
-        token = self.peek()
-        return token.kind == "PUNCT" and token.text in texts
+        kind, text, _ = self.tokens[self.pos]
+        return kind == "PUNCT" and text in texts
 
     def node(self, label: str, children: List[ParseNode]) -> ParseNode:
-        start = children[0].start if children else self.peek().position
-        end = children[-1].end if children else start
-        node = ParseNode(label, children, start, end)
+        node = ParseNode(label, children, children[0].start, children[-1].end)
         for child in children:
             child.parent = node
         self.postorder.append(node)
@@ -175,10 +168,10 @@ class _Parser:
 
     def declared(self, category: str) -> ParseNode:
         """An identifier node that declares a name."""
-        token = self.peek()
-        if token.kind != "WORD" or token.text in g.KEYWORDS:
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "WORD" or text in g.KEYWORDS:
             raise self.fail("identifier")
-        return self.node(category, [self.leaf(self.take())])
+        return self.node(category, [self.leaf()])
 
     def identifier_node(self, category: str) -> ParseNode:
         """An identifier node that uses a name."""
@@ -210,10 +203,10 @@ class _Parser:
 
     def parse_top_level(self) -> ParseNode:
         if self.at_word("exit"):
-            children = [self.leaf(self.take()), self.expect(";")]
+            children = [self.leaf(), self.expect(";")]
             return self.node(g.TOP_LEVEL, children)
         if self.at_word("library"):
-            kw = self.leaf(self.take())
+            kw = self.leaf()
             command = self.parse_library_command()
             semi = self.expect(";")
             return self.node(g.TOP_LEVEL, [kw, command, semi])
@@ -223,12 +216,12 @@ class _Parser:
 
     def parse_query(self) -> ParseNode:
         if self.at_word("boolean"):
-            kw1 = self.leaf(self.take())
+            kw1 = self.leaf()
             kw2 = self.expect("query")
             body = self.parse_formula()
             return self.node(g.QUERY, [kw1, kw2, body])
         if self.at_word("set"):
-            kw1 = self.leaf(self.take())
+            kw1 = self.leaf()
             kw2 = self.expect("query")
             body = self.parse_term()
             return self.node(g.QUERY, [kw1, kw2, body])
@@ -236,13 +229,13 @@ class _Parser:
 
     def parse_library_command(self) -> ParseNode:
         if self.at_word("add"):
-            kw = self.leaf(self.take())
+            kw = self.leaf()
             decls = self.parse_declarations()
             return self.node(g.LIBRARY_COMMAND, [kw, decls])
         if self.at_word("list"):
-            children = [self.leaf(self.take())]
+            children = [self.leaf()]
             if self.at_word("verbose"):
-                children.append(self.leaf(self.take()))
+                children.append(self.leaf())
             return self.node(g.LIBRARY_COMMAND, children)
         raise self.fail("'add' or 'list'")
 
@@ -251,31 +244,31 @@ class _Parser:
     def parse_declarations(self) -> ParseNode:
         children = [self.parse_declaration()]
         while self.at_punct(","):
-            children.append(self.leaf(self.take()))
+            children.append(self.leaf())
             children.append(self.parse_declaration())
         return self.node(g.DECLARATIONS, children)
 
     def parse_declaration(self) -> ParseNode:
-        if self.at_word("set") and self.peek(1).text == "constant":
-            kw1, kw2 = self.leaf(self.take()), self.leaf(self.take())
+        if self.at_word("set") and self.peek(1)[1] == "constant":
+            kw1, kw2 = self.leaf(), self.leaf()
             name = self.declared(g.SET_CONSTANT)
             eq = self.parse_be_or_eq()
             body = self.parse_term()
             return self.node(g.SET_CONSTANT_DECL, [kw1, kw2, name, eq, body])
-        if self.at_word("label") and self.peek(1).text == "constant":
-            kw1, kw2 = self.leaf(self.take()), self.leaf(self.take())
+        if self.at_word("label") and self.peek(1)[1] == "constant":
+            kw1, kw2 = self.leaf(), self.leaf()
             name = self.declared(g.LABEL_CONSTANT)
             eq = self.parse_be_or_eq()
-            if self.peek().kind != "LABELVALUE":
+            if self.peek()[0] != "LABELVALUE":
                 raise self.fail("a label value")
-            token = self.take()
-            if "*" in token.text:
+            text = self.leaf()
+            if "*" in text.label:
                 raise ParseError("label constants must be plain label values",
-                                 token.position)
-            value = self.node(g.LABEL_VALUE, [self.leaf(token)])
+                                 text.start)
+            value = self.node(g.LABEL_VALUE, [text])
             return self.node(g.LABEL_CONSTANT_DECL, [kw1, kw2, name, eq, value])
-        if self.at_word("set", "boolean") and self.peek(1).text == "query":
-            kw1, kw2 = self.leaf(self.take()), self.leaf(self.take())
+        if self.at_word("set", "boolean") and self.peek(1)[1] == "query":
+            kw1, kw2 = self.leaf(), self.leaf()
             boolean = kw1.label == "boolean"
             name = self.declared(g.BOOLEAN_QUERY_NAME if boolean else g.SET_QUERY_NAME)
             lp = self.expect("(")
@@ -289,44 +282,43 @@ class _Parser:
 
     def parse_be_or_eq(self) -> ParseNode:
         if self.at_word("be") or self.at_punct("="):
-            return self.leaf(self.take())
+            return self.leaf()
         raise self.fail("'be' or '='")
 
     def parse_variables(self) -> ParseNode:
         children = [self.parse_variable()]
         while self.at_punct(","):
-            children.append(self.leaf(self.take()))
+            children.append(self.leaf())
             children.append(self.parse_variable())
         return self.node(g.VARIABLES, children)
 
     def parse_variable(self) -> ParseNode:
         if self.at_word("set"):
-            kw = self.leaf(self.take())
+            kw = self.leaf()
             return self.node(g.VARIABLE, [kw, self.declared(g.SET_VARIABLE)])
         if self.at_word("label"):
-            kw = self.leaf(self.take())
+            kw = self.leaf()
             return self.node(g.VARIABLE, [kw, self.declared(g.LABEL_VARIABLE)])
         raise self.fail("'set <variable>' or 'label <variable>'")
 
     # -- terms ---------------------------------------------------------------
 
     def parse_term(self) -> ParseNode:
-        token = self.peek()
-        if token.kind == "PUNCT" and token.text == "{":
+        kind, word, _ = self.tokens[self.pos]
+        if kind == "PUNCT" and word == "{":
             return self.parse_enumerate()
-        if token.kind == "PUNCT" and token.text == "(":
+        if kind == "PUNCT" and word == "(":
             return self.parse_paren_term()
-        if token.kind == "SETNAME":
-            return self.node(g.SET_NAME, [self.leaf(self.take())])
-        if token.kind == "ATOM":
-            return self.node(g.ATOMIC_VALUE, [self.leaf(self.take())])
-        if token.kind == "WORD":
-            word = token.text
+        if kind == "SETNAME":
+            return self.node(g.SET_NAME, [self.leaf()])
+        if kind == "ATOM":
+            return self.node(g.ATOMIC_VALUE, [self.leaf()])
+        if kind == "WORD":
             if word in ("U", "union"):
-                kw = self.leaf(self.take())
+                kw = self.leaf()
                 return self.node(g.UNION, [kw, self.parse_term()])
             if word in ("tc", "TC", "transitiveclosure"):
-                kw = self.leaf(self.take())
+                kw = self.leaf()
                 return self.node(g.TRANSITIVE_CLOSURE, [kw, self.parse_term()])
             if word == "collect":
                 return self.parse_collect()
@@ -335,7 +327,7 @@ class _Parser:
             if word == "recursion":
                 return self.parse_recursion()
             if word == "decorate":
-                kw = self.leaf(self.take())
+                kw = self.leaf()
                 lp = self.expect("(")
                 first = self.parse_term()
                 comma = self.expect(",")
@@ -343,7 +335,7 @@ class _Parser:
                 rp = self.expect(")")
                 return self.node(g.DECORATION, [kw, lp, first, comma, second, rp])
             if word == "if":
-                kw = self.leaf(self.take())
+                kw = self.leaf()
                 cond = self.parse_formula()
                 then_kw = self.expect("then")
                 then_term = self.parse_term()
@@ -355,7 +347,7 @@ class _Parser:
             if word == "call":
                 return self.parse_call(g.SET_QUERY_CALL, g.SET_QUERY_NAME)
             if word == "let":
-                kw = self.leaf(self.take())
+                kw = self.leaf()
                 decls = self.parse_declarations()
                 inkw = self.expect("in")
                 body = self.parse_term()
@@ -368,10 +360,10 @@ class _Parser:
     def parse_enumerate(self) -> ParseNode:
         lb = self.expect("{")
         if self.at_punct("}"):
-            return self.node(g.ENUMERATE, [lb, self.leaf(self.take())])
+            return self.node(g.ENUMERATE, [lb, self.leaf()])
         terms = [self.parse_labelled_term()]
         while self.at_punct(","):
-            terms.append(self.leaf(self.take()))
+            terms.append(self.leaf())
             terms.append(self.parse_labelled_term())
         inner = self.node(g.LABELLED_TERMS, terms)
         rb = self.expect("}")
@@ -386,7 +378,7 @@ class _Parser:
         start = self.pos
         if start in self.failed_parens:
             self.note_furthest(*self.failed_parens[start])
-            raise ParseError("expected a term", self.peek().position)
+            raise ParseError("expected a term", self.peek()[2])
         outer = self.furthest, self.furthest_expected
         self.furthest = -1
         try:
@@ -395,7 +387,7 @@ class _Parser:
             if self.at_word("U", "union"):
                 children = [first]
                 while self.at_word("U", "union"):
-                    children.append(self.leaf(self.take()))
+                    children.append(self.leaf())
                     children.append(self.parse_term())
                 inner: ParseNode = self.node(g.MULTIPLE_UNION, children)
             else:
@@ -417,36 +409,35 @@ class _Parser:
         return self.node(g.LABELLED_TERM, [label, colon, term])
 
     def parse_label_operand(self) -> ParseNode:
-        token = self.peek()
-        if token.kind == "LABELVALUE":
-            if "*" in token.text:
-                return self.node(g.WILDCARD_LABEL, [self.leaf(self.take())])
-            return self.node(g.LABEL_VALUE, [self.leaf(self.take())])
-        if token.kind == "WORD" and token.text not in g.KEYWORDS:
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "LABELVALUE":
+            if "*" in text:
+                return self.node(g.WILDCARD_LABEL, [self.leaf()])
+            return self.node(g.LABEL_VALUE, [self.leaf()])
+        if kind == "WORD" and text not in g.KEYWORDS:
             return self.identifier_node(g.LABEL_VARIABLE)
         raise self.fail("a label")
 
     def parse_wildcard_or_label(self) -> ParseNode:
         if self.at_punct("*"):
-            star = self.leaf(self.take())
+            star = self.leaf()
             name = self.identifier_node(g.LABEL_VARIABLE)
             children = [star, name]
             if self.at_punct("*"):
-                children.append(self.leaf(self.take()))
+                children.append(self.leaf())
             return self.node(g.WILDCARD_LABEL, children)
         operand = self.parse_label_operand()
         if operand.label != g.WILDCARD_LABEL and self.at_punct("*"):
             if operand.label in (g.LABEL_VARIABLE, g.LABEL_CONSTANT):
-                return self.node(g.WILDCARD_LABEL, [operand, self.leaf(self.take())])
+                return self.node(g.WILDCARD_LABEL, [operand, self.leaf()])
         return operand
 
     def parse_variable_pair(self) -> ParseNode:
-        token = self.peek()
-        if token.kind == "LABELVALUE":
-            if "*" in token.text:
-                raise ParseError("wildcards are not allowed in variable pairs",
-                                 token.position)
-            label = self.node(g.LABEL_VALUE, [self.leaf(self.take())])
+        kind, text, position = self.tokens[self.pos]
+        if kind == "LABELVALUE":
+            if "*" in text:
+                raise ParseError("wildcards are not allowed in variable pairs", position)
+            label = self.node(g.LABEL_VALUE, [self.leaf()])
         else:
             label = self.declared(g.LABEL_VARIABLE)
         colon = self.expect(":")
@@ -463,7 +454,7 @@ class _Parser:
         term = self.parse_term()
         children = [kw, lb, template, where, pair, inkw, term]
         if self.at_word("and"):
-            children.append(self.leaf(self.take()))
+            children.append(self.leaf())
             children.append(self.parse_formula())
         children.append(self.expect("}"))
         return self.node(g.COLLECT, children)
@@ -493,12 +484,12 @@ class _Parser:
 
     def parse_in_kw(self) -> ParseNode:
         if self.at_word("in") or self.at_punct("<-"):
-            return self.leaf(self.take())
+            return self.leaf()
         raise self.fail("'in' or '<-'")
 
     def parse_where_kw(self) -> ParseNode:
         if self.at_word("where") or self.at_punct("|"):
-            return self.leaf(self.take())
+            return self.leaf()
         raise self.fail("'where' or '|'")
 
     def parse_call(self, node_label: str, name_label: str) -> ParseNode:
@@ -507,27 +498,26 @@ class _Parser:
         lp = self.expect("(")
         params = [self.parse_parameter()]
         while self.at_punct(","):
-            params.append(self.leaf(self.take()))
+            params.append(self.leaf())
             params.append(self.parse_parameter())
         parameters = self.node(g.PARAMETERS, params)
         rp = self.expect(")")
         return self.node(node_label, [kw, name, lp, parameters, rp])
 
     def parse_parameter(self) -> ParseNode:
-        if self.peek().kind == "LABELVALUE":
+        if self.peek()[0] == "LABELVALUE":
             return self.parse_label_operand()
         return self.parse_term()
 
     # -- formulas ------------------------------------------------------------
 
     def parse_formula(self) -> ParseNode:
-        token = self.peek()
-        if token.kind == "WORD":
-            word = token.text
+        kind, word, _ = self.tokens[self.pos]
+        if kind == "WORD":
             if word in ("true", "false"):
-                return self.node(g.BOOLEAN_LITERAL, [self.leaf(self.take())])
+                return self.node(g.BOOLEAN_LITERAL, [self.leaf()])
             if word == "not":
-                kw = self.leaf(self.take())
+                kw = self.leaf()
                 return self.node(g.NEGATED, [kw, self.parse_formula()])
             if word in ("forall", "exists"):
                 return self.parse_quantified()
@@ -586,19 +576,19 @@ class _Parser:
             self.restore(saved)
         # label equality / relationship
         lhs = self.parse_wildcard_or_label()
-        token = self.peek()
-        if token.text == "=" and token.kind == "PUNCT":
-            eq = self.leaf(self.take())
+        kind, text, position = self.tokens[self.pos]
+        if text == "=" and kind == "PUNCT":
+            eq = self.leaf()
             rhs = self.parse_wildcard_or_label()
             if lhs.label == g.WILDCARD_LABEL and rhs.label == g.WILDCARD_LABEL:
                 raise ParseError("only one side of a label equality may carry "
-                                 "wildcards", token.position)
+                                 "wildcards", position)
             return self.node(g.LABEL_EQUALITY, [lhs, eq, rhs])
-        if token.text in ("<", ">", "<=", ">=") and token.kind == "PUNCT":
+        if text in ("<", ">", "<=", ">=") and kind == "PUNCT":
             if lhs.label == g.WILDCARD_LABEL:
                 raise ParseError("wildcards are not allowed in label comparisons",
-                                 token.position)
-            rel = self.leaf(self.take())
+                                 position)
+            rel = self.leaf()
             rhs = self.parse_label_operand()
             return self.node(g.LABEL_RELATIONSHIP, [lhs, rel, rhs])
         raise self.fail("'=', '<', '>', '<=' or '>='")
@@ -612,13 +602,12 @@ class _Parser:
     def parse_formula_group(self) -> ParseNode:
         lp = self.expect("(")
         first = self.parse_formula()
-        token = self.peek()
+        kind, text, _ = self.tokens[self.pos]
         if self.at_word("and"):
             inner = self.parse_connective_chain(first, ("and",), g.CONJUNCTION)
         elif self.at_word("or"):
             inner = self.parse_connective_chain(first, ("or",), g.DISJUNCTION)
-        elif (token.text in g.QUASI_CONNECTIVES
-              and (token.kind == "PUNCT" or token.kind == "WORD")):
+        elif text in g.QUASI_CONNECTIVES and (kind == "PUNCT" or kind == "WORD"):
             inner = self.parse_connective_chain(first, g.QUASI_CONNECTIVES,
                                                 g.QUASI_IMPLICATION)
         else:
@@ -628,20 +617,20 @@ class _Parser:
 
     def parse_connective_chain(self, first: ParseNode, connectives, label: str) -> ParseNode:
         children = [first]
-        while self.peek().text in connectives and self.peek().kind in ("WORD", "PUNCT"):
-            children.append(self.leaf(self.take()))
+        while self.peek()[1] in connectives and self.peek()[0] in ("WORD", "PUNCT"):
+            children.append(self.leaf())
             children.append(self.parse_formula())
         return self.node(label, children)
 
     def parse_quantified(self) -> ParseNode:
-        kw = self.leaf(self.take())
+        kw = self.leaf()
         root = g.FORALL if kw.label == "forall" else g.EXISTS
         pair = self.parse_variable_pair()
         inkw = self.parse_in_kw()
         term = self.parse_term()
         children = [kw, pair, inkw, term]
         if self.at_punct("."):
-            children.append(self.leaf(self.take()))
+            children.append(self.leaf())
         quantifier = self.node(root, children)
         body = self.parse_formula()
         return self.node(g.QUANTIFIED, [quantifier, body])
@@ -678,10 +667,10 @@ def parse(source: str) -> ParseResult:
         raise ParseError("expected %s" % parser.furthest_expected, parser.furthest)
     except RecursionError:
         raise ParseError("expected a less deeply nested expression",
-                         parser.peek().position)
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise ParseError("unexpected input after command", trailing.position)
+                         parser.peek()[2])
+    kind, _, position = parser.peek()
+    if kind != "EOF":
+        raise ParseError("unexpected input after command", position)
     # binders finish inner first; in source order, of two that start together
     # (a quantified formula and its quantifier) the outer one ends later
     uses = parser.uses

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 
@@ -810,3 +811,26 @@ def test_second_evaluator_compiles_nothing(monkeypatch):
     ev = make_evaluator()
     assert calls == []
     assert run(ev, "boolean query call isPair(call Pair({}, {}));").boolean is True
+
+
+def test_generated_functions_load_exactly_the_tables_they_read():
+    library = evaluator_module.predefined_library()
+    source = evaluator_module._generated(lambda generator: generator.declarations(
+        library.declarations, generator.assign("dict(env)")))
+    tables = evaluator_module._TABLES
+    reads = {}
+    for part in source[1:]:  # the first part holds the constants
+        [function] = ast.parse(part).body
+        loaded = [target.id for statement in function.body
+                  if isinstance(statement, ast.Assign)
+                  for target in statement.targets
+                  if isinstance(target, ast.Name) and target.id in tables
+                  and ast.unparse(statement.value) == tables[target.id]]
+        read = {node.id for node in ast.walk(function)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id in tables}
+        assert sorted(loaded) == sorted(read), function.name
+        reads[function.name] = read
+    # the library reaches every table, and Pair's body (f1) reads none
+    assert len(reads) == 19 and reads["f1"] == set()
+    assert set().union(*reads.values()) == set(tables)

@@ -1,12 +1,17 @@
 import itertools
+import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hypersetdb import evaluator
 from hypersetdb import grammar as g
 from hypersetdb import parser as parser_module
+from hypersetdb.analysis import AnalysisError, analyze
 from hypersetdb.library import PREDEFINED_DECLARATIONS
 from hypersetdb.parser import ParseError, ParseNode, bounding_node, parse, reprint
 
@@ -129,6 +134,13 @@ def test_parse_collect_query_is_well_formed():
     # occurrences in the variable pair do not count as uses
     names = sorted({n.identifier_text() for n in result.identifier_nodes})
     assert names == ["BibDB", "b2", "pub", "pub-type", "ref"]
+
+
+def test_tokens_are_tuples_and_end_with_two_eofs():
+    assert g.tokenize("set query {'a':x};") == [
+        ("WORD", "set", 0), ("WORD", "query", 4), ("PUNCT", "{", 10),
+        ("LABELVALUE", "'a'", 11), ("PUNCT", ":", 14), ("WORD", "x", 15),
+        ("PUNCT", "}", 16), ("PUNCT", ";", 17), ("EOF", "", 18), ("EOF", "", 18)]
 
 
 def test_parse_error_position_points_at_offending_token():
@@ -414,6 +426,48 @@ def test_cached_unique_fork_agrees_and_stays_bounded():
     assert info.maxsize is not None and info.currsize <= info.maxsize < len(sequences)
 
 
+def _variadic_scan(children):
+    """The Kleene-repetition match that scans every rule, whatever the first
+    child: `grammar._variadic_match` with no test of the first child."""
+    n = len(children)
+    if n % 2 == 0 or (n > 1 and children[1] not in g._SEPARATORS):
+        return []
+    members, separators = children[0::2], children[1::2]
+    return [root for root, member_class, allowed, minimum in g._VARIADIC_RULES
+            if n >= 2 * minimum - 1
+            and all(s in allowed for s in separators)
+            and all(m in member_class for m in members)]
+
+
+# one-child sequences: user text (set names, atoms, plain and wildcard label
+# values, identifiers), keywords and the empty string
+USER_TEXT = [("file:///wdb/BibDB-f1.xml#BibDB",), ("mem://x.xml#b-2",), ('"Smith"',),
+             ("'author'",), ("'pa*'",), ("'*t*'",), ("'*x'",), ("BibDB",),
+             ("pub-type",), ("x",), ("U",), ("forall",), ("",)]
+
+
+def test_fork_lookup_equals_the_full_variadic_scan():
+    corpus = json.loads(Path(__file__).with_name("golden_front_end.json")
+                        .read_text(encoding="utf-8"))
+    sequences = list(_expanded_fork_shapes()) + USER_TEXT
+    for entry in corpus:
+        result = parse(entry["source"])
+        sequences.extend(node.child_labels() for node in result.postorder)
+        try:  # an ill-typed command stops relabelling where it fails
+            analyze(result, evaluator.predefined_library())
+        except AnalysisError:
+            pass
+        sequences.extend(node.child_labels() for node in result.postorder)
+    single = 0
+    for children in sequences:
+        assert g._variadic_match(children) == _variadic_scan(children), children
+        fixed = [f.root for f in g.FIXED_FORKS if f.matches(children)]
+        assert g.fork_candidates(children) == (fixed + _variadic_scan(children)
+                                               + _leaf_reference(children)), children
+        single += len(children) == 1 and bool(_leaf_reference(children))
+    assert single > 500 and any(_variadic_scan(c) for c in sequences)
+
+
 # ---------------------------------------------------------------------------
 # The bookkeeping recorded by the descent against its walk-based definition
 # ---------------------------------------------------------------------------
@@ -634,3 +688,45 @@ def test_remembered_term_failures_report_the_same_errors(monkeypatch):
     assert [outcome(source) for source in sources] == remembered
     assert sum(text.startswith("Error") for text in remembered) > 100
     assert sum(not text.startswith("Error") for text in remembered) > 100
+
+
+# ---------------------------------------------------------------------------
+# Nesting limits
+# ---------------------------------------------------------------------------
+
+NESTS = {
+    "union": lambda depth: ("set query let set constant c = {} in " + "(c U " * depth
+                            + "c" + ")" * depth + " endlet;"),
+    "not": lambda depth: "boolean query " + "not " * depth + "true;",
+    "tc": lambda depth: "set query " + "tc " * depth + "{};",
+    "parenthesised formula": lambda depth: ("boolean query " + "(" * depth + "true"
+                                            + ")" * depth + ";"),
+}
+# the deepest nest of each kind that `parse` accepts under the default
+# recursion limit, called from a fresh thread two calls down (CPython 3.10
+# and 3.11; 3.12 accepts one or two levels more)
+DEEPEST_NESTS = {"union": 491, "not": 986, "tc": 984, "parenthesised formula": 327}
+
+
+def test_nesting_limits_stay_where_they_are():
+    assert sys.getrecursionlimit() == 1000
+    outcomes = {}
+
+    def outcome(source):
+        try:
+            parse(source)
+        except ParseError as exc:
+            return exc.reason
+        return "accepted"
+
+    def run():  # a fresh thread, so the caller's stack does not count
+        for name, make in NESTS.items():
+            depth = DEEPEST_NESTS[name]
+            outcomes[name] = outcome(make(depth)), outcome(make(2 * depth))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert outcomes == dict.fromkeys(
+        NESTS, ("accepted", "expected a less deeply nested expression"))
