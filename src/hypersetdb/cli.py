@@ -22,7 +22,7 @@ from .bisim import BisimHelpers, FactStore
 from .engine import OracleClient
 from .evaluator import Evaluator, postprocess
 from .names import WdbError
-from .parser import ParseError, parse, reprint
+from .parser import ParseError, ParseResult, parse, reprint
 from .store import FileFetcher, SessionStore
 
 WELL_TYPED = "Query is well-formed, well-typed and executable"
@@ -69,22 +69,20 @@ class Session:
     # -- command handling ------------------------------------------------------
 
     def run_command(self, source: str) -> str:
-        stripped = source.strip()
-        if not stripped:
+        """The reply to one command; raises ExitSession for `exit;`."""
+        if not source.strip():
             return ""
-        first_word = stripped.split(None, 1)[0].rstrip(";")
-        if first_word == "exit":
-            raise ExitSession
-        if first_word == "library":
-            return self._run_library(source)
-        return self._run_query(source)
-
-    def _run_query(self, source: str) -> str:
         started = time.monotonic()
         try:
             result = parse(source)
         except ParseError as exc:
-            return "%s\n\n%s" % (NOT_WELL_FORMED, self._located(str(exc), source))
+            return "%s\n\n%s" % (NOT_WELL_FORMED,
+                                 self._located(str(exc), exc.position, source))
+        first = result.tree.children[0].label
+        if first == "exit":
+            raise ExitSession
+        if first == "library":
+            return self._run_library(result, source)
         try:
             tree = analyze(result, self.evaluator.library)
         except AnalysisError as exc:
@@ -100,29 +98,17 @@ class Session:
 
     def _not_well_typed(self, exc: AnalysisError, source: str) -> str:
         lines = [NOT_WELL_TYPED, ""]
-        lines.extend(self._located(item.render(), source) for item in exc.items)
+        lines.extend(self._located(item.render(), item.position, source)
+                     for item in exc.items)
         return "\n".join(lines)
 
-    def _located(self, message: str, source: str) -> str:
-        """Append a short context excerpt for messages carrying positions."""
-        marker = "Error at character "
-        if not message.startswith(marker):
-            return message
-        try:
-            position = int(message[len(marker):].split(",", 1)[0]) - 1
-        except ValueError:
-            return message
+    def _located(self, message: str, position: int, source: str) -> str:
+        """The message, then the source around its 0-based character position."""
         snippet = source[max(0, position - 30):position + 12].replace("\n", " ")
         return "%s:\n  ...%s <-------" % (message, snippet)
 
-    def _run_library(self, source: str) -> str:
-        try:
-            result = parse(source)
-        except ParseError as exc:
-            return "%s\n\n%s" % (NOT_WELL_FORMED, self._located(str(exc), source))
+    def _run_library(self, result: ParseResult, source: str) -> str:
         command = result.tree.children[1]
-        if command.label != g.LIBRARY_COMMAND:
-            return NOT_WELL_FORMED
         if command.children[0].label == "list":
             verbose = len(command.children) > 1
             return self._render_listing(verbose)

@@ -2,7 +2,9 @@
 
 Tokens are plain `(kind, text, position)` tuples, and the token list ends
 with two EOF tokens, so the parser may look one token past the last real one
-by a bare index.
+by a bare index.  A command that is not well-formed fails one way, with a
+`ParseError`: `tokenize` raises it for a character no token starts with, and
+`parser.parse` for everything else.
 
 The grammar is held as a set of forks: a root category plus the sequence of
 child labels (terminals or categories) it derives in one step.  Parse trees
@@ -40,10 +42,14 @@ LABEL_VALUE_RE = re.compile(r"'(\*?)([A-Za-z0-9_\-]+)(\*?)'")
 ATOM_RE = re.compile(r'"([A-Za-z0-9_\-]+)"')
 
 
-class TokenError(Exception):
+class ParseError(Exception):
+    """A command that is not well-formed: the reason, and the 0-based
+    character position it refers to."""
+
     def __init__(self, message: str, position: int) -> None:
-        super().__init__("%s (at character %d)" % (message, position + 1))
+        super().__init__("Error at character %d, %s" % (position + 1, message))
         self.position = position
+        self.reason = message
 
 
 # (kind, text, position): kind is WORD, SETNAME, LABELVALUE, ATOM, PUNCT or
@@ -72,7 +78,8 @@ def tokenize(source: str) -> List[Token]:
         if kind == "SPACE":
             continue
         if kind == "UNEXPECTED":
-            raise TokenError("unexpected character %r" % m.group(), m.start())
+            raise ParseError("unexpected character %r (at character %d)"
+                             % (m.group(), m.start() + 1), m.start())
         tokens.append((kind, m.group(), m.start()))
     eof = ("EOF", "", len(source))
     tokens += (eof, eof)

@@ -11,6 +11,13 @@ no later walk: each node's parent, the nodes in the order it finishes them
 knows whether its identifier declares a name or uses one) and the binder
 nodes.  Both places that backtrack, `try_parse` and the set-equality attempt,
 cut every record back to where their attempt began.
+
+A command fails one way, with a `grammar.ParseError` from `tokenize` or
+`parse`.  Inside the descent a failed alternative records how far it got and
+raises a message-less `_Backtrack`, the only exception the places that
+backtrack catch; `parse` reports the furthest failure.  Any other
+`ParseError` raised in the descent refuses a construct no alternative could
+parse, and reaches the user with its own reason.
 """
 
 from __future__ import annotations
@@ -20,14 +27,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import grammar as g
-from .grammar import Token, TokenError, tokenize
+from .grammar import ParseError, Token, tokenize
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__("Error at character %d, %s" % (position + 1, message))
-        self.position = position
-        self.reason = message
+class _Backtrack(ParseError):
+    """A failed alternative; `_Parser.note_furthest` holds how far it got."""
+
+    def __init__(self) -> None:
+        pass
 
 
 class ParseNode:
@@ -105,10 +112,7 @@ class ParseResult:
 
 class _Parser:
     def __init__(self, source: str) -> None:
-        try:
-            self.tokens = tokenize(source)
-        except TokenError as exc:
-            raise ParseError(str(exc), exc.position)
+        self.tokens = tokenize(source)
         self.pos = 0
         self.furthest = 0
         self.furthest_expected = "query"
@@ -124,11 +128,9 @@ class _Parser:
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[self.pos + offset]
 
-    def fail(self, expected: str) -> "ParseError":
-        kind, text, position = self.tokens[self.pos]
-        self.note_furthest(position, expected)
-        shown = text if kind != "EOF" else "end of input"
-        return ParseError("expected %s but found %r" % (expected, shown), position)
+    def fail(self, expected: str) -> _Backtrack:
+        self.note_furthest(self.tokens[self.pos][2], expected)
+        return _Backtrack()
 
     def note_furthest(self, position: int, expected: str) -> None:
         if position >= self.furthest:
@@ -195,7 +197,7 @@ class _Parser:
         saved = self.save()
         try:
             return production()
-        except ParseError:
+        except _Backtrack:
             self.restore(saved)
             return None
 
@@ -378,7 +380,7 @@ class _Parser:
         start = self.pos
         if start in self.failed_parens:
             self.note_furthest(*self.failed_parens[start])
-            raise ParseError("expected a term", self.peek()[2])
+            raise _Backtrack()
         outer = self.furthest, self.furthest_expected
         self.furthest = -1
         try:
@@ -394,7 +396,7 @@ class _Parser:
                 inner = first
             rp = self.expect(")")
             return self.node(g.PAREN_TERM, [lp, inner, rp])
-        except ParseError:
+        except _Backtrack:
             self.failed_parens[start] = (self.furthest, self.furthest_expected)
             raise
         finally:
@@ -572,7 +574,7 @@ class _Parser:
             eq = self.expect("=")
             rhs = self.parse_term()
             return self.node(g.SET_EQUALITY, [lhs, eq, rhs])
-        except ParseError:
+        except _Backtrack:
             self.restore(saved)
         # label equality / relationship
         lhs = self.parse_wildcard_or_label()
@@ -663,7 +665,7 @@ def parse(source: str) -> ParseResult:
     parser = _Parser(source)
     try:
         tree = parser.parse_top_level()
-    except ParseError:
+    except _Backtrack:
         raise ParseError("expected %s" % parser.furthest_expected, parser.furthest)
     except RecursionError:
         raise ParseError("expected a less deeply nested expression",

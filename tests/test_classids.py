@@ -334,6 +334,38 @@ def test_loaded_bibdb_session_never_calls_bisimilar(seed, tmp_path, monkeypatch)
     assert session.evaluator.facts.status == {}
 
 
+def test_decorate_over_names_without_ids_matches_a_loaded_session(monkeypatch):
+    """A fresh session decorates a graph of document names before it loads
+    any document, so none of the names has a class id and `decorate` groups
+    them by `equal`; the reply is that of a session that loaded both
+    documents first, where class ids group them."""
+    def bibdb_session():
+        fetcher = MemoryFetcher({F1: bibdb_f1_text(F1, F2), F2: bibdb_f2_text(F1, F2)})
+        return Session(SessionConfig(show_time=False), fetcher=fetcher)
+
+    calls = []
+    original = Evaluator.equal
+
+    def counting(self, first, second):
+        calls.append((first, second))
+        return original(self, first, second)
+    monkeypatch.setattr(Evaluator, "equal", counting)
+    # the cycle b2 -> p3 -> b1 -> b2, decorated at p3; b2 = p3
+    query = ("set query decorate ({ 'e':call Pair(%s#b2, %s#p3), "
+             "'e':call Pair(%s#p3, %s#b1), 'e':call Pair(%s#b1, %s#b2) }, %s#p3);"
+             % (F1, F2, F2, F1, F1, F1, F2))
+    loaded = bibdb_session()
+    assert loaded.run_command("boolean query %s#b2 = %s#p3;" % (F1, F2)).endswith(
+        "Result = true")
+    del calls[:]
+    expected = loaded.run_command(query)
+    by_ids = len(calls)
+    del calls[:]
+    assert bibdb_session().run_command(query) == expected
+    assert "Result = {'e':Result, 'e':res" in expected
+    assert len(calls) > by_ids
+
+
 @pytest.mark.parametrize("workload", ["bib-session", "linorder"])
 def test_benchmark_checks_catch_an_equality_that_merges_class_ids(
         workload, tmp_path, monkeypatch):

@@ -215,7 +215,7 @@ GOLDEN_DIAGNOSTICS = [
     ('set query {} {};',
      "Query is not well-formed\n\nError at character 14, expected ';':\n  ...set query {} {}; <-------"),
     ("set query let label constant l = 'a*' in {} endlet;",
-     'Query is not well-formed\n\nError at character 1, expected query:\n  ...set query le <-------'),
+     "Query is not well-formed\n\nError at character 34, label constants must be plain label values:\n  ... query let label constant l = 'a*' in {} e <-------"),
     ('boolean query (true and );',
      'Query is not well-formed\n\nError at character 25, expected a formula:\n  ...boolean query (true and ); <-------'),
     ('boolean query forall l:x in {} . ;',
@@ -272,7 +272,49 @@ NESTED_BINDER_DIAGNOSTICS = [
 ]
 
 
-@pytest.mark.parametrize("command,expected", GOLDEN_DIAGNOSTICS + NESTED_BINDER_DIAGNOSTICS)
+# The refusals the descent makes itself reach the user with their own reason
+# and position: a wildcard in a variable pair, on both sides of a label
+# equality or in a label comparison (a wildcard label constant is in
+# GOLDEN_DIAGNOSTICS), also under a parenthesised formula, an `if` or a
+# `let`, which the descent backtracks out of on any other failure.
+REFUSAL_DIAGNOSTICS = [
+    ("set query separate { 'a*':x in {} where true };",
+     "Query is not well-formed\n\nError at character 22, wildcards are not allowed in variable pairs:\n  ...set query separate { 'a*':x in {} <-------"),
+    ("set query collect { 'b':x where '*a':x in {} };",
+     "Query is not well-formed\n\nError at character 33, wildcards are not allowed in variable pairs:\n  ...t query collect { 'b':x where '*a':x in {} <-------"),
+    ("set query recursion p { 'a*':x in {} where true };",
+     "Query is not well-formed\n\nError at character 25, wildcards are not allowed in variable pairs:\n  ...set query recursion p { 'a*':x in {} <-------"),
+    ("boolean query exists 'a*':x in {} . true;",
+     "Query is not well-formed\n\nError at character 22, wildcards are not allowed in variable pairs:\n  ...boolean query exists 'a*':x in {} <-------"),
+    ("boolean query 'a*' = 'b*';",
+     "Query is not well-formed\n\nError at character 20, only one side of a label equality may carry wildcards:\n  ...boolean query 'a*' = 'b*'; <-------"),
+    ("boolean query 'a*' = *l;",
+     "Query is not well-formed\n\nError at character 20, only one side of a label equality may carry wildcards:\n  ...boolean query 'a*' = *l; <-------"),
+    ("boolean query 'a*' < 'b';",
+     "Query is not well-formed\n\nError at character 20, wildcards are not allowed in label comparisons:\n  ...boolean query 'a*' < 'b'; <-------"),
+    ("boolean query (true and 'a*' = 'b*');",
+     "Query is not well-formed\n\nError at character 30, only one side of a label equality may carry wildcards:\n  ...boolean query (true and 'a*' = 'b*'); <-------"),
+    ("boolean query (l * >= 'b' or true);",
+     "Query is not well-formed\n\nError at character 20, wildcards are not allowed in label comparisons:\n  ...boolean query (l * >= 'b' or tr <-------"),
+    ("boolean query (let label constant l = '*a' in true endlet);",
+     "Query is not well-formed\n\nError at character 39, label constants must be plain label values:\n  ...query (let label constant l = '*a' in true <-------"),
+    ("boolean query if 'a*' = 'b*' then true else false fi;",
+     "Query is not well-formed\n\nError at character 23, only one side of a label equality may carry wildcards:\n  ...boolean query if 'a*' = 'b*' then  <-------"),
+    ("boolean query if true then exists 'a*':x in {} . true else false fi;",
+     "Query is not well-formed\n\nError at character 35, wildcards are not allowed in variable pairs:\n  ...ean query if true then exists 'a*':x in {} <-------"),
+    ("set query if true then {} else separate { '*a':x in {} where true } fi;",
+     "Query is not well-formed\n\nError at character 43, wildcards are not allowed in variable pairs:\n  ... true then {} else separate { '*a':x in {} <-------"),
+    ("boolean query let label constant l = 'a*' in l = 'a' endlet;",
+     "Query is not well-formed\n\nError at character 38, label constants must be plain label values:\n  ... query let label constant l = 'a*' in l =  <-------"),
+    ("boolean query let set constant c = {} in 'a*' < 'b' endlet;",
+     "Query is not well-formed\n\nError at character 47, wildcards are not allowed in label comparisons:\n  ...t set constant c = {} in 'a*' < 'b' endlet <-------"),
+    ("set query let set constant c = separate { 'a*':x in {} where true } in c endlet;",
+     "Query is not well-formed\n\nError at character 43, wildcards are not allowed in variable pairs:\n  ...t set constant c = separate { 'a*':x in {} <-------"),
+]
+
+
+@pytest.mark.parametrize("command,expected",
+                         GOLDEN_DIAGNOSTICS + NESTED_BINDER_DIAGNOSTICS + REFUSAL_DIAGNOSTICS)
 def test_golden_diagnostics(command, expected):
     assert make_session(show_time=False).run_command(command) == expected
 
@@ -370,6 +412,19 @@ def test_repl_runs_until_exit():
     text = stream_out.getvalue()
     assert "Result = {}" in text
     assert "'x'" not in text  # nothing after exit runs
+
+
+def test_a_malformed_exit_is_refused_and_the_session_goes_on():
+    session = make_session(show_time=False)
+    assert session.run_command("exit now;") == \
+        NOT_WELL_FORMED + "\n\nError at character 6, expected ';':\n  ...exit now; <-------"
+    assert session.run_command("set query {};") == WELL_TYPED + "\n\nResult = {}"
+    stream_out = io.StringIO()
+    repl(session, io.StringIO("exit now;\nset query {};\nexit;\nset query { 'x':{} };\n"),
+         stream_out)
+    assert stream_out.getvalue().split("\n\n") == [
+        NOT_WELL_FORMED, "Error at character 6, expected ';':\n  ...exit now; <-------",
+        WELL_TYPED, "Result = {}", ""]
 
 
 def test_repl_continues_after_errors():
@@ -654,6 +709,15 @@ def test_unreadable_script_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "hypersetdb: error: cannot read --script %s: No such file or directory" % missing]
+
+
+def test_script_runs_until_exit(tmp_path, capsys):
+    script = tmp_path / "commands.cli"
+    script.write_text("set query {};\nexit;\nset query { 'x':{} };\n", encoding="utf-8")
+    assert cli.main(["--script", str(script), "--no-time", "--no-network"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == WELL_TYPED + "\n\nResult = {}\n\n"
+    assert captured.err == ""
 
 
 def test_no_network_blocks_http(tmp_path):
