@@ -115,9 +115,10 @@ def simple_approx(fragment: Fragment) -> ApproxSet:
 
 def write_facts(root_tag: str, names: List[SetName],
                 value: Callable[[SetName, SetName], Optional[bool]],
-                delay: Optional[Callable[[SetName, SetName], int]] = None) -> str:
+                delay: Optional[str] = None) -> str:
     """Render one <facts> group per name, listing each unordered pair once
-    under its earlier name; pairs whose value is None are left out."""
+    under its earlier name; pairs whose value is None are left out.  Every
+    fact carries delay, when given, as its delay attribute."""
     root = ET.Element(root_tag)
     for i, first in enumerate(names):
         group = ET.SubElement(root, "facts")
@@ -128,7 +129,7 @@ def write_facts(root_tag: str, names: List[SetName],
                 continue
             fact = ET.SubElement(group, "fact")
             if delay is not None:
-                fact.set("delay", str(delay(first, second)))
+                fact.set("delay", delay)
             fact.set("set_name", second.full)
             fact.set("value", "yes" if known else "no")
     return '<?xml version="1.0"?>\n' + ET.tostring(root, encoding="unicode")

@@ -9,14 +9,15 @@ for cyclic terms Mauborgne, "An incremental unique representation for
 regular trees", Nordic J. Computing 7(4), 2000), so equality is an integer
 compare and membership a set lookup.
 
-A name is interned on first use, with its closure, by Tarjan's search for
-strongly connected components, which stops at members that have ids.  A
-name on no cycle is interned by its signature, so a generated name over
-interned members costs one look at its own equation; a cyclic component is
-refined against the classes it could join (`_intern_component`).  Equations
-are write-once, so an id never changes.  A name with a descendant whose
-equation is not in the store gets none until another document has been
-loaded; nothing here fetches.
+A name is interned on first use.  A name whose members all have ids is
+interned by its signature, so a generated name over interned members costs
+one look at its own equation.  Otherwise its closure is interned by the
+strongly connected components of `names.components`, which stops at
+members that have ids: a component of one name on no cycle is interned by
+its signature, and a cyclic one is refined against the classes it could
+join (`_intern_component`).  Equations are write-once, so an id never
+changes.  A name with a descendant whose equation is not in the store gets
+none until another document has been loaded; nothing here fetches.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .bisim import stable_blocks
-from .names import Element, SetName
+from .names import Element, SetName, components
 from .store import SessionStore
 
 Signature = FrozenSet[Tuple[str, int]]
@@ -69,58 +70,35 @@ class ClassIds:
         return cid
 
     def _intern_closure(self, root: SetName) -> Optional[int]:
-        """Intern root's closure by an iterative Tarjan search over the
-        equations in the store, which numbers a name by its position on the
-        stack of unsettled names.  A component is incomplete when a member
-        lacks an equation or is incomplete; otherwise its members outside it
-        all have ids when it is settled."""
+        """Intern root by its signature when its members all have ids, and
+        otherwise intern its closure component by component (`components`),
+        over the members without an id that are not found incomplete.  A
+        component is incomplete when one of its names lacks an equation or
+        has an incomplete member; otherwise its members outside it all have
+        ids by the time it is settled."""
         equations = self.store.system.equations
         stamp = len(self.store.loaded_documents)
         ids, incomplete = self.ids, self.incomplete
-        elements = equations.get(root)
-        if elements is None:
-            incomplete[root] = stamp
-            return None
-        low = {root: 0}
-        unsettled = [root]
-        stack = [[root, elements, 0, False, 0]]  # name, elements, next, open, position
-        while stack:
-            frame = stack[-1]
-            name, elements, index, missing, position = frame
-            while index < len(elements):
-                member = elements[index].member
-                if member in ids:
-                    pass
-                elif incomplete.get(member) == stamp or member not in equations:
-                    incomplete[member] = stamp
-                    missing = True
-                elif member in low:     # unsettled, so in name's component
-                    low[name] = min(low[name], low[member])
-                else:
-                    # descend; the member is looked at again once settled
-                    frame[2], frame[3] = index, missing
-                    low[member] = len(unsettled)
-                    stack.append([member, equations[member], 0, False, len(unsettled)])
-                    unsettled.append(member)
-                    break
-                index += 1
-            else:
-                stack.pop()
-                if missing and stack:
-                    stack[-1][3] = True
-                if low[name] != position:
-                    continue
-                component = unsettled[position:]
-                del unsettled[position:]
-                if missing:
-                    incomplete.update(dict.fromkeys(component, stamp))
-                    continue
-                try:    # every member has an id unless name lies on a cycle
-                    signature = frozenset([(label, ids[m]) for label, m in elements])
-                except KeyError:
-                    self._intern_component(component)
+        try:
+            signature = frozenset([(label, ids[m]) for label, m in equations[root]])
+        except KeyError:
+            for component in components(root, lambda n: [
+                    m for _, m in equations.get(n, ()) if m not in ids
+                    and incomplete.get(m) != stamp]):
+                name = component[0]
+                try:
+                    signature = frozenset([(label, ids[m]) for label, m in equations[name]])
+                except KeyError:    # incomplete, or on a cycle
+                    if any(n not in equations or any(incomplete.get(m) == stamp
+                                                     for _, m in equations[n])
+                           for n in component):
+                        incomplete.update(dict.fromkeys(component, stamp))
+                    else:
+                        self._intern_component(component)
                 else:
                     ids[name] = self._intern(signature)
+        else:
+            ids[root] = self._intern(signature)
         return ids.get(root)
 
     def _intern_component(self, component: List[SetName]) -> None:

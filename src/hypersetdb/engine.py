@@ -32,7 +32,7 @@ from .approx import make_approx_reader, read_facts, write_facts
 # benchmark's tracer wraps `engine.bisimilar` and its self-test patches it.
 from .bisim import bisimilar  # noqa: F401
 from .bisim import (BisimulationError, FactStore, OracleValue, Pair, Status,
-                    naive_bisimulation, pair_key)
+                    pair_key, stable_blocks)
 from .classids import ClassIds
 from .names import (EquationSystem, NameError_, SetName, UndefinedNameError,
                     parse_full_name)
@@ -77,16 +77,17 @@ class TrivialOracle:
         return OracleValue.YES if value else OracleValue.NO
 
 
-def generate_trivial_oracle_xml(system: EquationSystem,
-                                delays: Optional[Dict[Tuple[SetName, SetName], int]] = None,
-                                default_delay: int = 0) -> str:
-    """All pairwise facts of a closed WDB in the grouped facts format;
-    values are computed, correctness is therefore guaranteed."""
-    blocks = naive_bisimulation(system)
-    delays = delays or {}
+def generate_trivial_oracle_xml(system: EquationSystem) -> str:
+    """All pairwise facts of a closed WDB in the grouped facts format, each
+    with delay 0.  The values are the system's bisimulation classes, so
+    they are correct; a member without an equation raises
+    BisimulationError."""
+    def foreign(member: SetName) -> None:
+        raise BisimulationError("the trivial oracle needs a closed system; %s is foreign"
+                                % member.full)
+    blocks = stable_blocks(system.equations, system.equations, outside=foreign)
     return write_facts("oracle", list(system.equations),
-                       lambda x, y: blocks[x] == blocks[y],
-                       lambda x, y: delays.get(pair_key(x, y), default_delay))
+                       lambda x, y: blocks[x] == blocks[y], delay="0")
 
 
 # ---------------------------------------------------------------------------

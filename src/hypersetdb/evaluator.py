@@ -1,15 +1,16 @@
 """Query evaluation by reduction: extend the store with fresh equations and
 simplify until the result is a flat bracket expression or a truth value.
-An analyzed query or declaration list is generated once as Python source
-and compiled to functions, which the evaluator then runs: bound variables
-are Python locals, quantifiers are loops that exit at the deciding value,
-and class ids and equations are read in place, so only a miss interns or
-fetches.
+An analyzed query or declaration list is generated as Python source and
+compiled to functions once per analyzed shape, which the evaluator then
+runs: bound variables are Python locals, quantifiers are loops that exit
+at the deciding value, and class ids and equations are read in place, so
+only a miss interns or fetches.
 
 Equality compares interned class ids where both names have one and
 otherwise delegates to the bisimulation module; transitive closure and
 decoration have their own algorithms, and the output renderer folds
-generated names back into readable nested form.
+generated names back into readable nested form, keeping a name on a cycle
+(`names.components`) by name.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .bisim import BisimHelpers, FactStore, bisimilar
 from .classids import ClassIds
 from .library import PREDEFINED_DECLARATIONS
 from .names import (Element, EquationSystem, FlatExpr, LOCAL_URL, NULL_LABEL, SetName,
-                    WdbError)
+                    WdbError, components)
 from .parser import ParseNode, parse
 from .store import SessionStore
 
@@ -292,41 +293,42 @@ _RUNTIME = {"Closure": Closure, "Element": Element, "EvaluationError": Evaluatio
             "SetName": SetName, "_MISSING": _MISSING}
 
 
-@functools.lru_cache(maxsize=256)
-def _load(source: Tuple[str, ...]) -> Run:
-    """The function f0 of generated source: constants, then one function per
-    text, each compiled on its own to bound the compiler's memory.  The
-    functions' globals are constants, so the cache holds no session state."""
-    namespace = dict(_RUNTIME)
-    for part in source:
-        exec(compile(part, "<generated query>", "exec"), namespace)
-    return namespace["f0"]
+_COMPILED: Dict[tuple, Run] = {}  # analyzed shape -> its function f0, bounded
 
 
-_SOURCES: Dict[tuple, Tuple[str, ...]] = {}  # query shape -> its source, bounded
+def _compiled(key: tuple, emit: Callable[["_Generator"], str]) -> Run:
+    """The function f0 of the source that emit generates, compiled once per
+    key: constants, then one function per text, each compiled on its own to
+    bound the compiler's memory.  The functions' globals are constants, so
+    the cache holds no session state."""
+    run = _COMPILED.get(key)
+    if run is None:
+        namespace = dict(_RUNTIME)
+        for part in _generated(emit):
+            exec(compile(part, "<generated query>", "exec"), namespace)
+        run = namespace["f0"]
+        if len(_COMPILED) >= 256:
+            _COMPILED.clear()
+        _COMPILED[key] = run
+    return run
 
 
 def compile_query(body: ParseNode, boolean: bool) -> Run:
     """The function(ev, env, formula, depth) that evaluates a query's body
     in env.  The code depends only on the labels and shape of the analyzed
     body, so a query seen before is not generated again."""
-    key = (boolean, body.shape())
-    source = _SOURCES.get(key)
-    if source is None:
-        source = _generated(lambda generator: (
-            generator.condition if boolean else generator.value)(body))
-        if len(_SOURCES) >= 256:
-            _SOURCES.clear()
-        _SOURCES[key] = source
-    return _load(source)
+    return _compiled((boolean, body.shape()), lambda generator: (
+        generator.condition if boolean else generator.value)(body))
 
 
 def compile_declarations(declarations: Sequence[ParseNode]) -> Declarations:
     """A function from an environment to a new one extended by the
     declarations in order.  A query closure keeps the names its body reads,
-    as they stand before its own declaration."""
-    return _load(_generated(lambda generator: generator.declarations(
-        declarations, generator.assign("dict(env)"))))
+    as they stand before its own declaration.  The key is a tuple of
+    shapes, so it never equals a query's, which starts with a boolean."""
+    return _compiled(tuple(d.shape() for d in declarations),
+                     lambda generator: generator.declarations(
+                         declarations, generator.assign("dict(env)")))
 
 
 def _generated(emit: Callable[["_Generator"], str]) -> Tuple[str, ...]:
@@ -891,44 +893,15 @@ def postprocess(result: QueryResult, store: SessionStore,
 def reach_and_cycles(equations: Dict[SetName, FlatExpr], root: SetName
                      ) -> Tuple[Set[SetName], Set[SetName]]:
     """The names reachable from root (root included) and those among them
-    that lie on a cycle, by one iterative pass of Tarjan's strongly
-    connected components algorithm.  A name is on a cycle when its
+    that lie on a cycle: a name is on a cycle when its strongly connected
     component has more than one name or it is its own member."""
-    index: Dict[SetName, int] = {root: 0}
-    low: Dict[SetName, int] = {root: 0}
-    stack: List[SetName] = [root]
-    on_stack: Set[SetName] = {root}
+    members: Dict[SetName, List[SetName]] = {}  # of each name the walk reaches
     on_cycle: Set[SetName] = set()
-    work = [(root, iter(equations.get(root, ())))]
-    while work:
-        name, members = work[-1]
-        for _, member in members:
-            if member not in index:
-                index[member] = low[member] = len(index)
-                stack.append(member)
-                on_stack.add(member)
-                work.append((member, iter(equations.get(member, ()))))
-                break
-            if member in on_stack:
-                low[name] = min(low[name], index[member])
-                if member == name:
-                    on_cycle.add(name)
-        else:
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[name])
-            if low[name] == index[name]:
-                component = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    component.append(top)
-                    if top == name:
-                        break
-                if len(component) > 1:
-                    on_cycle.update(component)
-    return set(index), on_cycle
+    for component in components(root, lambda n: members.setdefault(
+            n, [m for _, m in equations.get(n, ())])):
+        if len(component) > 1 or component[0] in members[component[0]]:
+            on_cycle.update(component)
+    return set(members), on_cycle
 
 
 def _with_timing(text: str, elapsed_ms: Optional[int]) -> str:

@@ -1,5 +1,6 @@
 """Core data model: set names, labelled elements, flat bracket expressions,
-equation systems and fresh-name generation.
+equation systems, fresh-name generation and the strongly connected
+components of the name graph.
 
 A web-like database (WDB) is a system of flat set equations
 
@@ -15,8 +16,10 @@ all semantic operations must be invariant under permutation and duplication.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple, TypeVar)
 
 # Reserved document URL for names generated during a query session.  No real
 # WDB document can live under this URL, so generated names never clash with
@@ -172,6 +175,46 @@ class EquationSystem:
         sys2.equations = {n: list(e) for n, e in self.equations.items()}
         sys2.generated = set(self.generated)
         return sys2
+
+
+N = TypeVar("N", bound=Hashable)
+_SETTLED = sys.maxsize
+
+
+def components(root: N, successors: Callable[[N], Iterable[N]]) -> Iterator[List[N]]:
+    """The strongly connected components reachable from root, each once and
+    only after every component it reaches, by an iterative form of Tarjan's
+    search (Tarjan, "Depth-first search and linear graph algorithms", SIAM
+    J. Comput. 1(2), 1972).  A name's successors are read, in order, when
+    the search first reaches it, and the caller may act on a component
+    before the search goes on."""
+    # a name's least reachable position on the stack of unsettled names,
+    # _SETTLED once its component is settled
+    low = {root: 0}
+    unsettled = [root]
+    work = [(root, iter(successors(root)), 0)]  # name, successors left, position
+    while work:
+        name, members, position = work[-1]
+        for member in members:
+            if member not in low:
+                low[member] = len(unsettled)
+                work.append((member, iter(successors(member)), len(unsettled)))
+                unsettled.append(member)
+                break
+            if low[member] < low[name]:
+                low[name] = low[member]
+        else:
+            work.pop()
+            if low[name] == position:
+                component = unsettled[position:]
+                del unsettled[position:]
+                for settled in component:
+                    low[settled] = _SETTLED
+                yield component
+            else:
+                parent = work[-1][0]
+                if low[name] < low[parent]:
+                    low[parent] = low[name]
 
 
 class NameAllocator:

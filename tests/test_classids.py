@@ -235,6 +235,18 @@ def test_long_chain_gets_ids_without_recursion_error():
     assert len({ev.class_ids.of(name) for name in names + others}) == 5000
 
 
+def test_long_ring_with_long_tail_gets_one_id_without_recursion_error():
+    # every name of the ring and of the tail into it is {next: itself}
+    ev = make_evaluator()
+    system, names = chain("mem://ring.xml", 10000)
+    system.equations[names[-1]] = [Element("next", names[5000])]
+    ev.store.system.merge(system)
+    omega = SetName("mem://omega.xml", "omega")
+    ev.store.define(omega, [Element("next", omega)])
+    assert ev.class_ids.of(omega) is not None
+    assert {ev.class_ids.of(name) for name in names} == {ev.class_ids.of(omega)}
+
+
 def test_name_over_interned_members_is_interned_alone(monkeypatch):
     """A generated name whose members have ids gets its own id from one look
     at its equation: the search interns no other name."""

@@ -668,11 +668,11 @@ def test_nests_too_deep_to_compile_are_refused(make):
     # about three, so some of these parse but cannot be compiled
     session = make_session(show_time=False)
     for depth in (300, 350, 400, 500, 650):
-        sources, library = set(evaluator._SOURCES), session.evaluator.library
+        sources, library = set(evaluator._COMPILED), session.evaluator.library
         output = session.run_command(make(depth))
         if output.startswith(("Query failed: ", "Library command failed: ")):
             assert output.endswith(": query nested too deeply to compile"), output
-            assert set(evaluator._SOURCES) == sources
+            assert set(evaluator._COMPILED) == sources
             assert session.evaluator.library is library
         else:
             assert output.startswith((WELL_TYPED, LIBRARY_OK, NOT_WELL_FORMED)), output[:200]

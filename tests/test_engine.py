@@ -20,12 +20,13 @@ from hypersetdb.bisim import (
 from hypersetdb import bisim as bisim_module
 from hypersetdb import engine as engine_module
 from hypersetdb import experiments
+from hypersetdb.approx import write_facts
 from hypersetdb.engine import (
     RECONNECT_BACKOFF_S, BisimulationEngine, OracleClient, TrivialOracle,
     generate_trivial_oracle_xml, serve,
 )
-from hypersetdb.names import (EquationSystem, SetName, UndefinedNameError, WdbError,
-                              parse_full_name)
+from hypersetdb.names import (Element, EquationSystem, SetName, UndefinedNameError,
+                              WdbError, parse_full_name)
 from hypersetdb.store import FetchError, LatencyFetcher, MemoryFetcher, SessionStore
 from hypersetdb.xmlwdb import load_equations
 
@@ -64,6 +65,30 @@ def test_generated_trivial_oracle_matches_reference():
     negatives = [v for k, v in values.items() if k != ("b2", "p3")]
     assert len(negatives) == 14
     assert all(v is OracleValue.NO for v in negatives)
+
+
+def test_generated_trivial_oracle_equals_the_brute_force_file():
+    # the production kernel and the brute-force oracle write the same bytes
+    rng = random.Random(29)
+    systems = [closed_bibdb()]
+    for _ in range(20):
+        system = random_closed_system(rng, max_names=10, max_labels=2)
+        twin, _ = duplicate_and_shuffle(system, rng)
+        system.merge(twin)
+        systems.append(system)
+    for system in systems:
+        blocks = naive_bisimulation(system)
+        expected = write_facts("oracle", list(system.equations),
+                               lambda x, y: blocks[x] == blocks[y], delay="0")
+        assert generate_trivial_oracle_xml(system) == expected
+    assert 'delay="0"' in expected and 'value="yes"' in expected
+
+
+def test_generated_trivial_oracle_refuses_an_open_system():
+    system = EquationSystem()
+    system.define(SetName(F1, "a"), [Element("l", SetName(F2, "b"))])
+    with pytest.raises(BisimulationError, match="mem://BibDB-f2.xml#b is foreign"):
+        generate_trivial_oracle_xml(system)
 
 
 def test_trivial_oracle_reflexive_and_unknown():

@@ -660,6 +660,32 @@ def test_postprocess_renders_cycles_by_name():
     assert text == "Result = {'null':Result}"
 
 
+def test_postprocess_renders_a_long_cycle_by_name_without_recursion_error():
+    store = SessionStore(MemoryFetcher())
+    names = [store.fresh("res") for _ in range(5000)]
+    for name, after in zip(names, names[1:] + names[:1]):
+        store.define(name, [Element("next", after)])
+    lines = postprocess(QueryResult(root=names[0]), store).split("\n\n")
+    assert lines[0] == "Result = {'next':%s}" % names[1].simple
+    assert sorted(lines[1:]) == sorted(
+        "%s = {'next':%s}" % (name.simple, "Result" if after == names[0] else after.simple)
+        for name, after in zip(names[1:], names[2:] + names[:1]))
+
+
+def test_postprocess_lists_a_self_member_reached_through_a_document():
+    # x is referenced once by a generated name (itself), so only its self
+    # membership keeps it from being inlined where nothing renders it
+    store = SessionStore(MemoryFetcher())
+    root, x = store.fresh("res"), store.fresh("res")
+    document = SetName("mem://doc.xml", "d")
+    store.define(root, [Element("d", document)])
+    store.define(document, [Element("g", x)])
+    store.define(x, [Element("s", x)])
+    assert postprocess(QueryResult(root=root), store) == (
+        "Result = {'d':mem://doc.xml#d}\n\n%s = {'s':%s}" % (x.simple, x.simple))
+    assert postprocess(QueryResult(root=root), store) == reference_render(root, store.system)
+
+
 def test_postprocess_keeps_multereferenced_names_below():
     ev = make_evaluator()
     result = run(ev, "set query let set constant shared = { 'x':{}, 'y':{} } in "

@@ -1,12 +1,14 @@
 import copy
 import pickle
+import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hypersetdb.names import (
     DuplicateEquationError, Element, EquationSystem, LOCAL_URL,
-    NameAllocator, NameError_, SetName, parse_full_name,
+    NameAllocator, NameError_, SetName, components, parse_full_name,
     parse_set_name,
 )
 from hypersetdb.bisim import naive_equal
@@ -168,3 +170,49 @@ def test_fresh_name_injectivity(count):
         assert name not in system
         seen.add(name)
         system.define(name, [])
+
+
+# ---------------------------------------------------------------------------
+# Strongly connected components
+# ---------------------------------------------------------------------------
+
+def reaches(graph, start):
+    """The names reachable from start, start included, by brute force."""
+    seen, stack = {start}, [start]
+    while stack:
+        for member in graph.get(stack.pop(), ()):
+            if member not in seen:
+                seen.add(member)
+                stack.append(member)
+    return seen
+
+
+def test_components_agree_with_brute_force_reachability():
+    rng = random.Random(29)
+    for trial in range(200):
+        size = rng.randint(1, 12)
+        # names size..size+2 have no equation; some equations are missing too
+        graph = {n: [rng.randrange(size + 3) for _ in range(rng.randint(0, 4))]
+                 for n in range(size) if rng.random() < 0.9}
+        root = rng.randrange(size)
+        found = list(components(root, lambda n: graph.get(n, ())))
+        names = [n for component in found for n in component]
+        reachable = reaches(graph, root)
+        assert sorted(names) == sorted(reachable), trial
+        position = {n: i for i, component in enumerate(found) for n in component}
+        closure = {n: reaches(graph, n) for n in reachable}
+        for x in reachable:
+            for y in closure[x]:
+                # same component exactly when each reaches the other, and
+                # a component comes after every component it reaches
+                assert (position[x] == position[y]) == (x in closure[y]), trial
+                assert position[y] <= position[x], trial
+
+
+def test_components_of_long_chain_and_ring_need_no_recursion():
+    n = 100_000
+    assert sys.getrecursionlimit() < n
+    chain = list(components(0, lambda i: [i + 1] if i + 1 < n else []))
+    assert chain == [[i] for i in reversed(range(n))]
+    ring = list(components(0, lambda i: [(i + 1) % n]))
+    assert len(ring) == 1 and sorted(ring[0]) == list(range(n))
