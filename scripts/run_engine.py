@@ -11,7 +11,8 @@ Trivial mode answers from a facts file with per-fact delays:
     python scripts/run_engine.py --port 7428 --trivial oracle.xml
 
 Protocol: one request per line, "ASK <full-name> <full-name>"; replies
-"YES|NO|UNKNOWN <x> <y>".
+"YES|NO|UNKNOWN <x> <y>", "ERROR malformed request" or "ERROR malformed set
+name".
 """
 
 import argparse

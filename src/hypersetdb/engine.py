@@ -13,8 +13,10 @@ Wire protocol (newline-delimited text over TCP):
               | ERROR malformed request | ERROR malformed set name
 Requests may be pipelined; replies come in request order.  A line over
 MAX_REQUEST_LINE bytes gets `ERROR malformed request`, and its connection
-is closed if no newline came within the cap.  A client reads Unknown for
-RECONNECT_BACKOFF_S after a failed connect or a reply timeout.
+is closed if no newline came within the cap.  Names up to MAX_CACHED_NAME
+characters are parsed once.  `OracleClient.ask` is one write and one reply
+read.  A client reads Unknown for RECONNECT_BACKOFF_S after a failed
+connect or a reply timeout.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ Fact = Tuple[SetName, SetName, bool]
 RECONNECT_BACKOFF_S = 5.0
 # The longest request line served; the most request bytes sent unanswered.
 MAX_REQUEST_LINE, ASK_CHUNK_BYTES = 64 * 1024, 32 * 1024
+# The longest name text the service keeps parsed; a longer one is parsed
+# each time, so the cache holds at most 1,024 names of this size.
+MAX_CACHED_NAME = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +217,11 @@ class BisimulationEngine:
 # ---------------------------------------------------------------------------
 
 _WORDS = {OracleValue.YES: "YES", OracleValue.NO: "NO", OracleValue.UNKNOWN: "UNKNOWN"}
-_parse_name = lru_cache(maxsize=1024)(parse_full_name)   # a name asked again is parsed once
+_parse_cached = lru_cache(maxsize=1024)(parse_full_name)   # a name asked again is parsed once
+
+
+def _parse_name(text: str) -> SetName:
+    return _parse_cached(text) if len(text) <= MAX_CACHED_NAME else parse_full_name(text)
 
 
 def _reply(line: bytes, answer_fn: Callable[[SetName, SetName], OracleValue]) -> bytes:
@@ -277,12 +286,13 @@ def serve(answer_fn, host: str = "127.0.0.1", port: int = 0) -> OracleServer:
 
 
 class OracleClient:
-    """Pipelining client: `ask_all` asks a batch of pairs in one round trip.
+    """Pipelining client: `ask` asks one pair with one write and one reply
+    read, `ask_all` a batch of pairs in one round trip.
 
     The oracle is advisory: a connection that fails or closes, an ERROR
     reply, a garbled one or one that names another pair reads UNKNOWN for
     its pair and every later pair of the batch, and drops the socket; the
-    next batch reconnects, except that after a failed connect or a reply
+    next ask reconnects, except that after a failed connect or a reply
     timeout every ask reads UNKNOWN at once for RECONNECT_BACKOFF_S."""
 
     _REPLIES = {word.encode("ascii"): value for value, word in _WORDS.items()}
@@ -295,7 +305,25 @@ class OracleClient:
         self._retry_at = 0.0   # no connect attempt before this monotonic time
 
     def ask(self, x: SetName, y: SetName) -> OracleValue:
-        return self.ask_all([(x, y)])[0]
+        request = ("ASK %s %s\n" % (x.full, y.full)).encode("utf-8")
+        with self._lock:
+            sock = self._sock
+            try:
+                if sock is None:
+                    if time.monotonic() < self._retry_at:
+                        return OracleValue.UNKNOWN
+                    sock = self._connect()
+                sock.sendall(request)
+                reply = sock.recv(4096)
+                while reply[-1:] != b"\n":
+                    data = sock.recv(4096)
+                    if not data:
+                        raise ConnectionError("the service closed mid-reply")
+                    reply += data
+                return self._value(request, reply[:-1])
+            except OSError as exc:
+                self._failed(exc)
+                return OracleValue.UNKNOWN
 
     def ask_all(self, pairs: Sequence[Pair]) -> List[OracleValue]:
         """One value per pair, in order."""
@@ -306,10 +334,7 @@ class OracleClient:
                 if requests and (self._sock is not None or time.monotonic() >= self._retry_at):
                     self._exchange(requests, values)
             except OSError as exc:
-                # a failed connect or a reply timeout backs off
-                if self._sock is None or isinstance(exc, BlockingIOError):
-                    self._retry_at = time.monotonic() + RECONNECT_BACKOFF_S
-                self._drop()
+                self._failed(exc)
         return values + [OracleValue.UNKNOWN] * (len(requests) - len(values))
 
     __call__ = ask_all
@@ -318,15 +343,7 @@ class OracleClient:
         """Append the value of each reply; raises OSError at the first that
         does not answer its request.  A chunk's replies are read before the
         next chunk goes out, so neither end blocks on a full buffer for good."""
-        sock = self._sock
-        if sock is None:
-            self._sock = sock = socket.create_connection(self.address, timeout=self.timeout)
-            # kernel timeouts (EAGAIN): a Python-level timeout polls before each call
-            sock.settimeout(None)
-            timeval = struct.pack("ll", *divmod(int(self.timeout * 1e6), 1000000))
-            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
-                sock.setsockopt(socket.SOL_SOCKET, option, timeval)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock = self._sock or self._connect()
         step = max(1, ASK_CHUNK_BYTES // max(map(len, requests)))
         for start in range(0, len(requests), step):
             chunk = requests[start:start + step]
@@ -339,12 +356,33 @@ class OracleClient:
                 received += data
             # when the service closed early, the partial last line fails
             for request, reply in zip(chunk, received.split(b"\n")):
-                word, _, pair = reply.partition(b" ")
-                value = self._REPLIES.get(word)
-                # a reply repeats its request's names: "ASK x y" -> "YES x y"
-                if value is None or pair != request[4:-1]:
-                    raise ConnectionError("reply does not answer its request")
-                values.append(value)
+                values.append(self._value(request, reply))
+
+    def _value(self, request: bytes, reply: bytes) -> OracleValue:
+        """The value of a reply line without its newline; raises
+        ConnectionError unless it answers the request."""
+        word, _, pair = reply.partition(b" ")
+        value = self._REPLIES.get(word)
+        # a reply repeats its request's names: "ASK x y" -> "YES x y"
+        if value is None or pair != request[4:-1]:
+            raise ConnectionError("reply does not answer its request")
+        return value
+
+    def _connect(self) -> socket.socket:
+        self._sock = sock = socket.create_connection(self.address, timeout=self.timeout)
+        # kernel timeouts (EAGAIN): a Python-level timeout polls before each call
+        sock.settimeout(None)
+        timeval = struct.pack("ll", *divmod(int(self.timeout * 1e6), 1000000))
+        for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+            sock.setsockopt(socket.SOL_SOCKET, option, timeval)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+    def _failed(self, exc: OSError) -> None:
+        """Drops the socket; a failed connect or a reply timeout backs off."""
+        if self._sock is None or isinstance(exc, BlockingIOError):
+            self._retry_at = time.monotonic() + RECONNECT_BACKOFF_S
+        self._drop()
 
     def _drop(self) -> None:
         sock, self._sock = self._sock, None

@@ -514,8 +514,9 @@ def test_after_a_failed_connect_the_client_backs_off(monkeypatch):
 
 class _StubOracle(socketserver.StreamRequestHandler):
     """On the first connection, answers request number `server.fault_at`
-    (0 unless set) with a garbled line, with a reply for another pair or
-    closes without a reply; answers every other request right."""
+    (0 unless set) with a garbled line, with a reply for another pair,
+    closes without a reply or halfway through it, or sends the right reply
+    in two writes 50 ms apart; answers every other request right."""
 
     def handle(self) -> None:
         server = self.server
@@ -523,19 +524,26 @@ class _StubOracle(socketserver.StreamRequestHandler):
             server.connections += 1
             faulty = server.connections == 1
         for index, line in enumerate(self.rfile):
-            if faulty and index == getattr(server, "fault_at", 0):
-                if server.fault == "closes":
-                    return
-                if server.fault == "wrong pair":
-                    self.wfile.write(("YES %s#b2 %s#p3\n" % (F1, F2)).encode("utf-8"))
-                else:
-                    self.wfile.write(b"YE\xffS garbled\n")
-                faulty = False
-                continue
             _, x, y = line.decode("utf-8").split()
             word = "YES" if server.blocks[parse_full_name(x)] == \
                 server.blocks[parse_full_name(y)] else "NO"
-            self.wfile.write(("%s %s %s\n" % (word, x, y)).encode("utf-8"))
+            reply = ("%s %s %s\n" % (word, x, y)).encode("utf-8")
+            if faulty and index == getattr(server, "fault_at", 0):
+                if server.fault == "closes":
+                    return
+                if server.fault == "closes mid-reply":
+                    self.wfile.write(reply[:len(reply) // 2])
+                    return
+                if server.fault == "two writes":
+                    self.wfile.write(reply[:len(reply) // 2])
+                    time.sleep(0.05)
+                    reply = reply[len(reply) // 2:]
+                elif server.fault == "wrong pair":
+                    reply = ("YES %s#b2 %s#p3\n" % (F1, F2)).encode("utf-8")
+                else:
+                    reply = b"YE\xffS garbled\n"
+                faulty = False
+            self.wfile.write(reply)
 
 
 @pytest.mark.parametrize("fault", ["garbled", "wrong pair", "closes"])
@@ -599,6 +607,96 @@ def test_a_fault_mid_batch_keeps_the_replies_before_it(fault, fault_at):
         assert server.connections == 1
         assert client.ask_all(pairs) == right
         assert server.connections == 2
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("fault", ["garbled", "wrong pair", "closes", "closes mid-reply"])
+def test_a_faulty_reply_to_one_ask_reads_unknown_and_the_next_ask_reconnects(fault):
+    # b1 ? p1 is not b2 ? p3, the pair the wrong-pair fault names
+    server = stub_oracle(fault, 0)
+    client = OracleClient(*server.server_address)
+    try:
+        assert client.ask(SetName(F1, "b1"), SetName(F2, "p1")) is OracleValue.UNKNOWN
+        assert client._sock is None
+        for x, y in bibdb_pairs():
+            assert client.ask(x, y) is (OracleValue.YES if server.blocks[x] == server.blocks[y]
+                                        else OracleValue.NO)
+        assert server.connections == 2
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_reply_in_two_writes_is_read_whole():
+    server = stub_oracle("two writes", 0)
+    client = OracleClient(*server.server_address)
+    try:
+        assert client.ask(SetName(F1, "b2"), SetName(F2, "p3")) is OracleValue.YES
+        assert client.ask(SetName(F1, "b1"), SetName(F2, "p1")) is OracleValue.NO
+        assert server.connections == 1
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("writes", [
+    # one request in two writes
+    [b"ASK mem://f.xml#a mem://f", b".xml#b\n"],
+    # a complete line and the start of the next, then its end
+    [b"ASK mem://f.xml#a mem://f.xml#b\nASK mem://f.xml#b mem", b"://f.xml#a\n"],
+    # two complete lines in one write
+    [b"ASK mem://f.xml#a mem://f.xml#b\nASK mem://f.xml#b mem://f.xml#a\n"],
+    # one line each, malformed and right, with a pause between
+    [b"\n", b"ASK nohash mem://f.xml#a\n", b"ASK a\n", b"ASK mem://f.xml#b mem://f.xml#a\n"],
+])
+def test_requests_split_across_writes_are_answered_in_order(writes):
+    """However the request bytes arrive, each line gets the reply it gets
+    when all of them arrive in one write."""
+    server = serve(lambda x, y: OracleValue.YES if x.simple < y.simple else OracleValue.NO)
+    replies = {b"": b"ERROR malformed request\n",
+               b"ASK a": b"ERROR malformed request\n",
+               b"ASK nohash mem://f.xml#a": b"ERROR malformed set name\n",
+               b"ASK mem://f.xml#a mem://f.xml#b": b"YES mem://f.xml#a mem://f.xml#b\n",
+               b"ASK mem://f.xml#b mem://f.xml#a": b"NO mem://f.xml#b mem://f.xml#a\n"}
+    expected = b"".join(replies[line] for line in b"".join(writes).split(b"\n")[:-1])
+    try:
+        for pause in (0.05, 0):
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for data in writes:
+                    sock.sendall(data)
+                    time.sleep(pause)
+                sock.shutdown(socket.SHUT_WR)
+                received = b""
+                while True:
+                    data = sock.recv(4096)
+                    if not data:
+                        break
+                    received += data
+            assert received == expected
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_long_names_are_parsed_each_time_and_not_cached():
+    """A name over MAX_CACHED_NAME characters is answered right but does
+    not stay in the service's name cache."""
+    server = serve(lambda x, y: OracleValue.YES if x.simple < y.simple else OracleValue.NO)
+    client = OracleClient(*server.server_address)
+    short = SetName("mem://f.xml", "a")
+    longs = [SetName("mem://f.xml", "b%d" % i + "x" * 30000) for i in range(20)]
+    engine_module._parse_cached.cache_clear()
+    try:
+        for name in longs:
+            assert client.ask(short, name) is OracleValue.YES
+            assert client.ask(name, short) is OracleValue.NO
+        assert engine_module._parse_cached.cache_info().currsize == 1
     finally:
         client.close()
         server.shutdown()
