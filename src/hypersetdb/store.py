@@ -4,15 +4,21 @@ Each document is fetched at most once per session; all its equations enter the
 cache together.  Fetchers are plain callables url -> text so tests can serve
 documents from memory and experiments can inject simulated latency.  The
 documents one step of a computation needs are fetched as one concurrent
-batch and merged in a fixed order, so fetchers must be thread-safe.
+batch and merged in a fixed order, so fetchers must be thread-safe.  A batch
+runs on its caller's thread and on the process's fetch workers: at most
+MAX_FETCHES_IN_FLIGHT - 1 daemon threads, started on first need and reused
+by every later batch, session and engine for the life of the process, and
+never in the way of its exit.
 """
 
 from __future__ import annotations
 
 import functools
+import queue
 import threading
 import time
 import urllib.parse
+import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import xmlwdb
@@ -33,50 +39,106 @@ class FetchError(WdbError):
     pass
 
 
+class FetchWorkers:
+    """The process's fetch workers: daemon threads, started as batches first
+    need them and then reused by every later batch of any thread, each
+    running posted jobs one at a time in the order posted.  There are never
+    more workers than the most jobs one post asked for, so never more than
+    MAX_FETCHES_IN_FLIGHT - 1.  A job is held by weak reference, so one a
+    busy pool reaches only after its batch has returned keeps nothing of the
+    batch alive and is skipped.  Being daemons, idle or busy, the workers
+    never keep the process from exiting."""
+
+    def __init__(self) -> None:
+        self.jobs: queue.SimpleQueue[weakref.WeakMethod] = queue.SimpleQueue()
+        self.lock = threading.Lock()
+        self.started = 0
+
+    def post(self, job: Callable[[], None], copies: int) -> None:
+        """Queue copies of the bound method job, first starting workers up
+        to copies."""
+        if self.started < copies:
+            with self.lock:
+                while self.started < copies:
+                    threading.Thread(target=self.serve, name="fetch-worker-%d" % self.started,
+                                     daemon=True).start()
+                    self.started += 1
+        job = weakref.WeakMethod(job)
+        for _ in range(copies):
+            self.jobs.put(job)
+
+    def serve(self) -> None:
+        while True:
+            job = self.jobs.get()()
+            if job is not None:
+                job()
+                del job     # an idle worker holds no batch
+
+
+FETCH_WORKERS = FetchWorkers()
+
+
+class FetchBatch:
+    """The calls of one `fetch_concurrently`, their outcomes, and how many
+    have been claimed and are running.  The caller's thread claims the
+    first call as the batch is made."""
+
+    def __init__(self, calls: Sequence[Callable[[], object]]) -> None:
+        self.calls = calls
+        self.outcomes: List[object] = [None] * len(calls)
+        self.finished = threading.Condition(threading.Lock())
+        self.claimed = self.running = 1
+        self.failed = False
+
+    def work(self, index: Optional[int] = None) -> None:
+        """Run the call index, if given, then claim calls in order and run
+        them until none is left to start."""
+        while True:
+            if index is not None:
+                try:
+                    self.outcomes[index] = self.calls[index]()
+                except BaseException as exc:  # raised again by `settled` on the caller's thread
+                    self.outcomes[index] = exc
+                    with self.finished:
+                        self.failed = True
+            with self.finished:
+                if index is not None:
+                    self.running -= 1
+                if self.failed or self.claimed == len(self.calls):
+                    if not self.running:
+                        self.finished.notify()
+                    return
+                index = self.claimed
+                self.claimed += 1
+                self.running += 1
+
+    def join(self) -> None:
+        """Wait until no claimed call is still running."""
+        with self.finished:
+            while self.running:
+                self.finished.wait()
+
+
 def fetch_concurrently(calls: Sequence[Callable[[], object]]) -> List[object]:
     """Run zero-argument fetch calls at the same time, at most
     MAX_FETCHES_IN_FLIGHT at once, and return what each returned or the
     exception it raised, in the order given (read them with `settled`).
 
-    Calls are taken in order.  The caller's thread runs the first, so a batch of
-    one starts no thread.  Once a call has failed no further call starts, so
-    every call before the first failure has completed.  Every thread started
-    has ended on return."""
-    outcomes: List[object] = [None] * len(calls)
-    lock = threading.Lock()
-    claimed, failed = 0, False
-
-    def claim() -> Optional[int]:
-        nonlocal claimed
-        with lock:
-            if failed or claimed == len(calls):
-                return None
-            claimed += 1
-            return claimed - 1
-
-    def work(index: Optional[int]) -> None:
-        nonlocal failed
-        while index is not None:
-            try:
-                outcomes[index] = calls[index]()
-            except BaseException as exc:  # raised again by `settled` on the caller's thread
-                outcomes[index] = exc
-                with lock:
-                    failed = True
-            index = claim()
-
-    first = claim()
-    helpers: List[threading.Thread] = []
-    try:
-        for _ in range(min(len(calls), MAX_FETCHES_IN_FLIGHT) - 1):
-            helper = threading.Thread(target=work, args=(claim(),), daemon=True)
-            helper.start()
-            helpers.append(helper)
-        work(first)
-    finally:
-        for helper in helpers:
-            helper.join()
-    return outcomes
+    Calls are claimed in order by the caller's thread, which claims the
+    first, and by up to MAX_FETCHES_IN_FLIGHT - 1 jobs posted to
+    FETCH_WORKERS.  A batch of one posts nothing, and a batch the caller
+    finishes before a worker is free needs none.  Once a call has failed no
+    further call starts, so every call before the first failure has
+    completed.  On return no call of the batch is still running; the
+    workers live on, idle, for the next batch."""
+    if not calls:
+        return []
+    batch = FetchBatch(calls)
+    if len(calls) > 1:
+        FETCH_WORKERS.post(batch.work, min(len(calls), MAX_FETCHES_IN_FLIGHT) - 1)
+    batch.work(0)
+    batch.join()
+    return batch.outcomes
 
 
 def settled(outcome: object) -> object:
@@ -110,7 +172,9 @@ class MemoryFetcher:
 
 class FileFetcher:
     """Resolves file:// URLs against the local filesystem and, unless network
-    access is disabled, http(s):// URLs via urllib.  `urllib.request` is
+    access is disabled, http(s):// URLs via urllib.  A file:// URL whose
+    host is neither empty nor localhost names a file on another machine
+    (RFC 8089) and is refused.  `urllib.request` is
     imported only for a network fetch: it costs several megabytes of memory
     in every process that loads it."""
 
@@ -125,6 +189,8 @@ class FileFetcher:
             self.fetch_count += 1
         parsed = urllib.parse.urlparse(url)
         if parsed.scheme == "file":
+            if parsed.netloc.lower() not in ("", "localhost"):
+                raise FetchError("file URL on a remote host, cannot read %s" % url)
             path = urllib.parse.unquote(parsed.path)
             try:
                 with open(path, "r", encoding="utf-8") as handle:

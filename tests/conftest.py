@@ -1,15 +1,19 @@
-"""Shared fixtures: the bibliographic example WDB (two cross-linked files)
-and helpers for building random closed systems."""
+"""Shared fixtures: the bibliographic example WDB (two cross-linked files),
+helpers for building random closed systems and a check of the fetch
+threads."""
 
 from __future__ import annotations
 
 import random
+import threading
+import time
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import pytest
 
 from hypersetdb.names import Element, EquationSystem, SetName
+from hypersetdb.store import MAX_FETCHES_IN_FLIGHT
 
 
 def bibdb_f1_text(f1_url: str, f2_url: str) -> str:
@@ -87,6 +91,45 @@ class BibDb:
 @pytest.fixture(scope="session")
 def bibdb(tmp_path_factory) -> BibDb:
     return BibDb(tmp_path_factory.mktemp("bibdb"))
+
+
+def check_fetch_threads(batch: Callable[[Callable], object], times: int = 200) -> None:
+    """The thread contract of `store.fetch_concurrently`, checked over two
+    runs of `times` calls of batch(wrap), each of which runs one fetch batch
+    whose calls it first passes through wrap: no call is still running when
+    its batch returns, the live threads never exceed those at the start plus
+    MAX_FETCHES_IN_FLIGHT - 1, and the second run starts no thread."""
+    before = threading.active_count()
+    lock = threading.Lock()
+    running = {"calls": 0, "peak_threads": before, "threads": set()}
+
+    def wrap(call: Callable) -> Callable:
+        def recorded(*args):
+            with lock:
+                running["calls"] += 1
+                running["peak_threads"] = max(running["peak_threads"], threading.active_count())
+                running["threads"].add(threading.current_thread())
+            try:
+                time.sleep(0.0001)      # a worker still in its call when the batch returns shows
+                return call(*args)
+            finally:
+                with lock:
+                    running["calls"] -= 1
+        return recorded
+
+    def run() -> None:
+        for _ in range(times):
+            batch(wrap)
+            assert running["calls"] == 0
+            running["peak_threads"] = max(running["peak_threads"], threading.active_count())
+
+    run()
+    assert running["peak_threads"] <= before + MAX_FETCHES_IN_FLIGHT - 1
+    alive = set(threading.enumerate())
+    running["threads"].clear()
+    run()
+    assert set(threading.enumerate()) <= alive
+    assert running["threads"] <= alive
 
 
 def random_closed_system(rng: random.Random, max_names: int = 25,

@@ -23,8 +23,8 @@ from hypersetdb.store import (MAX_FETCHES_IN_FLIGHT, FetchError, LatencyFetcher,
                               MemoryFetcher, SessionStore)
 from hypersetdb.xmlwdb import SET_NS, from_equations, load_equations
 
-from conftest import (bibdb_f1_text, bibdb_f2_text, random_closed_system,
-                      split_documents)
+from conftest import (bibdb_f1_text, bibdb_f2_text, check_fetch_threads,
+                      random_closed_system, split_documents)
 
 F1 = "mem://BibDB-f1.xml"
 F2 = "mem://BibDB-f2.xml"
@@ -620,19 +620,24 @@ def assert_facts_agree(facts: FactStore, blocks) -> None:
 @pytest.mark.parametrize("failing", [0, 5])
 def test_a_failed_fetch_in_a_concurrent_round_leaves_the_facts_sound(failing):
     """A document of the ten-document round fails: the documents before it
-    in merge order are merged, no fetch thread outlives the call, the facts
-    stay sound, and the next call with a working fetcher answers right."""
+    in merge order are merged, no fetch outlives the call, the fetch threads
+    stay bounded, the facts stay sound, and the next call with a working
+    fetcher answers right."""
     documents, leaves = fan_out_documents(10)
     system = closed_union(documents)
     blocks = naive_bisimulation(system)
     x, y = SetName(ROOT, "x"), SetName(ROOT, "y")
-    store = SessionStore(MemoryFetcher(
-        {url: text for url, text in documents.items() if url != leaves[failing]}))
+    served = {url: text for url, text in documents.items() if url != leaves[failing]}
+
+    def batch(wrap):
+        with pytest.raises(FetchError):
+            bisimilar(x, y, SessionStore(wrap(MemoryFetcher(served))), FactStore())
+
+    check_fetch_threads(batch)
+    store = SessionStore(MemoryFetcher(served))
     facts = FactStore()
-    threads = threading.active_count()
     with pytest.raises(FetchError):
         bisimilar(x, y, store, facts)
-    assert threading.active_count() == threads
     assert list(store.loaded_documents) == [ROOT] + leaves[:failing]
     # the facts were saturated before the round; only merged documents
     # can resolve more

@@ -1,7 +1,11 @@
 import os
+import re
 import subprocess
 import sys
 import threading
+import time
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,13 +14,13 @@ from hypersetdb.approx import (approximation_url, generate_approximation_file,
                                make_approx_reader)
 from hypersetdb.names import (DuplicateEquationError, Element, SetName,
                               UndefinedNameError)
-from hypersetdb.store import (MAX_FETCHES_IN_FLIGHT, FetchError, FileFetcher,
-                              MemoryFetcher, SessionStore, fetch_concurrently,
-                              settled)
+from hypersetdb.store import (FETCH_WORKERS, MAX_FETCHES_IN_FLIGHT, FetchError,
+                              FileFetcher, MemoryFetcher, SessionStore,
+                              fetch_concurrently, settled)
 
 from hypersetdb.xmlwdb import load_equations
 
-from conftest import bibdb_f1_text, bibdb_f2_text
+from conftest import bibdb_f1_text, bibdb_f2_text, check_fetch_threads
 
 F1 = "mem://BibDB-f1.xml"
 F2 = "mem://BibDB-f2.xml"
@@ -76,6 +80,18 @@ def test_file_urls_with_quoted_characters(tmp_path):
     assert FileFetcher(allow_network=False)(path.as_uri()) == "quoted"
 
 
+def test_file_urls_on_a_remote_host_are_refused(tmp_path):
+    """RFC 8089: a file URL's host other than localhost is another machine,
+    even where the same path exists here."""
+    path = tmp_path / "doc.xml"
+    path.write_text("local", encoding="utf-8")
+    fetcher = FileFetcher(allow_network=False)
+    assert fetcher("file://localhost" + path.as_posix()) == "local"
+    url = "file://example.org" + path.as_posix()
+    with pytest.raises(FetchError, match="remote host.*" + re.escape(url)):
+        fetcher(url)
+
+
 def test_loading_the_cli_leaves_urllib_request_out():
     """`urllib.request` costs several megabytes per process; only an http(s)
     fetch imports it."""
@@ -125,6 +141,11 @@ def test_fetch_counters_are_thread_safe(tmp_path):
 
 
 def test_fetch_concurrently_keeps_the_order_given():
+    def batch(wrap):
+        assert fetch_concurrently([wrap(lambda i=i: i * i) for i in range(30)]) == squares
+
+    squares = [i * i for i in range(30)]
+    check_fetch_threads(batch)
     caller = threading.get_ident()
     threads = []
 
@@ -135,11 +156,10 @@ def test_fetch_concurrently_keeps_the_order_given():
     before = threading.active_count()
     assert fetch_concurrently([lambda: call(0)]) == [0]
     assert threads == [caller]          # a batch of one starts no thread
-    threads.clear()
-    outcomes = fetch_concurrently([lambda i=i: call(i) for i in range(30)])
-    assert outcomes == [i * i for i in range(30)]
-    assert caller in threads and len(set(threads)) <= MAX_FETCHES_IN_FLIGHT
     assert threading.active_count() == before
+    threads.clear()
+    assert fetch_concurrently([lambda i=i: call(i) for i in range(30)]) == squares
+    assert caller in threads and len(set(threads)) <= MAX_FETCHES_IN_FLIGHT
     assert fetch_concurrently([]) == []
 
 
@@ -154,18 +174,182 @@ def test_fetch_concurrently_returns_failures_in_their_places():
         settled(failure)
 
 
+def run_in_threads(targets, timeout=60):
+    """Run each target on its own thread; all must end within timeout."""
+    threads = [threading.Thread(target=target, daemon=True) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_batches_of_two_threads_share_the_fetch_workers():
+    """An engine thread and a session fetch at the same time."""
+    results = {}
+
+    def batches(name, width):
+        def run():
+            results[name] = [fetch_concurrently(
+                [lambda i=i: time.sleep(0.001) or (name, i) for i in range(width)])
+                for _ in range(20)]
+        return run
+
+    run_in_threads([batches("engine", 10), batches("session", 3)])
+    assert results == {name: [[(name, i) for i in range(width)]] * 20
+                       for name, width in (("engine", 10), ("session", 3))}
+    assert FETCH_WORKERS.started <= MAX_FETCHES_IN_FLIGHT - 1
+
+
+class Document:
+    pass
+
+
+def test_a_batch_finishes_on_its_caller_while_every_worker_is_blocked():
+    """Its calls all run on the caller, in order up to the first failure,
+    and the jobs it left queued for the blocked workers keep none of its
+    outcomes alive."""
+    entered = threading.Semaphore(0)
+    release = threading.Event()
+
+    def slow(i):
+        entered.release()
+        assert release.wait(timeout=30)
+        return i
+
+    blocked = {}
+    holder = threading.Thread(target=lambda: blocked.setdefault(
+        "outcomes", fetch_concurrently([lambda i=i: slow(i) for i in range(MAX_FETCHES_IN_FLIGHT)])))
+    holder.start()
+    try:
+        for _ in range(MAX_FETCHES_IN_FLIGHT):
+            assert entered.acquire(timeout=30)
+        assert FETCH_WORKERS.started == MAX_FETCHES_IN_FLIGHT - 1
+        caller, threads = threading.current_thread(), []
+        outcomes = fetch_concurrently([lambda i=i: threads.append(threading.current_thread()) or i
+                                       for i in range(5)])
+        assert outcomes == list(range(5)) and threads == [caller] * 5
+        kept = weakref.ref(fetch_concurrently([Document, Document])[0])
+        assert kept() is None
+        threads.clear()
+        outcomes = fetch_concurrently([lambda: threads.append(0), lambda: 1 / 0,
+                                       lambda: threads.append(2)])
+        assert isinstance(outcomes[1], ZeroDivisionError) and threads == [0]
+    finally:
+        release.set()
+        holder.join(timeout=30)
+    assert not holder.is_alive()
+    assert blocked["outcomes"] == list(range(MAX_FETCHES_IN_FLIGHT))
+
+
+class Abort(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("raised", [Abort, KeyboardInterrupt, SystemExit])
+def test_a_worker_returns_any_exception_in_its_place_and_keeps_serving(raised):
+    caller = threading.current_thread()
+    workers = []
+
+    def batch(second):
+        """Runs `second` as the second call, on a worker: the caller's call
+        waits until a worker has entered it."""
+        entered = threading.Event()
+
+        def first():
+            assert entered.wait(timeout=30)
+            return "first"
+
+        def on_a_worker():
+            workers.append(threading.current_thread())
+            entered.set()
+            return second()
+
+        return fetch_concurrently([first, on_a_worker])
+
+    def fail():
+        raise raised("down")
+
+    first, failure = batch(fail)
+    assert first == "first" and isinstance(failure, raised)
+    with pytest.raises(raised, match="down"):
+        settled(failure)
+    started = FETCH_WORKERS.started
+    assert batch(lambda: "second") == ["first", "second"]
+    assert caller not in workers and workers[0].is_alive()
+    assert FETCH_WORKERS.started == started
+
+
+def test_batches_stay_in_order_under_fast_thread_switching():
+    """Four threads run batches of 0 to 12 calls while the interpreter
+    switches threads every microsecond: every call runs exactly once, every
+    outcome lands in its place, and no more workers start than one batch
+    may use."""
+    runs = Counter()
+    lock = threading.Lock()
+    failures = []
+
+    def call(key):
+        with lock:
+            runs[key] += 1
+        return key
+
+    def batches(name):
+        def run():
+            for n in range(40):
+                keys = [(name, n, i) for i in range(n % 13)]
+                if fetch_concurrently([lambda key=key: call(key) for key in keys]) != keys:
+                    failures.append((name, n))
+        return run
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_in_threads([batches(name) for name in range(4)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
+    assert runs == Counter({(name, n, i): 1 for name in range(4) for n in range(40)
+                            for i in range(n % 13)})
+    assert FETCH_WORKERS.started <= MAX_FETCHES_IN_FLIGHT - 1
+
+
+def test_a_busy_fetch_worker_does_not_keep_the_process_alive():
+    """A worker stuck in a long fetch of a batch that never returns is a
+    daemon: the process exits as soon as its main thread ends."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = """if True:
+        import threading, time
+        from hypersetdb.store import FETCH_WORKERS, fetch_concurrently
+        entered = threading.Semaphore(0)
+        stuck = [lambda: entered.release() or time.sleep(600)] * 2
+        threading.Thread(target=fetch_concurrently, args=(stuck,), daemon=True).start()
+        entered.acquire(); entered.acquire()
+        print(FETCH_WORKERS.started)
+    """
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1"
+
+
 def test_load_documents_merges_in_order_up_to_the_first_failure(fetcher):
     store = SessionStore(fetcher)
     missing = "mem://missing.xml"
-    before = threading.active_count()
     with pytest.raises(FetchError, match="missing"):
         store.load_documents([F2, missing, F1])
-    assert threading.active_count() == before
     assert list(store.loaded_documents) == [F2]
     assert SetName(F2, "p1") in store.system and SetName(F1, "b1") not in store.system
     store.load_documents([F1, F2, F1])
     assert list(store.loaded_documents) == [F2, F1]
     assert fetcher.fetched.count(F2) == 1
+
+    def batch(wrap):
+        with pytest.raises(FetchError, match="missing"):
+            SessionStore(wrap(MemoryFetcher(fetcher.documents))).load_documents([F2, missing, F1])
+
+    check_fetch_threads(batch)
 
 
 def approximation_reader(fetcher):
