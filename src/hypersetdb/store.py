@@ -5,10 +5,11 @@ cache together.  Fetchers are plain callables url -> text so tests can serve
 documents from memory and experiments can inject simulated latency.  The
 documents one step of a computation needs are fetched as one concurrent
 batch and merged in a fixed order, so fetchers must be thread-safe.  A batch
-runs on its caller's thread and on the process's fetch workers: at most
-MAX_FETCHES_IN_FLIGHT - 1 daemon threads, started on first need and reused
-by every later batch, session and engine for the life of the process, and
-never in the way of its exit.
+runs on its caller's thread and on the process's fetch workers: daemon
+threads, started on first need and reused by every later batch, session and
+engine for the life of the process, and never in the way of its exit.  They
+are at most MAX_FETCHES_IN_FLIGHT - 1 for each batch under way, and at most
+that many once none is.
 """
 
 from __future__ import annotations
@@ -40,32 +41,44 @@ class FetchError(WdbError):
 
 
 class FetchWorkers:
-    """The process's fetch workers: daemon threads, started as batches first
-    need them and then reused by every later batch of any thread, each
-    running posted jobs one at a time in the order posted.  There are never
-    more workers than the most jobs one post asked for, so never more than
-    MAX_FETCHES_IN_FLIGHT - 1.  A job is held by weak reference, so one a
-    busy pool reaches only after its batch has returned keeps nothing of the
-    batch alive and is skipped.  Being daemons, idle or busy, the workers
-    never keep the process from exiting."""
+    """The process's fetch workers: daemon threads, reused by every batch of
+    any thread, each running posted jobs one at a time in the order posted.
+
+    A post starts workers until there are as many as the jobs of the
+    batches under way that are not yet done, so a batch is never queued
+    behind the slow fetches of another thread's batch, and one thread's
+    batches never use more than MAX_FETCHES_IN_FLIGHT - 1 workers.  A worker
+    that finishes a job while there are more workers than both the jobs not
+    yet done and MAX_FETCHES_IN_FLIGHT - 1 exits, so once no batch is under
+    way at most MAX_FETCHES_IN_FLIGHT - 1 live on.  A job is held by weak
+    reference, so one a worker reaches only after its batch has returned
+    keeps nothing of the batch alive and is skipped.  Being daemons, idle
+    or busy, the workers never keep the process from exiting."""
 
     def __init__(self) -> None:
         self.jobs: queue.SimpleQueue[weakref.WeakMethod] = queue.SimpleQueue()
         self.lock = threading.Lock()
-        self.started = 0
+        self.workers = 0        # live worker threads
+        self.due = 0            # jobs posted and not yet done
+        self.wanted = 0         # jobs posted by batches that have not returned
 
     def post(self, job: Callable[[], None], copies: int) -> None:
-        """Queue copies of the bound method job, first starting workers up
-        to copies."""
-        if self.started < copies:
-            with self.lock:
-                while self.started < copies:
-                    threading.Thread(target=self.serve, name="fetch-worker-%d" % self.started,
-                                     daemon=True).start()
-                    self.started += 1
+        """Queue copies of the bound method job for a batch under way until
+        `returned`, first starting the workers they need."""
+        with self.lock:
+            self.due += copies
+            self.wanted += copies
+            while self.workers < min(self.due, self.wanted):
+                threading.Thread(target=self.serve, name="fetch-worker", daemon=True).start()
+                self.workers += 1
         job = weakref.WeakMethod(job)
         for _ in range(copies):
             self.jobs.put(job)
+
+    def returned(self, copies: int) -> None:
+        """The batch that posted copies jobs has returned."""
+        with self.lock:
+            self.wanted -= copies
 
     def serve(self) -> None:
         while True:
@@ -73,6 +86,11 @@ class FetchWorkers:
             if job is not None:
                 job()
                 del job     # an idle worker holds no batch
+            with self.lock:
+                self.due -= 1
+                if self.workers > max(self.due, MAX_FETCHES_IN_FLIGHT - 1):
+                    self.workers -= 1
+                    return
 
 
 FETCH_WORKERS = FetchWorkers()
@@ -126,18 +144,25 @@ def fetch_concurrently(calls: Sequence[Callable[[], object]]) -> List[object]:
 
     Calls are claimed in order by the caller's thread, which claims the
     first, and by up to MAX_FETCHES_IN_FLIGHT - 1 jobs posted to
-    FETCH_WORKERS.  A batch of one posts nothing, and a batch the caller
-    finishes before a worker is free needs none.  Once a call has failed no
+    FETCH_WORKERS, which has a worker for each even while other threads'
+    batches run.  A batch of one posts nothing, and a batch the caller
+    finishes before a worker wakes needs none.  Once a call has failed no
     further call starts, so every call before the first failure has
     completed.  On return no call of the batch is still running; the
     workers live on, idle, for the next batch."""
     if not calls:
         return []
     batch = FetchBatch(calls)
-    if len(calls) > 1:
-        FETCH_WORKERS.post(batch.work, min(len(calls), MAX_FETCHES_IN_FLIGHT) - 1)
-    batch.work(0)
-    batch.join()
+    if len(calls) == 1:
+        batch.work(0)
+        return batch.outcomes
+    copies = min(len(calls), MAX_FETCHES_IN_FLIGHT) - 1
+    FETCH_WORKERS.post(batch.work, copies)
+    try:
+        batch.work(0)
+        batch.join()
+    finally:
+        FETCH_WORKERS.returned(copies)
     return batch.outcomes
 
 

@@ -184,31 +184,52 @@ def run_in_threads(targets, timeout=60):
     assert not any(thread.is_alive() for thread in threads)
 
 
-def test_batches_of_two_threads_share_the_fetch_workers():
-    """An engine thread and a session fetch at the same time."""
+def settled_pool(timeout=30):
+    """Wait until the fetch workers have done every job posted and no more
+    than MAX_FETCHES_IN_FLIGHT - 1 are alive; return how many are."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = sum(thread.name == "fetch-worker" for thread in threading.enumerate())
+        if FETCH_WORKERS.due == 0 and alive == FETCH_WORKERS.workers <= MAX_FETCHES_IN_FLIGHT - 1:
+            return alive
+        assert time.monotonic() < deadline, (alive, FETCH_WORKERS.workers, FETCH_WORKERS.due)
+        time.sleep(0.001)
+
+
+def test_batches_of_two_threads_run_at_once():
+    """An engine thread and a session fetch at the same time: both get
+    their outcomes in order, each batch its own workers, and once both are
+    done the workers beyond one batch's share exit."""
     results = {}
+    peak = [0]
 
     def batches(name, width):
+        def call(i):
+            peak[0] = max(peak[0], FETCH_WORKERS.workers)
+            time.sleep(0.001)
+            return name, i
+
         def run():
-            results[name] = [fetch_concurrently(
-                [lambda i=i: time.sleep(0.001) or (name, i) for i in range(width)])
-                for _ in range(20)]
+            results[name] = [fetch_concurrently([lambda i=i: call(i) for i in range(width)])
+                             for _ in range(20)]
         return run
 
+    settled_pool()
     run_in_threads([batches("engine", 10), batches("session", 3)])
     assert results == {name: [[(name, i) for i in range(width)]] * 20
                        for name, width in (("engine", 10), ("session", 3))}
-    assert FETCH_WORKERS.started <= MAX_FETCHES_IN_FLIGHT - 1
+    assert peak[0] <= (MAX_FETCHES_IN_FLIGHT - 1) + 2
+    settled_pool()
 
 
 class Document:
     pass
 
 
-def test_a_batch_finishes_on_its_caller_while_every_worker_is_blocked():
-    """Its calls all run on the caller, in order up to the first failure,
-    and the jobs it left queued for the blocked workers keep none of its
-    outcomes alive."""
+def test_a_batch_gets_its_own_workers_while_every_worker_is_blocked():
+    """While another thread's batch holds every worker in a slow fetch, a
+    batch still has all its calls in flight at once, and the jobs it left
+    queued keep none of its outcomes alive."""
     entered = threading.Semaphore(0)
     release = threading.Event()
 
@@ -217,6 +238,7 @@ def test_a_batch_finishes_on_its_caller_while_every_worker_is_blocked():
         assert release.wait(timeout=30)
         return i
 
+    settled_pool()
     blocked = {}
     holder = threading.Thread(target=lambda: blocked.setdefault(
         "outcomes", fetch_concurrently([lambda i=i: slow(i) for i in range(MAX_FETCHES_IN_FLIGHT)])))
@@ -224,22 +246,26 @@ def test_a_batch_finishes_on_its_caller_while_every_worker_is_blocked():
     try:
         for _ in range(MAX_FETCHES_IN_FLIGHT):
             assert entered.acquire(timeout=30)
-        assert FETCH_WORKERS.started == MAX_FETCHES_IN_FLIGHT - 1
+        assert FETCH_WORKERS.workers == MAX_FETCHES_IN_FLIGHT - 1
+        together = threading.Barrier(5, timeout=30)    # broken unless all 5 calls run at once
         caller, threads = threading.current_thread(), []
-        outcomes = fetch_concurrently([lambda i=i: threads.append(threading.current_thread()) or i
-                                       for i in range(5)])
-        assert outcomes == list(range(5)) and threads == [caller] * 5
+
+        def call(i):
+            threads.append(threading.current_thread())
+            together.wait()
+            return i
+
+        assert fetch_concurrently([lambda i=i: call(i) for i in range(5)]) == list(range(5))
+        assert caller in threads and len(set(threads)) == 5
+        assert FETCH_WORKERS.workers <= MAX_FETCHES_IN_FLIGHT - 1 + 4
         kept = weakref.ref(fetch_concurrently([Document, Document])[0])
         assert kept() is None
-        threads.clear()
-        outcomes = fetch_concurrently([lambda: threads.append(0), lambda: 1 / 0,
-                                       lambda: threads.append(2)])
-        assert isinstance(outcomes[1], ZeroDivisionError) and threads == [0]
     finally:
         release.set()
         holder.join(timeout=30)
     assert not holder.is_alive()
     assert blocked["outcomes"] == list(range(MAX_FETCHES_IN_FLIGHT))
+    assert settled_pool() == MAX_FETCHES_IN_FLIGHT - 1
 
 
 class Abort(BaseException):
@@ -274,24 +300,26 @@ def test_a_worker_returns_any_exception_in_its_place_and_keeps_serving(raised):
     assert first == "first" and isinstance(failure, raised)
     with pytest.raises(raised, match="down"):
         settled(failure)
-    started = FETCH_WORKERS.started
+    alive = settled_pool()
     assert batch(lambda: "second") == ["first", "second"]
     assert caller not in workers and workers[0].is_alive()
-    assert FETCH_WORKERS.started == started
+    assert settled_pool() == alive
 
 
 def test_batches_stay_in_order_under_fast_thread_switching():
     """Four threads run batches of 0 to 12 calls while the interpreter
     switches threads every microsecond: every call runs exactly once, every
-    outcome lands in its place, and no more workers start than one batch
-    may use."""
+    outcome lands in its place, no more workers run than the four threads'
+    batches may use, and once they are done the extra workers exit."""
     runs = Counter()
     lock = threading.Lock()
     failures = []
+    peak = [0]
 
     def call(key):
         with lock:
             runs[key] += 1
+            peak[0] = max(peak[0], FETCH_WORKERS.workers)
         return key
 
     def batches(name):
@@ -311,7 +339,8 @@ def test_batches_stay_in_order_under_fast_thread_switching():
     assert failures == []
     assert runs == Counter({(name, n, i): 1 for name in range(4) for n in range(40)
                             for i in range(n % 13)})
-    assert FETCH_WORKERS.started <= MAX_FETCHES_IN_FLIGHT - 1
+    assert peak[0] <= 4 * (MAX_FETCHES_IN_FLIGHT - 1)
+    settled_pool()
 
 
 def test_a_busy_fetch_worker_does_not_keep_the_process_alive():
@@ -326,7 +355,7 @@ def test_a_busy_fetch_worker_does_not_keep_the_process_alive():
         stuck = [lambda: entered.release() or time.sleep(600)] * 2
         threading.Thread(target=fetch_concurrently, args=(stuck,), daemon=True).start()
         entered.acquire(); entered.acquire()
-        print(FETCH_WORKERS.started)
+        print(FETCH_WORKERS.workers)
     """
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=60)
