@@ -18,7 +18,8 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from . import grammar as g
 from .analysis import Library, analyze
@@ -40,21 +41,28 @@ class EvaluationError(WdbError):
 # a label (str) or a Closure.
 Env = Dict[str, object]
 Run = Callable[..., object]
-Declarations = Callable[["Evaluator", Env, bool, int], Env]
+Declarations = Callable[[Optional["Evaluator"], Mapping[str, object], bool, int], Env]
 
 
-@dataclass
+@dataclass(eq=False)
 class Closure:
     """A declared query bound in an environment: its compiled body, which
     takes the arguments of a call as Python arguments, and the names it reads
-    from where it was declared.  `memo` maps an argument key to a result (see
-    `_Generator._call`); closures, and so memos, belong to one evaluator,
-    since the class ids in the keys do."""
+    from where it was declared.  It holds no evaluator state and is hashed by
+    identity, so the predefined library's closures are built once per process
+    and every evaluator shares them; a call memo keys its results on the
+    closure (see `_Generator._call`)."""
 
     body: Run
     env: Env
-    memo: Dict[tuple, object] = field(default_factory=dict, compare=False,
-                                      repr=False)
+
+
+@dataclass(eq=False)
+class LetClosure(Closure):
+    """A query declared by `let`, made anew each time its `let` runs.  Its
+    call memo maps an argument key to a result and goes when it does."""
+
+    memo: Dict[tuple, object] = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -68,18 +76,21 @@ class QueryResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _predefined() -> Tuple[Library, Declarations]:
+def _predefined() -> Tuple[Library, Mapping[str, object]]:
     tree = analyze(parse(
         "library add " + ",\n".join(PREDEFINED_DECLARATIONS) + ";"))
     library = Library().extended(tree.children[1], PREDEFINED_DECLARATIONS)
-    return library, compile_declarations(library.declarations)
+    # the declarations are all queries, so running them reads no evaluator
+    env = compile_declarations(library.declarations)(None, {}, False, 0)
+    return library, MappingProxyType(env)
 
 
 def predefined_library() -> Library:
-    """The predefined library, analyzed and compiled once per process the
-    way a user's `library add` of its declarations is.  Every evaluator
-    shares it and its compiled declarations; it is never mutated, since
-    `Library.extended` returns a new library."""
+    """The predefined library, analyzed, compiled and run once per process
+    the way a user's `library add` of its declarations is.  Every evaluator
+    shares it and the read-only environment of query closures it declares;
+    neither is ever mutated, since `Library.extended` returns a new library
+    and a `library add` runs into a copy of the environment it extends."""
     return _predefined()[0]
 
 
@@ -87,11 +98,15 @@ class Evaluator:
     """Runs compiled queries over a session store.
 
     One evaluator serves a whole query session: generated equations, atom
-    registry and resolved bisimulation facts persist between queries.  It
-    starts from the shared predefined library, whose compiled declarations
-    it runs into its own environment, so its query closures and their call
-    memos are its own.  `decorate` groups the graph itself and calls no
-    library query, so no `library add` changes it.
+    registry, resolved bisimulation facts and the call memo persist between
+    queries.  It starts from the predefined library's environment, whose
+    query closures every evaluator in the process shares; a `library add`
+    extends a copy of it, so its closures are the session's own.  `memo`
+    maps a library closure and its argument key to a result: the keys hold
+    class ids, which are numbered per evaluator, so each evaluator keeps its
+    own (a `let`-declared query keeps its own, see `LetClosure`).  `decorate`
+    groups the graph itself and calls no library query, so no `library add`
+    changes it.
 
     Compiled code keeps no run state here: whether it runs inside a formula
     and its call depth are Python arguments of each generated function, so
@@ -114,8 +129,8 @@ class Evaluator:
         self.atoms: Dict[str, SetName] = {}
         self.empty_name: Optional[SetName] = None
         self.max_call_depth = sys.getrecursionlimit() // 3
-        self.library, declarations = _predefined()
-        self.library_env = declarations(self, {}, False, 0)
+        self.memo: Dict[tuple, object] = {}
+        self.library, self.library_env = _predefined()
 
     # -- plumbing ------------------------------------------------------------
 
@@ -290,7 +305,7 @@ _MAX_BLOCKS, _MAX_INDENT = 15, 80
 # nodes whose value is a local, a literal or a constant, with at most one statement
 _INLINE = frozenset({g.SET_VARIABLE, g.SET_CONSTANT, g.SET_NAME, g.BOOLEAN_LITERAL})
 _RUNTIME = {"Closure": Closure, "Element": Element, "EvaluationError": EvaluationError,
-            "SetName": SetName, "_MISSING": _MISSING}
+            "LetClosure": LetClosure, "SetName": SetName, "_MISSING": _MISSING}
 
 
 _COMPILED: Dict[tuple, Run] = {}  # analyzed shape -> its function f0, bounded
@@ -350,15 +365,15 @@ def _indented(template: str) -> str:
 # the tables a function's prologue loads, each only if the function reads
 # it; the code of a call, reading elements, an equality and a membership test
 _TABLES = {"ids": "ev.class_ids.ids", "sigs": "ev.class_ids.signatures",
-           "eqs": "ev.store.system.equations"}
+           "eqs": "ev.store.system.equations", "memo": "ev.memo"}
 _REFUSE = ("if depth + {weight} > ev.max_call_depth:\n"
            "    raise EvaluationError('query calls nested too deeply')")
 _KEY = ("{key} = ids.get({value})\nif {key} is None:\n    {key} = ev.class_ids.of({value})\n"
         "    if {key} is None:\n        {key} = {value}")
 _CALL = "{result} = {closure}.body(ev, {closure}.env, {formula}, depth + {weight}, {values})"
-_MEMOIZED_CALL = ("{key} = ({keys},)\n{result} = {closure}.memo.get({key}, _MISSING)\n"
+_MEMOIZED_CALL = ("{key} = ({keys},)\n{result} = {memo}.get({key}, _MISSING)\n"
                   "if {result} is _MISSING:\n    " + _indented(_CALL)
-                  + "\n    {closure}.memo[{key}] = {result}")
+                  + "\n    {memo}[{key}] = {result}")
 # a set argument's key and the call, by whether the call is known to run
 # inside a formula (True) or finds out from the argument `formula` (None)
 _KEYS = {True: _KEY, None: "if formula:\n    " + _indented(_KEY)}
@@ -404,8 +419,10 @@ class _Function:
 
 class _Generator:
     """Generates the source of one module.  `scope` maps each identifier in
-    scope to its slot.  `formula` is True where the node is known to run
-    inside a formula, and None where the code reads the argument `formula`."""
+    scope to its slot.  `let_queries` holds the identifiers that name a
+    `let`-declared query where the code is, in scope or free in a body.
+    `formula` is True where the node is known to run inside a formula, and
+    None where the code reads the argument `formula`."""
 
     def __init__(self) -> None:
         self.functions: List[_Function] = []
@@ -413,6 +430,7 @@ class _Generator:
         self.slots = 0
         self.fn: Optional[_Function] = None
         self.scope: Dict[str, str] = {}
+        self.let_queries: Set[str] = set()
         self.formula: Optional[bool] = None
         # blocks in progress: function, loop, scope to restore, `with` value
         self.open: List[Tuple[_Function, bool, Optional[Dict[str, str]], str]] = []
@@ -529,8 +547,10 @@ class _Generator:
         return result
 
     def declarations(self, declarations: Sequence[ParseNode], out: str = "") -> str:
-        """Bind each declaration in scope in order, and in the dict out."""
+        """Bind each declaration in scope in order, and in the dict out.
+        Without out they are a `let`'s, whose queries are `LetClosure`s."""
         for decl in declarations:
+            let_query = not out and decl.label in (g.SET_QUERY_DECL, g.BOOLEAN_QUERY_DECL)
             if decl.label == g.SET_CONSTANT_DECL:
                 value = self.assign(self.value(decl.children[-1]))
             elif decl.label == g.LABEL_CONSTANT_DECL:
@@ -543,11 +563,16 @@ class _Generator:
                 body = self.function(lambda: self.value(decl.children[-1]), parameters,
                                      True if decl.label == g.BOOLEAN_QUERY_DECL else None)
                 captured = ", ".join("%r: %s" % (free, self.var(free)) for free in body.free)
-                value = self.assign("Closure(%s, {%s})" % (body.name, captured))
+                value = self.assign("%s(%s, {%s})" % (
+                    "LetClosure" if let_query else "Closure", body.name, captured))
             else:
                 continue
             name = decl.children[2].identifier_text()
             self.scope[name] = value
+            if let_query:
+                self.let_queries.add(name)
+            else:
+                self.let_queries.discard(name)
             if out:
                 self.code("%s[%r] = %s" % (out, name, value))
         return out
@@ -647,26 +672,35 @@ class _Generator:
         return result
 
     def _with_declarations(self, node: ParseNode) -> str:
-        saved = self.scope
-        self.scope = dict(saved)
+        saved = self.scope, self.let_queries
+        self.scope, self.let_queries = dict(self.scope), set(self.let_queries)
         self.declarations(node.children[1].children)
         result = self.value(node.children[3])
-        self.scope = saved
+        self.scope, self.let_queries = saved
         return result
 
     def _call(self, node: ParseNode) -> str:
         """Call a declared query; inside a formula, memoized on what its
         arguments denote.  Equations are write-once and the language is
         extensional, so the key holds a set argument's class id, or the name
-        when it has none, and a label argument's text.  Outside formulas a
-        set call runs afresh: a reused result name would change the printed
-        output.  A call that raises stores nothing.  A call whose body would
-        take the call depth past `max_call_depth` is refused on entry."""
+        when it has none, and a label argument's text.  A library query's
+        results go to the evaluator's `memo`, keyed on the closure too; a
+        `let`-declared query's go to its own, which goes with it.  Outside
+        formulas a set call runs afresh: a reused result name would change
+        the printed output.  A call that raises stores nothing.  A call whose
+        body would take the call depth past `max_call_depth` is refused on
+        entry."""
         weight = 1 + _nesting(node)
         self.code(_REFUSE, weight=weight)
-        closure = self.var(node.children[1].identifier_text())
+        name = node.children[1].identifier_text()
+        closure = self.var(name)
+        if name in self.let_queries:
+            memo, keys = closure + ".memo", []
+        else:
+            self.fn.tables.add("memo")
+            memo, keys = "memo", [closure]
         known = self.formula
-        values, keys = [], []
+        values = []
         for argument in node.children[3].children:
             if argument.label in g.TERM_CATEGORIES:
                 value, key = self.value(argument), self.slot()
@@ -679,8 +713,8 @@ class _Generator:
             values.append(value)
             keys.append(key)
         return self.result(_CALLS[known], closure=closure, key=self.slot(), weight=weight,
-                           formula=self.formula_argument(), values=", ".join(values),
-                           keys=", ".join(keys))
+                           memo=memo, formula=self.formula_argument(),
+                           values=", ".join(values), keys=", ".join(keys))
 
     def _set_equality(self, node: ParseNode) -> str:
         """Class ids read in place decide; else `Evaluator.equal`."""

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 import re
@@ -477,6 +478,26 @@ def test_session_isolation():
     assert fresh.evaluator.library is library
     assert "occurrence of identifier name k not declared" in fresh.run_command("set query k;")
     assert (len(library.declarations), len(library.scope)) == sizes
+    # every session starts from the very closures the process built once,
+    # and nothing another session runs changes them
+    shared = evaluator._predefined()[1]
+    before = dict(shared)
+    assert list(fresh.evaluator.library_env) == list(before)
+    assert all(fresh.evaluator.library_env[name] is closure
+               for name, closure in before.items())
+    other = make_session(show_time=False)
+    assert LIBRARY_OK in other.run_command(
+        "library add set query Pair (set x, set y) be { 'p':x };")
+    assert other.run_command("library add set constant bad = local://session#zz;") == \
+        "Library command failed: undefined local name local://session#zz"
+    assert other.run_command("set query mem://missing.xml#y;") == \
+        "Query failed: no such document: mem://missing.xml"
+    assert other.run_command("set query call Pair({}, {});") == \
+        WELL_TYPED + "\n\nResult = {'p':{}}"
+    assert list(shared) == list(before)
+    assert all(shared[name] is closure for name, closure in before.items())
+    assert make_session(show_time=False).run_command("set query call Pair({}, {});") == \
+        WELL_TYPED + "\n\nResult = {'fst':{}, 'snd':{}}"
 
 
 def test_sessions_share_the_compiled_library_but_not_its_memos():
@@ -489,12 +510,34 @@ def test_sessions_share_the_compiled_library_but_not_its_memos():
     assert second.run_command(not_pair) == WELL_TYPED + "\n\nResult = false"
     closures = [s.evaluator.library_env["isPair"] for s in (first, second)]
     assert closures[0].body is closures[1].body  # compiled once per process
-    assert list(closures[0].memo) == list(closures[1].memo) == [(1,)]
-    assert [list(c.memo.values()) for c in closures] == [[True], [False]]
+    assert closures[0] is closures[1]  # and built once per process
+    memos = [s.evaluator.memo for s in (first, second)]
+    assert list(memos[0]) == list(memos[1]) == [(closures[0], 1)]
+    assert [list(memo.values()) for memo in memos] == [[True], [False]]
     # each memo keeps answering for its own session
     assert first.run_command(pair) == WELL_TYPED + "\n\nResult = true"
     assert second.run_command(not_pair) == WELL_TYPED + "\n\nResult = false"
     assert second.run_command(pair) == WELL_TYPED + "\n\nResult = true"
+
+
+def test_let_queries_leave_the_session_memo_bounded():
+    # each run declares a new Id; its memo must go with it, and nothing in
+    # the evaluator's memo may keep it alive
+    session = make_session(show_time=False)
+    query = ("boolean query let set query Id (set x) be x in "
+             "exists l:y in { 'a':{}, 'b':{ 'c':{} } } . call Id(y) = y endlet;")
+
+    def memo_sizes():
+        gc.collect()
+        return len(session.evaluator.memo), sum(
+            len(live.memo) for live in gc.get_objects()
+            if isinstance(live, evaluator.LetClosure))
+
+    assert session.run_command(query) == WELL_TYPED + "\n\nResult = true"
+    first = memo_sizes()
+    for _ in range(199):
+        assert session.run_command(query) == WELL_TYPED + "\n\nResult = true"
+    assert all(size <= bound for size, bound in zip(memo_sizes(), first))
 
 
 def test_deep_query_calls_are_refused_and_the_session_goes_on():
