@@ -94,6 +94,18 @@ def predefined_library() -> Library:
     return _predefined()[0]
 
 
+def _reachable_closures(env: Mapping[str, object]) -> Set[Closure]:
+    """The closures env binds and those their environments capture, in turn."""
+    todo = [value for value in env.values() if isinstance(value, Closure)]
+    reached: Set[Closure] = set()
+    while todo:
+        closure = todo.pop()
+        if closure not in reached:
+            reached.add(closure)
+            todo.extend(value for value in closure.env.values() if isinstance(value, Closure))
+    return reached
+
+
 class Evaluator:
     """Runs compiled queries over a session store.
 
@@ -104,7 +116,8 @@ class Evaluator:
     extends a copy of it, so its closures are the session's own.  `memo`
     maps a library closure and its argument key to a result: the keys hold
     class ids, which are numbered per evaluator, so each evaluator keeps its
-    own (a `let`-declared query keeps its own, see `LetClosure`).  `decorate`
+    own (a `let`-declared query keeps its own, see `LetClosure`), and
+    `add_library` drops the entries of closures no call can reach.  `decorate`
     groups the graph itself and calls no library query, so no `library add`
     changes it.
 
@@ -138,11 +151,18 @@ class Evaluator:
         """Add the declarations of an analyzed `library add` command:
         compile and run only them, in the environment of the library in
         use, which they then extend.  Raises WdbError before the library in
-        use changes."""
+        use changes.  A redefined query's old closure can no longer be
+        called unless a closure still in use captured it, so the `memo`
+        entries of the closures that no call can reach are dropped."""
         library = self.library.extended(command, sources)
         added = library.declarations[len(self.library.declarations):]
         env = compile_declarations(added)(self, self.library_env, False, 0)
+        redefined = any(env[name] is not old for name, old in self.library_env.items())
         self.library, self.library_env = library, env
+        if redefined:
+            live = _reachable_closures(env)
+            for key in [key for key in self.memo if key[0] not in live]:
+                del self.memo[key]
 
     def equal(self, x: SetName, y: SetName) -> bool:
         """Bisimilarity.  Names whose closures are loaded, cycles included,

@@ -540,6 +540,25 @@ def test_let_queries_leave_the_session_memo_bounded():
     assert all(size <= bound for size, bound in zip(memo_sizes(), first))
 
 
+def test_redefined_library_queries_leave_the_session_memo_bounded():
+    # each add replaces Same; the old closure's entries go with it, but
+    # those of a closure that a query still in use captured stay
+    session = make_session(show_time=False)
+    query = "boolean query forall l:y in { 'a':{}, 'b':{ 'c':{} } } . call %s(y);"
+    assert LIBRARY_OK in session.run_command(
+        "library add boolean query Same (set x) be x = x,"
+        " boolean query Outer (set x) be call Same(x);")
+    assert session.run_command(query % "Outer") == WELL_TYPED + "\n\nResult = true"
+    kept = dict(session.evaluator.memo)
+    assert len(kept) == 4
+    for _ in range(200):
+        assert LIBRARY_OK in session.run_command(
+            "library add boolean query Same (set x) be x = x;")
+        assert session.run_command(query % "Same") == WELL_TYPED + "\n\nResult = true"
+    assert len(session.evaluator.memo) == len(kept) + 2
+    assert kept.items() <= session.evaluator.memo.items()
+
+
 def test_deep_query_calls_are_refused_and_the_session_goes_on():
     session = make_session(show_time=False)
     chain = ["set query f0 (set x) be { 'a':x }"] + [
